@@ -67,7 +67,8 @@ DEFAULTS = {
     "adam_eps": 1e-9,
     "patience": 10,
     "eval_every": 200,
-    # estimator; k is a comma list for the sweep commands, a single int elsewhere
+    # estimator; k is a comma list for the sweep commands, a single int
+    # elsewhere; estimator-bench defaults to 0,1,5,10 (COMMAND_DEFAULTS)
     "k": "5",
     "n": 20,
     "residual_epsilon": 1e-6,
@@ -87,14 +88,17 @@ DEFAULTS = {
     "topk_k": "1,5,10",
 }
 
+# defaults that differ for one command; the resolved config records them
+COMMAND_DEFAULTS = {"estimator-bench": {"k": "0,1,5,10"}}
 
-def _k_list(raw):
+
+def _k_list(raw, key="k"):
     try:
         ks = [int(x) for x in str(raw).split(",") if x != ""]
     except ValueError as e:
-        raise UsageError(f"key k: {e}") from e
+        raise UsageError(f"key {key}: {e}") from e
     if not ks or any(k < 0 for k in ks):
-        raise UsageError(f"key k: expected non-negative integers, got {raw!r}")
+        raise UsageError(f"key {key}: expected non-negative integers, got {raw!r}")
     return ks
 
 
@@ -157,8 +161,8 @@ def _coerce(key, raw):
     return raw
 
 
-def resolve_config(file_entries, overrides, seed):
-    cfg = dict(DEFAULTS)
+def resolve_config(file_entries, overrides, seed, command):
+    cfg = {**DEFAULTS, **COMMAND_DEFAULTS.get(command, {})}
     for source in (file_entries, overrides):
         for key, raw in source.items():
             if key not in DEFAULTS:
@@ -332,7 +336,7 @@ def cmd_distill(cfg, out_dir):
 
 def cmd_estimator_bench(cfg, out_dir):
     """Total-variance sweep over k on random instances with a GLEU reward."""
-    ks = _k_list(cfg["k"]) if cfg["k"] != DEFAULTS["k"] else [0, 1, 5, 10]
+    ks = _k_list(cfg["k"])
     V, T = cfg["bench_vocab"], cfg["bench_len"]
     reward = rewards.memoize_reward(rewards.RewardFn("GLEU"))
     rows = []
@@ -371,7 +375,8 @@ def topk_stats(model, corpus, k_list):
         # rounding can push a full cumulative sum marginally past 1.0
         csum = np.minimum(np.cumsum(srt, axis=1), 1.0)
         for k in k_list:
-            col = csum[:, min(k, probs.shape[1]) - 1]
+            # the top-0 mass is empty, not the last column
+            col = csum[:, min(k, probs.shape[1]) - 1] if k else np.zeros(len(csum))
             values[k].extend(float(v) for v in col)
     summary = []
     for k in k_list:
@@ -387,7 +392,7 @@ def cmd_topk_stats(cfg, out_dir):
     model = _get_model(cfg, out_dir)
     if model.kind != "nat":
         raise UsageError("topk-stats requires a NAT model")
-    ks = [int(x) for x in str(cfg["topk_k"]).split(",") if x != ""]
+    ks = _k_list(cfg["topk_k"], key="topk_k")
     values, summary = topk_stats(model, corpus, ks)
     dump_rows = [(k, i, v) for k in ks for i, v in enumerate(values[k])]
     # full precision so recomputing the means from the dump is exact
@@ -475,7 +480,10 @@ def _parse_args(argv):
         if key == "config":
             config_path = value
         elif key == "seed":
-            seed = int(value)
+            try:
+                seed = int(value)
+            except ValueError:
+                raise UsageError(f"--seed: expected an integer, got {value!r}") from None
         elif key == "out":
             out = value
         else:
@@ -488,7 +496,7 @@ def run_command(argv):
     try:
         command, config_path, seed, out_dir, overrides = _parse_args(argv)
         file_entries = parse_config_file(config_path) if config_path else {}
-        cfg = resolve_config(file_entries, overrides, seed)
+        cfg = resolve_config(file_entries, overrides, seed, command)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

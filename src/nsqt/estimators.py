@@ -117,12 +117,12 @@ def top_k_partition(row, k, residual_epsilon=1e-6):
     return TopKPartition(members, mass, np.zeros_like(row), False)
 
 
-def _sample_completions(probs, n, rng):
-    """Draw n independent full sequences, one token per row."""
+def _sample_completions(probs, u):
+    """Full sequences from an (N, T) matrix of uniforms: token t of each
+    sequence inverts row t's CDF at the uniform in column t."""
     T, V = probs.shape
     cum = np.cumsum(probs, axis=1)
-    u = rng.random((n, T))
-    tokens = np.empty((n, T), dtype=np.int64)
+    tokens = np.empty(u.shape, dtype=np.int64)
     for i in range(T):
         tokens[:, i] = np.searchsorted(cum[i], u[:, i], side="right")
     np.clip(tokens, 0, V - 1, out=tokens)
@@ -156,7 +156,7 @@ def estimate_reward_at(dist, t, y, n, reward, ref, rng):
     position t clamped to y, mean reward."""
     if n < 1:
         raise ContractError(f"n must be positive, got {n}")
-    tokens = _sample_completions(dist.probs, n, rng)
+    tokens = _sample_completions(dist.probs, rng.random((n, dist.T)))
     tokens[:, t] = y
     ref = tuple(ref)
     return sum(reward(tuple(row), ref) for row in tokens) / n
@@ -225,38 +225,46 @@ def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
     REINFORCE term weighted by the leftover mass. Reward estimates and the
     leftover mass are treated as constants; only probabilities carry
     gradient (realized through the returned surrogate scalar).
+
+    A reward with a ``batch(tokens, ref)`` method scores all of the
+    sentence's sampled completions in one call; otherwise it is called once
+    per completion. Both give the same numbers.
     """
     T, V = dist.T, dist.V
     if config.k > V:
         raise ContractError(f"k={config.k} exceeds vocabulary size {V}")
     ref = tuple(ref)
-    dprobs = np.zeros((T, V))
-    # one independent stream per position, then per candidate, fixed order:
+    # plan: one (t, y, stream, leftover mass or None) per candidate. One
+    # independent stream per position, then per candidate, fixed order:
     # results do not depend on execution interleaving
     pos_rngs = rng.spawn(T)
-    prob_t, prob_y, prob_w = [], [], []  # p-weighted traversal terms
-    log_t, log_y, log_w = [], [], []  # log p residual terms
-
-    def reward_at(t, y, stream):
-        if exact_rewards:
-            return exact_reward_at(dist, t, y, reward, ref)
-        return estimate_reward_at(dist, t, y, config.n, reward, ref, stream)
-
+    plan = []
     for t in range(T):
         part = top_k_partition(dist.probs[t], config.k, config.residual_epsilon)
         cand_rngs = pos_rngs[t].spawn(config.k + 1)
         for j, y in enumerate(part.members):
-            r = reward_at(t, int(y), cand_rngs[j])
-            dprobs[t, y] -= r
-            prob_t.append(t)
-            prob_y.append(int(y))
-            prob_w.append(r)
+            plan.append((t, int(y), cand_rngs[j], None))
         if part.has_residual:
             cum = np.cumsum(part.residual)
             y = int(np.searchsorted(cum, pos_rngs[t].random(), side="right"))
-            y = min(y, V - 1)
-            r = reward_at(t, y, cand_rngs[config.k])
-            weight = (1.0 - part.mass) * r
+            plan.append((t, min(y, V - 1), cand_rngs[config.k], 1.0 - part.mass))
+
+    if exact_rewards:
+        values = [exact_reward_at(dist, t, y, reward, ref) for t, y, _, _ in plan]
+    else:
+        values = _sampled_rewards(dist, plan, config.n, reward, ref)
+
+    dprobs = np.zeros((T, V))
+    prob_t, prob_y, prob_w = [], [], []  # p-weighted traversal terms
+    log_t, log_y, log_w = [], [], []  # log p residual terms
+    for (t, y, _, rest), r in zip(plan, values):
+        if rest is None:
+            dprobs[t, y] -= r
+            prob_t.append(t)
+            prob_y.append(y)
+            prob_w.append(r)
+        else:
+            weight = rest * r
             dprobs[t, y] -= weight / dist.probs[t, y]
             log_t.append(t)
             log_y.append(y)
@@ -279,6 +287,30 @@ def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
                 total = tc.add(total, extra)
             surrogate = tc.mul(total, -1.0)
     return GradientEstimate(dprobs, surrogate)
+
+
+def _sampled_rewards(dist, plan, n, reward, ref):
+    """Monte Carlo reward of every planned candidate: the mean over n
+    completions drawn from the candidate's own stream, with position t
+    clamped to y. Equal to ``estimate_reward_at`` per candidate."""
+    u = np.concatenate([stream.random((n, dist.T)) for _, _, stream, _ in plan])
+    tokens = _sample_completions(dist.probs, u)
+    clamp_t = np.repeat([t for t, _, _, _ in plan], n)
+    tokens[np.arange(len(tokens)), clamp_t] = np.repeat([y for _, y, _, _ in plan], n)
+    batch = getattr(reward, "batch", None)
+    if batch is None:
+        scores = [reward(tuple(row), ref) for row in tokens]
+    else:
+        scores = np.asarray(batch(tokens, ref), dtype=np.float64)
+        if scores.shape != (len(tokens),):
+            raise ContractError(
+                f"reward.batch returned shape {scores.shape}, expected ({len(tokens)},)"
+            )
+        if not np.all((scores >= 0.0) & (scores <= 1.0)):
+            raise ContractError("reward.batch returned values outside [0, 1]")
+        scores = scores.tolist()
+    # Python sum in row order, as estimate_reward_at adds them
+    return [sum(scores[i : i + n]) / n for i in range(0, len(scores), n)]
 
 
 def reinforce_step(dist, reward, ref, n, rng):

@@ -462,12 +462,6 @@ def sequence_logprob(probs, tokens):
     return float(np.log(np.maximum(p, 1e-300)).sum() / max(len(tokens), 1))
 
 
-def nat_argmax(model, src_ids, out_len):
-    """Raw NAT decode: one forward pass, per-row argmax."""
-    probs = model.forward(src_ids, out_len)
-    return probs.data[0].argmax(axis=1).tolist()
-
-
 class _Stepper:
     """Adapter giving AR and FS models a shared incremental-decoding surface."""
 

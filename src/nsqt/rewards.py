@@ -10,6 +10,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 MAX_N = 4
 
 
@@ -46,6 +48,62 @@ def gleu(hyp, ref, max_n=MAX_N):
         return 0.0
     matched = _clipped_matches(hyp_counts, ref_counts)
     return min(matched / total_hyp, matched / total_ref)
+
+
+def gleu_rows(tokens, ref, max_n=MAX_N):
+    """``gleu(row, ref)`` for every row of an (R, T) token matrix, as a
+    float64 vector, bitwise equal to the scalar calls.
+
+    The reference n-grams are counted once. Tokens are renumbered densely
+    over the reference vocabulary (every other token becomes 0), so each
+    n-gram is one base-(m+1) integer code and a hypothesis n-gram holding a
+    token absent from the reference never matches. Clipped matches are
+    counted by sorting each row's codes and keeping the occurrences whose
+    rank within the row is below the reference count.
+    """
+    if max_n < 1:
+        raise ValueError(f"max_n must be >= 1, got {max_n}")
+    tokens = np.asarray(tokens, dtype=np.int64)
+    if tokens.ndim != 2:
+        raise ValueError(f"expected an R x T token matrix, got shape {tokens.shape}")
+    ref = np.asarray(ref, dtype=np.int64).reshape(-1)
+    T, L = tokens.shape[1], ref.shape[0]
+    total_hyp = sum(max(T - n + 1, 0) for n in range(1, max_n + 1))
+    total_ref = sum(max(L - n + 1, 0) for n in range(1, max_n + 1))
+    scores = np.zeros(tokens.shape[0])
+    if total_hyp and total_ref:
+        vocab = np.unique(ref)
+        base, top = len(vocab) + 1, min(max_n, T, L)
+        if base**top >= 2**63:  # codes would overflow int64
+            return np.array([gleu(row, ref.tolist(), max_n) for row in tokens.tolist()])
+        pos = np.minimum(np.searchsorted(vocab, tokens), len(vocab) - 1)
+        hyp_ids = np.where(vocab[pos] == tokens, pos + 1, 0)
+        ref_ids = np.searchsorted(vocab, ref) + 1
+        hyp_codes = np.zeros_like(hyp_ids)
+        ref_codes = np.zeros_like(ref_ids)
+        matched = np.zeros(tokens.shape[0], dtype=np.int64)
+        for n in range(1, top + 1):
+            hyp_codes = hyp_codes[:, : T - n + 1] * base + hyp_ids[:, n - 1 :]
+            ref_codes = ref_codes[: L - n + 1] * base + ref_ids[n - 1 :]
+            matched += _clipped_match_rows(hyp_codes, ref_codes)
+        scores = np.minimum(matched / total_hyp, matched / total_ref)
+    if T == L:
+        scores[np.all(tokens == ref, axis=1)] = 1.0
+    return scores
+
+
+def _clipped_match_rows(hyp_codes, ref_codes):
+    """Per row of ``hyp_codes``, the sum over codes of min(row count,
+    reference count)."""
+    codes, counts = np.unique(ref_codes, return_counts=True)
+    srt = np.sort(hyp_codes, axis=1)
+    col = np.arange(srt.shape[1])
+    run_start = np.ones(srt.shape, dtype=bool)
+    run_start[:, 1:] = srt[:, 1:] != srt[:, :-1]
+    rank = col - np.maximum.accumulate(np.where(run_start, col, 0), axis=1)
+    pos = np.minimum(np.searchsorted(codes, srt), len(codes) - 1)
+    limit = np.where(codes[pos] == srt, counts[pos], 0)
+    return np.count_nonzero(rank < limit, axis=1)
 
 
 def bleu_sentence(hyp, ref):
@@ -107,6 +165,13 @@ class RewardFn:
         if self.kind == "GLEU":
             return gleu(hyp, ref, self.max_n)
         return bleu_sentence(hyp, ref)
+
+    def batch(self, tokens, ref):
+        """The reward of every row of an (R, T) token matrix: one value per
+        row, bitwise equal to calling the reward on that row."""
+        if self.kind == "GLEU":
+            return gleu_rows(tokens, ref, self.max_n)
+        return np.array([bleu_sentence(row, ref) for row in np.asarray(tokens).tolist()])
 
 
 def memoize_reward(reward):

@@ -83,6 +83,11 @@ def test_bad_value_type_is_usage_error(tmp_path, capsys):
     assert "max_steps" in capsys.readouterr().err
 
 
+def test_non_integer_seed_is_usage_error(tmp_path, capsys):
+    assert run(["train-ce", "--out", tmp_path, "--seed", "abc"] + FAST) == 1
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_bad_thread_env_rejected(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("NSQT_THREADS", "many")
     assert run(["train-ce", "--out", tmp_path] + FAST) == 1
@@ -181,6 +186,17 @@ def test_estimator_bench_one_row_per_k(tmp_path):
     assert [line.split(",")[0] for line in lines] == ["k", "0", "1", "5", "10"]
 
 
+def test_estimator_bench_single_k_is_not_the_default_sweep(tmp_path):
+    out = tmp_path / "bench"
+    code = run(
+        ["estimator-bench", "--out", out, "--k", "5",
+         "--bench_reps", "20", "--bench_instances", "1", "--n", "2"]
+    )
+    assert code == 0
+    lines = (out / "variance.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines] == ["k", "5"]
+
+
 def test_topk_stats_means_reproducible_from_dump(tmp_path):
     ckpt = _tiny_checkpoint(tmp_path)
     out = tmp_path / "topk"
@@ -204,6 +220,21 @@ def test_topk_stats_means_reproducible_from_dump(tmp_path):
     # top-10 of a 10-token vocabulary is the whole distribution
     assert means[10] == pytest.approx(1.0, abs=1e-12)
     assert means[1] <= means[3] <= means[10]
+
+
+def test_topk_stats_k0_covers_no_mass(tmp_path):
+    corpus = cli._load_corpora({**cli.DEFAULTS, "vocab_size": 10, "train_pairs": 4, "valid_pairs": 2})[1]
+    model = cli.checkpoint.load_model(_tiny_checkpoint(tmp_path))
+    values, summary = cli.topk_stats(model, corpus, [0, 1])
+    assert set(values[0]) == {0.0}
+    assert summary[0][1] == 0.0 and summary[1][1] > 0.0
+
+
+def test_topk_stats_malformed_k_is_usage_error(tmp_path, capsys):
+    ckpt = _tiny_checkpoint(tmp_path)
+    args = ["topk-stats", "--out", tmp_path / "t", "--init_checkpoint", ckpt] + FAST
+    assert run(args + ["--topk_k", "1,x"]) == 1
+    assert "topk_k" in capsys.readouterr().err
 
 
 def test_topk_stats_requires_nat(tmp_path):

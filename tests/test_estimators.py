@@ -230,6 +230,64 @@ class TestReinforceNat:
         assert np.max(np.abs(logits.grad - manual)) <= 1e-8
 
 
+class TestBatchedRewards:
+    """A reward's ``batch`` method must change nothing but speed: the scalar
+    reward is the oracle."""
+
+    def _step(self, reward, k=3, n=7):
+        rng = np.random.default_rng(31)
+        logits = tc.Tensor(rng.standard_normal((6, 9)), requires_grad=True)
+        probs = tc.softmax_rows(logits)
+        dist = est.PositionDistributions(probs.data, tensor=probs)
+        return est.reinforce_nat_step(
+            dist, est.EstimatorConfig(k=k, n=n), reward, (1, 2, 3, 4, 2, 1), np.random.default_rng(8)
+        )
+
+    @pytest.mark.parametrize("k", [0, 3, 9])
+    def test_batch_equals_scalar_bitwise(self, k):
+        batched = self._step(rewards.RewardFn("GLEU"), k=k)
+        scalar = self._step(lambda h, r: rewards.gleu(h, r), k=k)
+        assert np.array_equal(batched.dprobs, scalar.dprobs)
+        assert batched.surrogate.item() == scalar.surrogate.item()
+
+    def test_batch_equals_estimate_reward_at(self):
+        # with k = V and no residual, dprobs[t, y] is minus the Monte Carlo
+        # reward of each candidate, drawn from that candidate's own stream
+        dist = est.random_distributions(3, 4, np.random.default_rng(2))
+        ref = (0, 1, 2)
+        got = est.reinforce_nat_step(dist, est.EstimatorConfig(k=4, n=5), rewards.RewardFn("GLEU"), ref, np.random.default_rng(4))
+        streams = [s.spawn(5) for s in np.random.default_rng(4).spawn(3)]
+        want = [
+            [-est.estimate_reward_at(dist, t, y, 5, rewards.gleu, ref, streams[t][y]) for y in range(4)]
+            for t in range(3)
+        ]
+        assert got.dprobs.tolist() == want
+
+    class _BadBatch:
+        def __init__(self, result):
+            self.result = result
+
+        def __call__(self, hyp, ref):
+            return rewards.gleu(hyp, ref)
+
+        def batch(self, tokens, ref):
+            return self.result(tokens)
+
+    @pytest.mark.parametrize(
+        "result",
+        [
+            lambda tok: np.zeros(len(tok) - 1),
+            lambda tok: np.zeros((len(tok), 1)),
+            lambda tok: np.full(len(tok), 1.5),
+            lambda tok: np.full(len(tok), -0.1),
+            lambda tok: np.full(len(tok), np.nan),
+        ],
+    )
+    def test_bad_batch_is_contract_error(self, result):
+        with pytest.raises(est.ContractError, match="reward.batch"):
+            self._step(self._BadBatch(result))
+
+
 class TestEstimatorStats:
     def test_exact_oracle_has_zero_variance(self):
         dist = uniform_dist(2, 3)

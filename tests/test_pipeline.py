@@ -134,6 +134,19 @@ def test_finetune_rl_deterministic_logs():
     assert logs[0] == logs[1]
 
 
+def test_finetune_rl_batched_reward_matches_scalar_reward():
+    corpus = tiny_corpus(kind="echo_runs", len_range=(3, 6))
+    ecfg = est.EstimatorConfig(k=3, n=5, rng_seed=4)
+    runs = []
+    for reward in (rewards.RewardFn("GLEU"), lambda h, r: rewards.gleu(h, r)):
+        model = build_model("nat", TINY, seed=3)
+        logs = pl.finetune_rl(model, corpus, ecfg, reward, tiny_cfg(max_steps=4))
+        runs.append((logs, model.state()))
+    (logs_a, state_a), (logs_b, state_b) = runs
+    assert logs_a == logs_b
+    assert all(np.array_equal(state_a[name], state_b[name]) for name in state_a)
+
+
 def test_constant_reward_gives_zero_parameter_gradient():
     """A constant sequence reward makes the expected loss a constant, so the
     exact full-traversal gradient through the softmax must vanish."""

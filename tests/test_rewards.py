@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,6 +64,56 @@ class TestGleu:
         ref = [t for t in hyp]  # ref over ids 0..9; 99 never appears in ref
         base = rewards.gleu(hyp, ref)
         assert rewards.gleu(hyp + [99], ref) <= base
+
+
+@st.composite
+def batch_cases(draw):
+    """An (R, T) token matrix, a reference of any length (empty included),
+    and max_n; some rows may equal the reference."""
+    vocab = draw(st.integers(1, 12))
+    width = draw(st.integers(0, 9))
+    tok = st.integers(0, vocab - 1)
+    ref = draw(st.lists(tok, min_size=0, max_size=10))
+    rows = draw(st.lists(st.lists(tok, min_size=width, max_size=width), min_size=1, max_size=8))
+    if len(ref) == width:
+        rows = [list(ref) if draw(st.booleans()) else row for row in rows]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), width), tuple(ref), draw(st.integers(1, 4))
+
+
+class TestGleuRows:
+    @settings(max_examples=400, deadline=None)
+    @given(batch_cases())
+    def test_bitwise_equal_to_scalar(self, case):
+        tokens, ref, max_n = case
+        got = rewards.gleu_rows(tokens, ref, max_n)
+        want = [rewards.gleu(tuple(row), ref, max_n) for row in tokens]
+        assert got.shape == (len(tokens),)
+        assert got.tolist() == want
+
+    def test_tokens_outside_reference_vocabulary(self):
+        tokens = np.array([[7, 1, 2], [1, 2, 900], [0, 0, 0]])
+        ref = (1, 2, 3, 1)
+        assert rewards.gleu_rows(tokens, ref).tolist() == [rewards.gleu(r, ref) for r in tokens.tolist()]
+
+    def test_codes_too_wide_for_int64_fall_back_to_scalar(self):
+        ref = tuple(range(40))
+        tokens = np.array([ref, ref[::-1]])
+        got = rewards.gleu_rows(tokens, ref, max_n=20)
+        assert got.tolist() == [1.0, rewards.gleu(ref[::-1], ref, 20)]
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            rewards.gleu_rows(np.zeros((2, 2), dtype=np.int64), (1,), max_n=0)
+        with pytest.raises(ValueError):
+            rewards.gleu_rows(np.zeros(3, dtype=np.int64), (1,))
+
+    @pytest.mark.parametrize("kind", ["GLEU", "BLEU"])
+    def test_reward_fn_batch_matches_call(self, kind):
+        fn = rewards.RewardFn(kind)
+        rng = np.random.default_rng(0)
+        tokens = rng.integers(0, 6, size=(30, 5))
+        ref = (1, 2, 3, 2, 5)
+        assert fn.batch(tokens, ref).tolist() == [fn(tuple(row), ref) for row in tokens]
 
 
 class TestBleuSentence:
