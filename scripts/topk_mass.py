@@ -17,7 +17,6 @@ import numpy as np
 
 from nsqt import pipeline as pl
 from nsqt.checkpoint import load_model
-from nsqt.cli import topk_stats
 from nsqt.data import gen_synthetic_task
 from nsqt.models import ModelConfig, build_model
 
@@ -51,7 +50,7 @@ def main():
             pl.TrainConfig(max_steps=args.ce_steps, lr=0.003, warmup=200, rng_seed=args.seed),
         )
 
-    _, summary = topk_stats(model, valid, args.k)
+    _, summary = pl.topk_stats(model, valid, args.k)
     print("k,mean_p_k,hist[0,.2),hist[.2,.4),hist[.4,.6),hist[.6,.8),hist[.8,1]")
     for row in summary:
         k, mean, *hist = row

@@ -13,10 +13,14 @@ Layout (all integers little-endian):
                      then the f64 payload in C order
 
 Round trip is bitwise: load(save(m)) reproduces every parameter exactly.
+A file that ends early, has bytes after the last tensor, or describes a
+model that cannot be built raises ``CheckpointError``.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -31,15 +35,45 @@ class CheckpointError(RuntimeError):
     pass
 
 
+class _Reader:
+    """Reads exact byte counts from a checkpoint file of known size."""
+
+    def __init__(self, f, path):
+        self.f, self.path = f, path
+        self.size = os.fstat(f.fileno()).st_size
+
+    def bytes(self, n):
+        # checked before reading, so a corrupt length field allocates nothing
+        at = self.f.tell()
+        if n > self.size - at:
+            raise CheckpointError(
+                f"{self.path}: truncated at byte {self.size}, "
+                f"needed {n} more bytes from byte {at}"
+            )
+        return self.f.read(n)
+
+    def unpack(self, fmt):
+        return struct.unpack(fmt, self.bytes(struct.calcsize(fmt)))
+
+    def text(self):
+        (n,) = self.unpack("<I")
+        try:
+            return self.bytes(n).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{self.path}: invalid name: {e}") from None
+
+    def finish(self):
+        at = self.f.tell()
+        if at != self.size:
+            raise CheckpointError(
+                f"{self.path}: {self.size - at} unexpected bytes after the last tensor"
+            )
+
+
 def _write_str(f, s):
     raw = s.encode("utf-8")
     f.write(struct.pack("<I", len(raw)))
     f.write(raw)
-
-
-def _read_str(f):
-    (n,) = struct.unpack("<I", f.read(4))
-    return f.read(n).decode("utf-8")
 
 
 def save_model(model, path, seed=0):
@@ -73,14 +107,25 @@ def save_model(model, path, seed=0):
 
 def load_model(path):
     with open(path, "rb") as f:
+        r = _Reader(f, path)
         if f.read(4) != MAGIC:
             raise CheckpointError(f"{path}: not a model checkpoint (bad magic)")
-        (version,) = struct.unpack("<I", f.read(4))
+        (version,) = r.unpack("<I")
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported format version {version}")
-        kind = _read_str(f)
-        (seed,) = struct.unpack("<Q", f.read(8))
-        fields = struct.unpack("<IIIIdII", f.read(4 * 6 + 8))
+        kind = r.text()
+        (seed,) = r.unpack("<Q")
+        fields = r.unpack("<IIIIdII")
+        (count,) = r.unpack("<I")
+        state = {}
+        for _ in range(count):
+            name = r.text()
+            (ndim,) = r.unpack("<I")
+            shape = r.unpack(f"<{ndim}I")
+            data = np.frombuffer(r.bytes(8 * math.prod(shape)), dtype="<f8")
+            state[name] = data.reshape(shape).astype(np.float64)
+        r.finish()
+    try:
         cfg = ModelConfig(
             d_model=fields[0],
             d_hidden=fields[1],
@@ -90,15 +135,8 @@ def load_model(path):
             vocab_size=fields[5],
             max_len=fields[6],
         )
-        (count,) = struct.unpack("<I", f.read(4))
-        state = {}
-        for _ in range(count):
-            name = _read_str(f)
-            (ndim,) = struct.unpack("<I", f.read(4))
-            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
-            n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(f.read(8 * n), dtype="<f8").reshape(shape)
-            state[name] = data.astype(np.float64)
-    model = build_model(kind, cfg, seed=seed)
-    model.load_state(state)
+        model = build_model(kind, cfg, seed=seed)
+        model.load_state(state)
+    except (ValueError, KeyError) as e:
+        raise CheckpointError(f"{path}: does not describe a loadable model: {e}") from None
     return model

@@ -365,27 +365,6 @@ def cmd_estimator_bench(cfg, out_dir):
     return 0
 
 
-def topk_stats(model, corpus, k_list):
-    """Mean top-k probability mass over every target-position prediction,
-    plus a 5-interval histogram of the per-position masses."""
-    values = {k: [] for k in k_list}
-    for src, tgt in corpus.pairs:
-        probs = model.forward(np.array([src], dtype=np.int64), len(tgt)).data[0]
-        srt = np.sort(probs, axis=1)[:, ::-1]
-        # rounding can push a full cumulative sum marginally past 1.0
-        csum = np.minimum(np.cumsum(srt, axis=1), 1.0)
-        for k in k_list:
-            # the top-0 mass is empty, not the last column
-            col = csum[:, min(k, probs.shape[1]) - 1] if k else np.zeros(len(csum))
-            values[k].extend(float(v) for v in col)
-    summary = []
-    for k in k_list:
-        vals = values[k]
-        hist, _ = np.histogram(vals, bins=5, range=(0.0, 1.0))
-        summary.append((k, sum(vals) / len(vals), *(int(h) for h in hist)))
-    return values, summary
-
-
 def cmd_topk_stats(cfg, out_dir):
     train, valid = _load_corpora(cfg)
     corpus = valid or train
@@ -393,7 +372,7 @@ def cmd_topk_stats(cfg, out_dir):
     if model.kind != "nat":
         raise UsageError("topk-stats requires a NAT model")
     ks = _k_list(cfg["topk_k"], key="topk_k")
-    values, summary = topk_stats(model, corpus, ks)
+    values, summary = pipeline.topk_stats(model, corpus, ks)
     dump_rows = [(k, i, v) for k in ks for i, v in enumerate(values[k])]
     # full precision so recomputing the means from the dump is exact
     write_csv(out_dir / "topk_values.csv", ("k", "position", "p_k"), dump_rows, fmt_full)

@@ -20,16 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tc
+from .errors import CapacityError, ContractError
 
 ENUM_LIMIT = 10**7
-
-
-class CapacityError(RuntimeError):
-    """Instance too large for exact enumeration."""
-
-
-class ContractError(ValueError):
-    """Caller violated an estimator precondition."""
 
 
 @dataclass

@@ -22,13 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as tc
+from .errors import CapacityError
 
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
 N_RESERVED = 4
-
-
-class CapacityError(RuntimeError):
-    """Sequence exceeds the model's configured maximum length."""
 
 
 @dataclass(frozen=True)
@@ -42,6 +39,11 @@ class ModelConfig:
     max_len: int = 64
 
     def __post_init__(self):
+        for name in ("d_model", "d_hidden", "n_head", "vocab_size", "max_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 <= self.p_dropout < 1.0:
+            raise ValueError(f"p_dropout must be in [0, 1), got {self.p_dropout}")
         if self.d_model % self.n_head != 0:
             raise ValueError(
                 f"d_model={self.d_model} not divisible by n_head={self.n_head}"
@@ -142,9 +144,18 @@ class MultiHeadAttention:
         self.wo = Linear(store, f"{name}.o", d_model, d_model)
 
     def __call__(self, q_in, k_in, v_in, mask=None):
+        return self.attend(q_in, *self.keys_values(k_in, v_in), mask=mask)
+
+    def keys_values(self, k_in, v_in):
+        """Head-split keys and values, (..., h, T, d/h) each."""
+        return (
+            _split_heads(self.wk(k_in), self.n_head),
+            _split_heads(self.wv(v_in), self.n_head),
+        )
+
+    def attend(self, q_in, k, v, mask=None):
+        """Attention of the queries from ``q_in`` over head-split keys and values."""
         q = _split_heads(self.wq(q_in), self.n_head)
-        k = _split_heads(self.wk(k_in), self.n_head)
-        v = _split_heads(self.wv(v_in), self.n_head)
         k_axes = list(range(k.ndim))
         k_axes[-1], k_axes[-2] = k_axes[-2], k_axes[-1]
         scores = tc.mul(tc.matmul(q, tc.transpose(k, k_axes)), self.scale)
@@ -196,6 +207,18 @@ class ARDecoderLayer:
         x = self.norm2(tc.add(x, self.cross_attn(x, enc, enc)))
         return self.norm3(tc.add(x, self.ff(x)))
 
+    def step(self, x, enc, cache, slot):
+        """The positions after ``cache.length``, attending to the keys and
+        values cached under ``slot`` and appending their own."""
+        start, end = cache.length, cache.length + x.shape[-2]
+        k, v = cache.extend(slot, *self.self_attn.keys_values(x, x))
+        mask = causal_mask(end)[start:] if end - start > 1 else None
+        x = self.norm1(tc.add(x, self.self_attn.attend(x, k, v, mask=mask)))
+        if slot not in cache.cross_kv:
+            cache.cross_kv[slot] = self.cross_attn.keys_values(enc, enc)
+        x = self.norm2(tc.add(x, self.cross_attn.attend(x, *cache.cross_kv[slot])))
+        return self.norm3(tc.add(x, self.ff(x)))
+
 
 class NATDecoderLayer:
     """Unmasked self-attention, positional attention (sinusoidal queries and
@@ -240,6 +263,37 @@ def predict_length(src_len, table):
         key = min(table.table, key=lambda k: (abs(k - src_len), k))
         return table.table[key]
     return src_len
+
+
+class DecodeCache:
+    """Keys and values of the causal layers for one sentence being decoded.
+
+    ``self_kv[slot]`` holds a layer's self-attention keys and values for the
+    ``length`` positions decoded so far, one row per live hypothesis;
+    ``cross_kv[slot]`` holds its keys and values of the encoder output,
+    computed on first use. Encoder rows are per source and broadcast over
+    the hypotheses, so ``reorder`` leaves them as they are.
+    """
+
+    def __init__(self):
+        self.length = 0
+        self.self_kv = {}
+        self.cross_kv = {}
+
+    def extend(self, slot, k, v):
+        """Append new positions' keys and values; returns the full ones."""
+        if slot in self.self_kv:
+            k_old, v_old = self.self_kv[slot]
+            k, v = tc.concat([k_old, k], axis=-2), tc.concat([v_old, v], axis=-2)
+        self.self_kv[slot] = (k, v)
+        return k, v
+
+    def reorder(self, rows):
+        """Keep the hypothesis rows ``rows`` in that order; a row may repeat."""
+        rows = np.asarray(rows, dtype=np.int64)
+        for slot, (k, v) in self.self_kv.items():
+            if not np.array_equal(rows, np.arange(k.shape[0])):
+                self.self_kv[slot] = (tc.take(k, (rows,)), tc.take(v, (rows,)))
 
 
 class ModelBase:
@@ -329,18 +383,29 @@ class ARModel(ModelBase):
         ]
         self.decoder_calls = 0
 
-    def forward(self, src_ids, tgt_in, enc=None):
+    def forward(self, src_ids, tgt_in, enc=None, cache=None):
         """Teacher-forced distributions: position t conditions on
-        tgt_in[:t+1] (the shifted history) and the source only."""
+        tgt_in[:t+1] (the shifted history) and the source only.
+
+        With a ``DecodeCache``, ``tgt_in`` holds only the positions after
+        the ``cache.length`` already decoded ones: only they are computed,
+        and their keys and values are appended to the cache."""
         tgt_in = np.atleast_2d(np.asarray(tgt_in, dtype=np.int64))
-        self._check_len(tgt_in.shape[1], "target")
+        start = 0 if cache is None else cache.length
+        end = start + tgt_in.shape[1]
+        self._check_len(end, "target")
         if enc is None:
             enc = self.encode(src_ids)
         self.decoder_calls += 1
-        x = tc.add(self._embed_tokens(tgt_in), self.pe[: tgt_in.shape[1]])
+        x = tc.add(self._embed_tokens(tgt_in), self.pe[start:end])
         x = self._dropout(x)
-        for layer in self.dec_layers:
-            x = layer(x, enc)
+        if cache is None:
+            for layer in self.dec_layers:
+                x = layer(x, enc)
+        else:
+            for slot, layer in enumerate(self.dec_layers):
+                x = layer.step(x, enc, cache, slot)
+            cache.length = end
         return self._head(x)
 
     def train_distributions(self, src_ids, tgt_ids):
@@ -405,25 +470,36 @@ class FSModel(ModelBase):
             x = layer(x, enc, pos_enc)
         return x, enc
 
-    def _fit_length(self, h, target_len):
-        """Pad bottom states with zero vectors, or truncate, to target_len."""
+    def _fit_length(self, h, start, end):
+        """Bottom-state rows start..end-1, padded with zero vectors past the
+        last row (a target may outgrow the predicted length)."""
         cur = h.shape[1]
-        if cur == target_len:
+        if cur < end:
+            pad = tc.Tensor(np.zeros((h.shape[0], end - cur, h.shape[2])))
+            h = tc.concat([h, pad], axis=1)
+        if start == 0 and h.shape[1] == end:
             return h
-        if cur > target_len:
-            return tc.slice_axis(h, 1, 0, target_len)
-        pad = tc.Tensor(np.zeros((h.shape[0], target_len - cur, h.shape[2])))
-        return tc.concat([h, pad], axis=1)
+        return tc.slice_axis(h, 1, start, end)
 
-    def fuse_and_top(self, h_bottom, tgt_in, enc):
+    def fuse_and_top(self, h_bottom, tgt_in, enc, cache=None):
         """ReLU fusion of bottom states with shifted target embeddings,
-        then one causal decoder layer and the softmax head."""
+        then one causal decoder layer and the softmax head.
+
+        With a ``DecodeCache``, ``tgt_in`` holds only the positions after
+        the ``cache.length`` already decoded ones, as in ``ARModel.forward``;
+        ``h_bottom`` still covers the whole output."""
         tgt_in = np.atleast_2d(np.asarray(tgt_in, dtype=np.int64))
         self.top_calls += 1
-        h = self._fit_length(h_bottom, tgt_in.shape[1])
-        y = tc.add(self._embed_tokens(tgt_in), self.pe[: tgt_in.shape[1]])
+        start = 0 if cache is None else cache.length
+        end = start + tgt_in.shape[1]
+        h = self._fit_length(h_bottom, start, end)
+        y = tc.add(self._embed_tokens(tgt_in), self.pe[start:end])
         fused = tc.relu(tc.add(tc.matmul(h, self.fuse_w), tc.matmul(y, self.fuse_u)))
-        x = self.top_layer(fused, enc)
+        if cache is None:
+            x = self.top_layer(fused, enc)
+        else:
+            x = self.top_layer.step(fused, enc, cache, 0)
+            cache.length = end
         return self._head(x)
 
     def forward_train(self, src_ids, tgt_ids, out_len=None):
@@ -463,11 +539,13 @@ def sequence_logprob(probs, tokens):
 
 
 class _Stepper:
-    """Adapter giving AR and FS models a shared incremental-decoding surface."""
+    """Incremental decoding of one source sentence with an AR or FS model:
+    the encoder (and FS bottom) pass runs once, and each step computes only
+    the newest position against the stepper's ``DecodeCache``."""
 
     def __init__(self, model, src_ids, out_len):
         self.model = model
-        self.out_len = out_len
+        self.cache = DecodeCache()
         if model.kind == "fs":
             self.h, self.enc = model.bottom_states(src_ids, out_len)
         elif model.kind == "ar":
@@ -475,32 +553,25 @@ class _Stepper:
         else:
             raise ValueError(f"incremental decoding undefined for {model.kind!r}")
 
-    def step_probs(self, prefixes):
-        """Next-token distributions for a stack of equal-length prefixes."""
-        tgt_in = np.array([[BOS] + list(p) for p in prefixes], dtype=np.int64)
+    def step_probs(self, last_tokens):
+        """Next-token distributions, one row per live hypothesis, given
+        each hypothesis's newest token (BOS at the first step)."""
+        tgt_in = np.asarray(last_tokens, dtype=np.int64)[:, None]
         if self.model.kind == "fs":
-            b = tgt_in.shape[0]
-            h = self.h if self.h.shape[0] == b else tc.Tensor(
-                np.broadcast_to(self.h.data, (b, *self.h.data.shape[1:])).copy()
-            )
-            enc = self.enc if self.enc.shape[0] == b else tc.Tensor(
-                np.broadcast_to(self.enc.data, (b, *self.enc.data.shape[1:])).copy()
-            )
-            probs = self.model.fuse_and_top(h, tgt_in, enc)
+            probs = self.model.fuse_and_top(self.h, tgt_in, self.enc, cache=self.cache)
         else:
-            b = tgt_in.shape[0]
-            enc = self.enc if self.enc.shape[0] == b else tc.Tensor(
-                np.broadcast_to(self.enc.data, (b, *self.enc.data.shape[1:])).copy()
-            )
-            probs = self.model.forward(None, tgt_in, enc=enc)
+            probs = self.model.forward(None, tgt_in, enc=self.enc, cache=self.cache)
         return probs.data[:, -1, :]
 
 
+@tc.no_grad()
 def beam_decode(model, src_ids, out_len, beam=1, force_include=()):
     """Length-normalized beam search for AR and FS models; greedy when beam=1.
 
     One decoder invocation per emitted step (live beams are stacked into a
-    batch). Stops on EOS or after ``out_len`` steps. ``force_include`` adds
+    batch, and their cached keys and values follow each surviving
+    hypothesis's parent row). Runs without recording a compute graph.
+    Stops on EOS or after ``out_len`` steps. ``force_include`` adds
     extra candidate token sequences to the final selection, scored under the
     model; decoding itself is unchanged.
 
@@ -514,25 +585,27 @@ def beam_decode(model, src_ids, out_len, beam=1, force_include=()):
     finished = []
     steps = 0
     for _ in range(out_len):
-        probs = stepper.step_probs([tokens for tokens, _ in live])
+        probs = stepper.step_probs([tokens[-1] if tokens else BOS for tokens, _ in live])
         steps += 1
         logp = np.log(np.maximum(probs, 1e-300))
         candidates = []
-        for (tokens, score), row in zip(live, logp):
+        for parent, ((tokens, score), row) in enumerate(zip(live, logp)):
             order = np.argsort(-row, kind="stable")[: beam + 1]
             for tok in order:
-                candidates.append((tokens + (int(tok),), score + float(row[tok])))
+                candidates.append((tokens + (int(tok),), score + float(row[tok]), parent))
         candidates.sort(key=lambda c: (-c[1] / len(c[0]), c[0]))
-        live = []
-        for tokens, score in candidates:
+        live, parents = [], []
+        for tokens, score, parent in candidates:
             if tokens[-1] == EOS:
                 finished.append((tokens, score / len(tokens)))
             elif len(live) < beam:
                 live.append((tokens, score))
+                parents.append(parent)
             if len(finished) >= beam and len(live) >= beam:
                 break
         if not live:
             break
+        stepper.cache.reorder(parents)
     for tokens, score in live:
         finished.append((tokens, score / max(len(tokens), 1)))
     for extra in force_include:

@@ -19,16 +19,13 @@ from . import estimators as est
 from . import rewards
 from . import tensor as tc
 from .data import build_length_table
+from .errors import ContractError
 from .models import EOS, PAD, LengthTable, beam_decode, predict_length
 
 log = logging.getLogger(__name__)
 
 
 class TrainingError(RuntimeError):
-    pass
-
-
-class ContractError(ValueError):
     pass
 
 
@@ -271,8 +268,10 @@ def _strip(tokens):
     return tokens
 
 
+@tc.no_grad()
 def _decode_raw(model, src, dec, table):
-    """Decode one sentence; returns (clean tokens, raw emitted length)."""
+    """Decode one sentence without recording a compute graph; returns
+    (clean tokens, raw emitted length)."""
     src = tuple(int(t) for t in src)
     src_arr = np.array([src], dtype=np.int64)
     table = table if table is not None else LengthTable()
@@ -376,3 +375,25 @@ def evaluate(model, corpus, dec, table=None):
         per_sentence_invocations=per_sentence,
         buckets=bucket_rows,
     )
+
+
+def topk_stats(model, corpus, k_list):
+    """Mean top-k probability mass over every target-position prediction,
+    plus a 5-interval histogram of the per-position masses."""
+    values = {k: [] for k in k_list}
+    for src, tgt in corpus.pairs:
+        with tc.no_grad():
+            probs = model.forward(np.array([src], dtype=np.int64), len(tgt)).data[0]
+        srt = np.sort(probs, axis=1)[:, ::-1]
+        # rounding can push a full cumulative sum marginally past 1.0
+        csum = np.minimum(np.cumsum(srt, axis=1), 1.0)
+        for k in k_list:
+            # the top-0 mass is empty, not the last column
+            col = csum[:, min(k, probs.shape[1]) - 1] if k else np.zeros(len(csum))
+            values[k].extend(float(v) for v in col)
+    summary = []
+    for k in k_list:
+        vals = values[k]
+        hist, _ = np.histogram(vals, bins=5, range=(0.0, 1.0))
+        summary.append((k, sum(vals) / len(vals), *(int(h) for h in hist)))
+    return values, summary

@@ -11,6 +11,7 @@ All math is float64; speed is not a goal at this scale.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,32 @@ class GraphError(RuntimeError):
     """Backward invoked on something that is not a recorded scalar."""
 
 
+# Read by every Tensor construction; switched off only by ``no_grad``.
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Run operations without recording the compute graph.
+
+    Inside the block, operation results get no parents, no backward closure
+    and ``requires_grad=False``; a tensor created with ``requires_grad=True``
+    (a parameter) keeps its flag. The previous mode is restored on exit,
+    also when the block raises, so blocks nest.
+    """
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
+def is_grad_enabled():
+    return _grad_enabled
+
+
 class Tensor:
     """A dense array plus an optional gradient slot.
 
@@ -31,19 +58,25 @@ class Tensor:
     Operations record their parents and a backward closure, forming an
     implicit compute graph that ``backward`` walks in reverse topological
     order, visiting each node exactly once. Gradients accumulate
-    additively across uses of the same tensor.
+    additively across uses of the same tensor. Under ``no_grad`` nothing
+    is recorded.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad) or any(
-            p.requires_grad for p in _parents
-        )
         self.grad = None
-        self._parents = tuple(_parents)
-        self._backward_fn = _backward
+        if _grad_enabled and _parents:
+            self.requires_grad = bool(requires_grad) or any(
+                p.requires_grad for p in _parents
+            )
+            self._parents = tuple(_parents)
+            self._backward_fn = _backward
+        else:
+            self.requires_grad = bool(requires_grad)
+            self._parents = ()
+            self._backward_fn = None
 
     @property
     def shape(self):

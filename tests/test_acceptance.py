@@ -16,7 +16,6 @@ from nsqt import estimators as est
 from nsqt import pipeline as pl
 from nsqt import rewards
 from nsqt import tensor as tc
-from nsqt.cli import topk_stats
 from nsqt.data import build_length_table, gen_synthetic_task
 from nsqt.models import ModelConfig, build_model
 
@@ -306,7 +305,7 @@ def test_criterion_09_topk_mass_monotonicity():
     _, valid, _ = echo_data()
     model, _ = ce_nat()
     ks = list(range(1, ECHO_MODEL.vocab_size + 1))
-    values, summary = topk_stats(model, valid, ks)
+    values, summary = pl.topk_stats(model, valid, ks)
     means = [row[1] for row in summary]
     n_positions = len(values[1])
     hist_ok = all(sum(row[2:]) == n_positions for row in summary)

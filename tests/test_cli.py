@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nsqt import cli
+from nsqt import pipeline as pl
 from nsqt.checkpoint import save_model
 from nsqt.models import ModelConfig, build_model
 
@@ -225,7 +226,7 @@ def test_topk_stats_means_reproducible_from_dump(tmp_path):
 def test_topk_stats_k0_covers_no_mass(tmp_path):
     corpus = cli._load_corpora({**cli.DEFAULTS, "vocab_size": 10, "train_pairs": 4, "valid_pairs": 2})[1]
     model = cli.checkpoint.load_model(_tiny_checkpoint(tmp_path))
-    values, summary = cli.topk_stats(model, corpus, [0, 1])
+    values, summary = pl.topk_stats(model, corpus, [0, 1])
     assert set(values[0]) == {0.0}
     assert summary[0][1] == 0.0 and summary[1][1] > 0.0
 

@@ -37,6 +37,14 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             models.ModelConfig(n_layer=1)
 
+    @pytest.mark.parametrize(
+        "field",
+        [{"d_model": 0}, {"n_head": 0}, {"d_hidden": 0}, {"max_len": 0}, {"p_dropout": 1.0}],
+    )
+    def test_degenerate_sizes(self, field):
+        with pytest.raises(ValueError):
+            models.ModelConfig(**field)
+
 
 class TestUniformCopy:
     def test_identity_when_lengths_match(self):
@@ -228,6 +236,195 @@ class TestFSDecode:
         assert s_beam >= s_greedy - 1e-12
 
 
+def rerun_prefix_decode(model, src, out_len, beam):
+    """Reference beam search without a cache: every step re-runs each live
+    hypothesis's whole prefix through the teacher-forced decoder."""
+    if model.kind == "fs":
+        h, enc = model.bottom_states(src, out_len)
+    else:
+        enc = model.encode(src)
+
+    def step(prefixes):
+        tgt_in = np.array([[models.BOS, *p] for p in prefixes], dtype=np.int64)
+        if model.kind == "fs":
+            return model.fuse_and_top(h, tgt_in, enc).data[:, -1]
+        return model.forward(None, tgt_in, enc=enc).data[:, -1]
+
+    live, finished, steps = [((), 0.0)], [], 0
+    for _ in range(out_len):
+        logp = np.log(np.maximum(step([t for t, _ in live]), 1e-300))
+        steps += 1
+        candidates = []
+        for (tokens, score), row in zip(live, logp):
+            for tok in np.argsort(-row, kind="stable")[: beam + 1]:
+                candidates.append((tokens + (int(tok),), score + float(row[tok])))
+        candidates.sort(key=lambda c: (-c[1] / len(c[0]), c[0]))
+        live = []
+        for tokens, score in candidates:
+            if tokens[-1] == models.EOS:
+                finished.append((tokens, score / len(tokens)))
+            elif len(live) < beam:
+                live.append((tokens, score))
+            if len(finished) >= beam and len(live) >= beam:
+                break
+        if not live:
+            break
+    finished += [(t, s / max(len(t), 1)) for t, s in live]
+    finished.sort(key=lambda c: (-c[1], c[0]))
+    best = list(finished[0][0])
+    return (best[:-1] if best and best[-1] == models.EOS else best), steps
+
+
+def _cached_rows(model, src, tgt_in, chunks=None, out_len=None):
+    """Distributions for every position of ``tgt_in``, computed through one
+    ``DecodeCache`` a chunk of positions at a time (one per call by default)."""
+    cache = models.DecodeCache()
+    if model.kind == "fs":
+        h, enc = model.bottom_states(src, out_len or tgt_in.shape[1])
+    else:
+        enc = model.encode(src)
+    bounds = chunks or [(t, t + 1) for t in range(tgt_in.shape[1])]
+    out = []
+    for lo, hi in bounds:
+        if model.kind == "fs":
+            probs = model.fuse_and_top(h, tgt_in[:, lo:hi], enc, cache=cache)
+        else:
+            probs = model.forward(None, tgt_in[:, lo:hi], enc=enc, cache=cache)
+        assert cache.length == hi
+        out.append(probs.data)
+    return np.concatenate(out, axis=1)
+
+
+def _teacher_forced(model, src, tgt_in, out_len):
+    if model.kind == "fs":
+        h, enc = model.bottom_states(src, out_len)
+        return model.fuse_and_top(h, tgt_in, enc).data
+    return model.forward(src, tgt_in).data
+
+
+class TestDecodeCache:
+    """Cached incremental decoding against the uncached teacher-forced
+    forward and a re-run-the-prefix reference decoder."""
+
+    @pytest.mark.parametrize("kind", ["ar", "fs"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_step_matches_teacher_forced_prefix(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        model = models.build_model(kind, CFG, seed=seed)
+        src = rng.integers(4, CFG.vocab_size, size=(1, 5))
+        tgt_in = np.concatenate(
+            [np.full((3, 1), models.BOS), rng.integers(2, CFG.vocab_size, size=(3, 7))], axis=1
+        )
+        with tc.no_grad():
+            cached = _cached_rows(model, src, tgt_in)
+            for t in range(tgt_in.shape[1]):
+                last = _teacher_forced(model, src, tgt_in[:, : t + 1], tgt_in.shape[1])[:, -1]
+                assert np.max(np.abs(cached[:, t] - last)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["ar", "fs"])
+    def test_multi_position_chunks(self, kind):
+        model = models.build_model(kind, CFG, seed=2)
+        tgt_in = np.array([[models.BOS, 5, 6, 7, 8, 9, 4, 5]])
+        with tc.no_grad():
+            full = _teacher_forced(model, SRC, tgt_in, tgt_in.shape[1])
+            chunked = _cached_rows(model, SRC, tgt_in, chunks=[(0, 3), (3, 4), (4, 8)])
+        assert np.max(np.abs(chunked - full)) <= 1e-12
+
+    def test_fs_steps_past_the_bottom_length(self, fs):
+        # positions beyond the predicted length fuse with zero bottom states
+        tgt_in = np.array([[models.BOS, 5, 6, 7, 8, 9]])
+        with tc.no_grad():
+            full = _teacher_forced(fs, SRC, tgt_in, 3)
+            stepped = _cached_rows(fs, SRC, tgt_in, out_len=3)
+            chunked = _cached_rows(fs, SRC, tgt_in, chunks=[(0, 2), (2, 5), (5, 6)], out_len=3)
+        assert np.max(np.abs(stepped - full)) <= 1e-12
+        assert np.max(np.abs(chunked - full)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["ar", "fs"])
+    def test_reorder_follows_parent_rows(self, kind):
+        rng = np.random.default_rng(5)
+        model = models.build_model(kind, CFG, seed=6)
+        tgt_in = np.concatenate(
+            [np.full((3, 1), models.BOS), rng.integers(2, CFG.vocab_size, size=(3, 4))], axis=1
+        )
+        rows = [2, 0, 2, 1]
+        with tc.no_grad():
+            cache = models.DecodeCache()
+            if kind == "fs":
+                h, enc = model.bottom_states(SRC, 6)
+                model.fuse_and_top(h, tgt_in, enc, cache=cache)
+            else:
+                enc = model.encode(SRC)
+                model.forward(None, tgt_in, enc=enc, cache=cache)
+            cache.reorder(rows)
+            nxt = rng.integers(2, CFG.vocab_size, size=(4, 1))
+            if kind == "fs":
+                got = model.fuse_and_top(h, nxt, enc, cache=cache).data[:, -1]
+                want = model.fuse_and_top(h, np.hstack([tgt_in[rows], nxt]), enc).data[:, -1]
+            else:
+                got = model.forward(None, nxt, enc=enc, cache=cache).data[:, -1]
+                want = model.forward(None, np.hstack([tgt_in[rows], nxt]), enc=enc).data[:, -1]
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_step_respects_max_len(self, ar):
+        cache = models.DecodeCache()
+        enc = ar.encode(SRC)
+        with tc.no_grad():
+            ar.forward(None, np.full((1, CFG.max_len), 5), enc=enc, cache=cache)
+            with pytest.raises(models.CapacityError):
+                ar.forward(None, np.array([[5]]), enc=enc, cache=cache)
+
+
+def _acceptance_corpora():
+    """The criterion 8 copy corpus and the echo-runs validation corpus, each
+    with a model config and the CE steps that make decodes stop early."""
+    from nsqt.data import build_length_table, gen_synthetic_task
+
+    copy = gen_synthetic_task("copy", 12, (3, 8), 100, np.random.default_rng(8))
+    copy_cfg = models.ModelConfig(d_model=16, d_hidden=32, vocab_size=12, max_len=20)
+    rng = np.random.default_rng(0)
+    echo_train = gen_synthetic_task("echo_runs", 20, (4, 12), 2000, rng)
+    echo_valid = gen_synthetic_task("echo_runs", 20, (4, 12), 200, rng)
+    echo_cfg = models.ModelConfig(d_model=32, d_hidden=64, vocab_size=20, max_len=32)
+    return {
+        "copy": (copy, copy, copy_cfg, 0, 100),
+        "echo_runs": (echo_train, echo_valid, echo_cfg, 120, 40),
+    }
+
+
+@pytest.mark.parametrize("corpus_name", ["copy", "echo_runs"])
+@pytest.mark.parametrize("kind", ["ar", "fs"])
+def test_cached_decode_matches_rerun_prefix_reference(kind, corpus_name, monkeypatch):
+    from nsqt import pipeline as pl
+    from nsqt.data import build_length_table
+
+    train, valid, cfg, ce_steps, n_sent = _acceptance_corpora()[corpus_name]
+    model = models.build_model(kind, cfg, seed=1)
+    if ce_steps:
+        pl.train_ce(model, train, pl.TrainConfig(max_steps=ce_steps, lr=0.003, warmup=50))
+    table = build_length_table(train)
+    reorders = []
+    original = models.DecodeCache.reorder
+
+    def recording(self, rows):
+        reorders.append(list(rows))
+        return original(self, rows)
+
+    monkeypatch.setattr(models.DecodeCache, "reorder", recording)
+    for src, _ in valid.pairs[:n_sent]:
+        src_arr = np.array([src])
+        if kind == "fs":
+            out_len = min(models.predict_length(len(src), table) + 1, cfg.max_len)
+        else:
+            out_len = cfg.max_len
+        for beam in (1, 4):
+            with tc.no_grad():
+                want = rerun_prefix_decode(model, src_arr, out_len, beam)
+            assert models.beam_decode(model, src_arr, out_len, beam=beam) == want
+    # beams were dropped, duplicated and permuted, not only kept in place
+    assert any(rows != list(range(len(rows))) for rows in reorders)
+
+
 class TestPredictLength:
     def test_present_key(self):
         table = models.LengthTable({3: 4})
@@ -262,6 +459,58 @@ class TestCheckpoint:
         path.write_bytes(b"JUNKXXXX")
         with pytest.raises(checkpoint.CheckpointError):
             checkpoint.load_model(path)
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        path = tmp_path / "model.nsqt"
+        checkpoint.save_model(models.build_model("fs", CFG, seed=2), path, seed=2)
+        return path, path.read_bytes()
+
+    def test_truncated_file(self, saved):
+        path, raw = saved
+        # cuts inside the header, the config, a tensor name, a shape and a payload
+        cuts = sorted({5, 9, 12, 20, 40, 52, 60, 66, 70, 80, len(raw) // 2, len(raw) - 1})
+        for cut in cuts:
+            path.write_bytes(raw[:cut])
+            with pytest.raises(checkpoint.CheckpointError, match="truncated"):
+                checkpoint.load_model(path)
+
+    def test_trailing_bytes(self, saved):
+        path, raw = saved
+        for extra in (b"\x00", b"NSQT" * 3):
+            path.write_bytes(raw + extra)
+            with pytest.raises(checkpoint.CheckpointError, match="unexpected bytes"):
+                checkpoint.load_model(path)
+
+    def test_corrupt_length_field_allocates_nothing(self, saved):
+        path, raw = saved
+        # the kind-name length field, set to 4 GiB - 1
+        path.write_bytes(raw[:8] + b"\xff\xff\xff\xff" + raw[12:])
+        with pytest.raises(checkpoint.CheckpointError, match="truncated"):
+            checkpoint.load_model(path)
+
+    def test_unbuildable_description(self, saved):
+        path, raw = saved
+        # kind "fs" -> "fx": a complete file naming no model kind
+        path.write_bytes(raw.replace(b"\x02\x00\x00\x00fs", b"\x02\x00\x00\x00fx", 1))
+        with pytest.raises(checkpoint.CheckpointError, match="loadable"):
+            checkpoint.load_model(path)
+
+    def test_zero_heads_in_config(self, saved):
+        path, raw = saved
+        # n_head follows magic, version, kind "fs", seed, d_model, d_hidden, n_layer
+        at = 8 + 4 + 2 + 8 + 3 * 4
+        assert raw[at : at + 4] == (2).to_bytes(4, "little")
+        path.write_bytes(raw[:at] + bytes(4) + raw[at + 4 :])
+        with pytest.raises(checkpoint.CheckpointError, match="n_head"):
+            checkpoint.load_model(path)
+
+    def test_version_1_layout_still_loads(self, saved):
+        path, raw = saved
+        assert raw[:8] == b"NSQT\x01\x00\x00\x00"
+        clone = checkpoint.load_model(path)
+        for name, data in models.build_model("fs", CFG, seed=2).state().items():
+            assert np.array_equal(clone.state()[name], data), name
 
 
 def test_shift_right():

@@ -346,3 +346,13 @@ def test_evaluate_mean_lengths():
     )
     expect = sum(len(t) for _, t in corpus.pairs) / corpus.size
     assert report.mean_ref_len == pytest.approx(expect)
+
+
+def test_error_classes_are_shared_across_modules():
+    from nsqt import errors, models
+
+    assert pl.ContractError is est.ContractError is errors.ContractError
+    assert models.CapacityError is est.CapacityError is errors.CapacityError
+    # an estimator precondition is caught by a pipeline-level handler
+    with pytest.raises(pl.ContractError):
+        est.EstimatorConfig(k=-1)

@@ -226,3 +226,83 @@ def test_dropout_identity_when_disabled():
     out = tc.dropout(x, 0.5, rng, training=True)
     kept = out.data != 0.0
     assert np.allclose(out.data[kept], 2.0)
+
+
+class TestNoGrad:
+    def test_ops_record_no_parents(self):
+        rng = np.random.default_rng(0)
+        a, b = rand(rng, 3, 4), rand(rng, 4, 2)
+        with tc.no_grad():
+            out = tc.softmax_rows(tc.matmul(a, b))
+        assert out._parents == () and out._backward_fn is None
+        assert not out.requires_grad
+        assert a.requires_grad and b.requires_grad
+        # values are those of the recorded computation
+        assert np.array_equal(out.data, tc.softmax_rows(tc.matmul(a, b)).data)
+
+    def test_leaf_created_inside_keeps_its_flag(self):
+        with tc.no_grad():
+            w = tc.Tensor(np.ones(3), requires_grad=True)
+            c = tc.Tensor(np.ones(3))
+        assert w.requires_grad and not c.requires_grad
+
+    def test_model_built_inside_still_trains(self):
+        from nsqt import models
+
+        cfg = models.ModelConfig(d_model=8, d_hidden=16, vocab_size=10, max_len=8)
+        src, tgt = np.array([[4, 5, 6]]), np.array([[5, 6, 2]])
+        with tc.no_grad():
+            inside = models.ARModel(cfg, seed=3)
+        outside = models.ARModel(cfg, seed=3)
+        for model in (inside, outside):
+            probs = model.train_distributions(src, tgt)
+            tc.tsum(tc.log(tc.take(probs, (np.zeros(3, int), np.arange(3), tgt[0])))).backward()
+        for p, q in zip(inside.parameters(), outside.parameters()):
+            assert p.requires_grad and p.grad is not None
+            assert np.array_equal(p.grad, q.grad)
+
+    def test_flag_restored_after_nesting(self):
+        assert tc.is_grad_enabled()
+        with tc.no_grad():
+            with tc.no_grad():
+                assert not tc.is_grad_enabled()
+            assert not tc.is_grad_enabled()
+        assert tc.is_grad_enabled()
+        x = tc.Tensor([1.0], requires_grad=True)
+        assert tc.mul(x, 2.0)._parents
+
+    def test_flag_restored_after_exception(self):
+        with pytest.raises(tc.ShapeError):
+            with tc.no_grad():
+                tc.matmul(tc.Tensor(np.ones((2, 3))), tc.Tensor(np.ones((2, 3))))
+        assert tc.is_grad_enabled()
+        x = tc.Tensor([1.0], requires_grad=True)
+        tc.tsum(tc.mul(x, 3.0)).backward()
+        assert np.array_equal(x.grad, [3.0])
+
+    @pytest.mark.parametrize("kind", ["ar", "nat", "fs"])
+    def test_ce_step_unchanged_by_a_decode(self, kind):
+        from nsqt import models
+        from nsqt import pipeline as pl
+
+        cfg = models.ModelConfig(d_model=8, d_hidden=16, vocab_size=10, max_len=12, p_dropout=0.1)
+        srcs = np.array([[4, 5, 6, 7], [7, 6, 5, 4]])
+        tgts = np.array([[5, 6, 7, 2], [6, 5, 4, 2]])
+        dec = pl.DecodeConfig(mode="nat_argmax" if kind == "nat" else "beam", beam=2)
+        results = []
+        for decode_first in (False, True):
+            model = models.build_model(kind, cfg, seed=4)
+            opt = pl.Adam(model.parameters(), pl.TrainConfig(warmup=1))
+            if decode_first:
+                pl.decode(model, [4, 5, 6], dec)
+            model.training = True
+            model.zero_grad()
+            loss = pl._nll_loss(model, srcs, tgts)
+            loss.backward()
+            grads = [p.grad.copy() for p in model.parameters()]
+            opt.step()
+            results.append((loss.item(), grads, [p.data.copy() for p in model.parameters()]))
+        (loss_a, grads_a, after_a), (loss_b, grads_b, after_b) = results
+        assert loss_a == loss_b
+        for ga, gb, pa, pb in zip(grads_a, grads_b, after_a, after_b):
+            assert np.array_equal(ga, gb) and np.array_equal(pa, pb)
