@@ -6,14 +6,13 @@ lines, ``#`` comments), --seed N, --out DIR, plus ``--key value`` overrides
 that take precedence over the config file. Every command writes its resolved
 configuration to the output directory before doing any work.
 
-Exit codes: 0 success, 1 usage error, 2 runtime error. ``NSQT_THREADS`` caps
-worker threads (0 = auto); the orchestration here is single-threaded and the
-value is recorded for the estimator fan-out contract.
+Exit codes: 0 success, 1 usage error, 2 runtime error. ``train-ce`` and
+``finetune-rl`` write their own ``metrics.csv``, replacing one an earlier run
+left in the same directory.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from pathlib import Path
 
@@ -185,14 +184,11 @@ def write_csv(path, header, rows, formatter=fmt):
     Path(path).write_text(text)
 
 
-def append_metrics(path, rows):
-    """Append metric rows atomically (single write per call)."""
-    path = Path(path)
-    chunk = "".join(f"{s},{sp},{m},{fmt(float(v))}\n" for s, sp, m, v in rows)
-    if not path.exists():
-        chunk = "step,split,metric,value\n" + chunk
-    with open(path, "a", encoding="utf-8") as f:
-        f.write(chunk)
+def write_metrics(path, rows):
+    """Write one run's metric rows (step, split, metric, value) as a whole
+    file, so rerunning into the same directory leaves no duplicate rows."""
+    rows = [(s, sp, m, float(v)) for s, sp, m, v in rows]
+    write_csv(path, ("step", "split", "metric", "value"), rows)
 
 
 def _model_config(cfg):
@@ -261,7 +257,7 @@ def cmd_train_ce(cfg, out_dir):
     train, valid = _load_corpora(cfg)
     model = _get_model(cfg, out_dir)
     rows = pipeline.train_ce(model, train, _train_config(cfg), valid=valid)
-    append_metrics(out_dir / "metrics.csv", rows)
+    write_metrics(out_dir / "metrics.csv", rows)
     checkpoint.save_model(model, out_dir / "model.nsqt", seed=cfg["seed"])
     emit_report(out_dir, required=False)
     return 0
@@ -279,7 +275,7 @@ def cmd_finetune_rl(cfg, out_dir):
     rows = pipeline.finetune_rl(
         model, train, est_cfg, rewards.RewardFn("GLEU"), _train_config(cfg), valid=valid
     )
-    append_metrics(out_dir / "metrics.csv", rows)
+    write_metrics(out_dir / "metrics.csv", rows)
     checkpoint.save_model(model, out_dir / "model.nsqt", seed=cfg["seed"])
     emit_report(out_dir, required=False)
     return 0
@@ -478,12 +474,6 @@ def run_command(argv):
         cfg = resolve_config(file_entries, overrides, seed, command)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    threads = os.environ.get("NSQT_THREADS", "0")
-    try:
-        cfg["_threads"] = max(int(threads), 0)
-    except ValueError:
-        print(f"error: NSQT_THREADS must be an integer, got {threads!r}", file=sys.stderr)
         return 1
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

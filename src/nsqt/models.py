@@ -105,33 +105,18 @@ class Linear:
         self.b = store.zeros(f"{name}.b", d_out)
 
     def __call__(self, x):
-        return tc.add(tc.matmul(x, self.w), self.b)
+        return tc.linear(x, self.w, self.b)
 
 
 class LayerNorm:
+    """Post-residual layer norm: normalizes ``x + sublayer_out``."""
+
     def __init__(self, store, name, dim):
         self.gain = store.ones(f"{name}.gain", dim)
         self.bias = store.zeros(f"{name}.bias", dim)
 
-    def __call__(self, x):
-        return tc.layer_norm(x, self.gain, self.bias)
-
-
-def _split_heads(x, n_head):
-    # (..., T, d) -> (..., h, T, d/h)
-    *lead, T, d = x.shape
-    x = tc.reshape(x, (*lead, T, n_head, d // n_head))
-    axes = list(range(x.ndim))
-    axes[-3], axes[-2] = axes[-2], axes[-3]
-    return tc.transpose(x, axes)
-
-
-def _merge_heads(x):
-    axes = list(range(x.ndim))
-    axes[-3], axes[-2] = axes[-2], axes[-3]
-    x = tc.transpose(x, axes)
-    *lead, T, h, dh = x.shape
-    return tc.reshape(x, (*lead, T, h * dh))
+    def __call__(self, x, sublayer_out):
+        return tc.layer_norm(x, self.gain, self.bias, residual=sublayer_out)
 
 
 class MultiHeadAttention:
@@ -147,22 +132,13 @@ class MultiHeadAttention:
         return self.attend(q_in, *self.keys_values(k_in, v_in), mask=mask)
 
     def keys_values(self, k_in, v_in):
-        """Head-split keys and values, (..., h, T, d/h) each."""
-        return (
-            _split_heads(self.wk(k_in), self.n_head),
-            _split_heads(self.wv(v_in), self.n_head),
-        )
+        """Projected keys and values, (..., T, d) each."""
+        return self.wk(k_in), self.wv(v_in)
 
     def attend(self, q_in, k, v, mask=None):
-        """Attention of the queries from ``q_in`` over head-split keys and values."""
-        q = _split_heads(self.wq(q_in), self.n_head)
-        k_axes = list(range(k.ndim))
-        k_axes[-1], k_axes[-2] = k_axes[-2], k_axes[-1]
-        scores = tc.mul(tc.matmul(q, tc.transpose(k, k_axes)), self.scale)
-        if mask is not None:
-            scores = tc.masked_fill(scores, mask, -1e9)
-        ctx = tc.matmul(tc.softmax_rows(scores), v)
-        return self.wo(_merge_heads(ctx))
+        """Attention of the queries from ``q_in`` over projected keys and values."""
+        ctx = tc.attention(self.wq(q_in), k, v, self.n_head, self.scale, mask=mask)
+        return self.wo(ctx)
 
 
 class FeedForward:
@@ -186,8 +162,8 @@ class EncoderLayer:
         self.norm2 = LayerNorm(store, f"{name}.norm2", cfg.d_model)
 
     def __call__(self, x):
-        x = self.norm1(tc.add(x, self.attn(x, x, x)))
-        return self.norm2(tc.add(x, self.ff(x)))
+        x = self.norm1(x, self.attn(x, x, x))
+        return self.norm2(x, self.ff(x))
 
 
 class ARDecoderLayer:
@@ -203,9 +179,9 @@ class ARDecoderLayer:
 
     def __call__(self, x, enc):
         T = x.shape[-2]
-        x = self.norm1(tc.add(x, self.self_attn(x, x, x, mask=causal_mask(T))))
-        x = self.norm2(tc.add(x, self.cross_attn(x, enc, enc)))
-        return self.norm3(tc.add(x, self.ff(x)))
+        x = self.norm1(x, self.self_attn(x, x, x, mask=causal_mask(T)))
+        x = self.norm2(x, self.cross_attn(x, enc, enc))
+        return self.norm3(x, self.ff(x))
 
     def step(self, x, enc, cache, slot):
         """The positions after ``cache.length``, attending to the keys and
@@ -213,11 +189,11 @@ class ARDecoderLayer:
         start, end = cache.length, cache.length + x.shape[-2]
         k, v = cache.extend(slot, *self.self_attn.keys_values(x, x))
         mask = causal_mask(end)[start:] if end - start > 1 else None
-        x = self.norm1(tc.add(x, self.self_attn.attend(x, k, v, mask=mask)))
+        x = self.norm1(x, self.self_attn.attend(x, k, v, mask=mask))
         if slot not in cache.cross_kv:
             cache.cross_kv[slot] = self.cross_attn.keys_values(enc, enc)
-        x = self.norm2(tc.add(x, self.cross_attn.attend(x, *cache.cross_kv[slot])))
-        return self.norm3(tc.add(x, self.ff(x)))
+        x = self.norm2(x, self.cross_attn.attend(x, *cache.cross_kv[slot]))
+        return self.norm3(x, self.ff(x))
 
 
 class NATDecoderLayer:
@@ -235,10 +211,10 @@ class NATDecoderLayer:
         self.norm4 = LayerNorm(store, f"{name}.norm4", cfg.d_model)
 
     def __call__(self, x, enc, pos_enc):
-        x = self.norm1(tc.add(x, self.self_attn(x, x, x)))
-        x = self.norm2(tc.add(x, self.pos_attn(pos_enc, pos_enc, x)))
-        x = self.norm3(tc.add(x, self.cross_attn(x, enc, enc)))
-        return self.norm4(tc.add(x, self.ff(x)))
+        x = self.norm1(x, self.self_attn(x, x, x))
+        x = self.norm2(x, self.pos_attn(pos_enc, pos_enc, x))
+        x = self.norm3(x, self.cross_attn(x, enc, enc))
+        return self.norm4(x, self.ff(x))
 
 
 @dataclass
@@ -268,8 +244,8 @@ def predict_length(src_len, table):
 class DecodeCache:
     """Keys and values of the causal layers for one sentence being decoded.
 
-    ``self_kv[slot]`` holds a layer's self-attention keys and values for the
-    ``length`` positions decoded so far, one row per live hypothesis;
+    ``self_kv[slot]`` holds a layer's projected self-attention keys and
+    values, (hypotheses, ``length``, d) each, for the positions decoded so far;
     ``cross_kv[slot]`` holds its keys and values of the encoder output,
     computed on first use. Encoder rows are per source and broadcast over
     the hypotheses, so ``reorder`` leaves them as they are.

@@ -63,13 +63,26 @@ class DecodeConfig:
 
 
 class Adam:
-    """Adam with the inverse-sqrt warmup schedule (peak rate at ``warmup``)."""
+    """Adam with the inverse-sqrt warmup schedule (peak rate at ``warmup``).
+
+    The moments ``m`` and ``v`` are flat vectors over all parameters, in
+    order. A step concatenates the gradients once, updates the moments and
+    computes every parameter's change with a handful of in-place vector
+    operations on preallocated buffers (fresh temporaries of this size cost
+    more in page faults than in arithmetic), then writes each parameter
+    back. A parameter whose ``grad`` is None is skipped: its moments and
+    data stay as they are.
+    """
 
     def __init__(self, params, cfg):
         self.params = list(params)
         self.cfg = cfg
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        sizes = [p.data.size for p in self.params]
+        self.offsets = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+        total = int(self.offsets[-1])
+        self.m = np.zeros(total)
+        self.v = np.zeros(total)
+        self._g, self._t, self._u = np.empty(total), np.empty(total), np.empty(total)
         self.step_count = 0
 
     def rate(self, step):
@@ -77,20 +90,45 @@ class Adam:
         return self.cfg.lr * math.sqrt(warm) * min(step**-0.5, step * warm**-1.5)
 
     def step(self):
+        """One update; raises ``TrainingError`` before changing any moment
+        or parameter when a gradient entry is not finite."""
+        active = [i for i, p in enumerate(self.params) if p.grad is not None]
+        if not active:
+            self.step_count += 1
+            return
+        off = self.offsets
+        n = int(sum(off[i + 1] - off[i] for i in active))
+        g = np.concatenate(
+            [self.params[i].grad.reshape(-1) for i in active], out=self._g[:n]
+        )
+        if not np.isfinite(g).all():
+            raise TrainingError(f"non-finite gradient at step {self.step_count + 1}")
         self.step_count += 1
         lr = self.rate(self.step_count)
         b1, b2, eps = self.cfg.adam_beta1, self.cfg.adam_beta2, self.cfg.adam_eps
-        for p, m, v in zip(self.params, self.m, self.v):
-            if p.grad is None:
-                continue
-            g = p.grad
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            mhat = m / (1 - b1**self.step_count)
-            vhat = v / (1 - b2**self.step_count)
-            p.data -= lr * mhat / (np.sqrt(vhat) + eps)
+        if len(active) == len(self.params):
+            sel = slice(None)  # views: the moments update in place
+        else:
+            sel = np.concatenate([np.arange(off[i], off[i + 1]) for i in active])
+        m, v, t, u = self.m[sel], self.v[sel], self._t[:n], self._u[:n]
+        m *= b1
+        m += np.multiply(1 - b1, g, out=t)
+        v *= b2
+        np.multiply(1 - b2, g, out=t)
+        v += np.multiply(t, g, out=t)
+        self.m[sel], self.v[sel] = m, v
+        # update = lr * mhat / (sqrt(vhat) + eps)
+        np.divide(v, 1 - b2**self.step_count, out=t)
+        np.sqrt(t, out=t)
+        t += eps
+        np.divide(m, 1 - b1**self.step_count, out=u)
+        u *= lr
+        u /= t
+        start = 0
+        for i in active:
+            p = self.params[i]
+            p.data -= u[start : start + p.data.size].reshape(p.data.shape)
+            start += p.data.size
 
 
 def _prep_target(kind, tgt):
@@ -159,7 +197,8 @@ def train_ce(model, corpus, cfg, valid=None, table=None):
     Returns metric log rows (step, split, metric, value). Validation GLEU is
     computed every ``eval_every`` steps when a validation corpus is given;
     training stops early once ``patience`` evaluations pass without
-    improvement.
+    improvement. Dropout is on while training and off for validation;
+    ``model.training`` is False on return, also when training raises.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     opt = Adam(model.parameters(), cfg)
@@ -167,42 +206,50 @@ def train_ce(model, corpus, cfg, valid=None, table=None):
         table = build_length_table(corpus)
     dec = _default_decode_config(model.kind)
     rows, best, since_best = [], -1.0, 0
-    model.training = True
-    for step, (srcs, tgts) in enumerate(
-        _step_generator(corpus, model.kind, cfg.batch_size, rng, cfg.max_steps), 1
-    ):
-        model.zero_grad()
-        loss = _nll_loss(model, srcs, tgts)
-        value = loss.item()
-        if not np.isfinite(value):
-            raise TrainingError(f"loss diverged to {value} at step {step}")
-        loss.backward()
-        opt.step()
-        rows.append((step, "train", "loss", value))
-        if valid is not None and step % cfg.eval_every == 0:
-            model.training = False
-            score = mean_validation_gleu(model, valid, dec, table)
-            model.training = True
-            rows.append((step, "valid", "gleu", score))
-            if score > best:
-                best, since_best = score, 0
-            else:
-                since_best += 1
-                if since_best >= cfg.patience:
-                    break
-    model.training = False
+    try:
+        model.training = True
+        for step, (srcs, tgts) in enumerate(
+            _step_generator(corpus, model.kind, cfg.batch_size, rng, cfg.max_steps), 1
+        ):
+            model.zero_grad()
+            loss = _nll_loss(model, srcs, tgts)
+            value = loss.item()
+            if not np.isfinite(value):
+                raise TrainingError(f"loss diverged to {value} at step {step}")
+            loss.backward()
+            opt.step()
+            rows.append((step, "train", "loss", value))
+            if valid is not None and step % cfg.eval_every == 0:
+                model.training = False
+                score = mean_validation_gleu(model, valid, dec, table)
+                model.training = True
+                rows.append((step, "valid", "gleu", score))
+                if score > best:
+                    best, since_best = score, 0
+                else:
+                    since_best += 1
+                    if since_best >= cfg.patience:
+                        break
+    finally:
+        # also after a TrainingError: a later caller must not train or
+        # decode with dropout it did not ask for
+        model.training = False
     return rows
 
 
 def finetune_rl(model, corpus, est_cfg, reward, cfg, valid=None, table=None):
     """Sequence-level fine-tuning of a parallel decoder with the top-k
     traversal estimator; the reference is the corpus target (distilled when a
-    distilled corpus is supplied)."""
+    distilled corpus is supplied).
+
+    Runs with dropout off (``model.training`` is set to False): the
+    estimator scores the distributions the model would decode with."""
     if model.kind != "nat":
         raise ContractError(
             f"sequence-level fine-tuning is defined for the factorized NAT "
             f"output only, got model kind {model.kind!r}"
         )
+    model.training = False
     rng = np.random.default_rng(cfg.rng_seed)
     est_rng = np.random.default_rng(est_cfg.rng_seed)
     opt = Adam(model.parameters(), cfg)

@@ -3,10 +3,17 @@
 The primitive set is deliberately small: exactly what a small Transformer
 and the surrogate losses need (matmul, add/mul, relu, log, row softmax,
 layer norm, embedding gather, concat, masked fill, reshape/transpose,
-entry gather, sum, dropout). Broadcasting is the numpy kind but is only
-exercised for bias rows and batched matmul.
+entry gather, slice, sum, dropout), plus fused layers: ``linear``,
+multi-head ``attention`` and ``layer_norm`` over a residual sum.
+Broadcasting is the numpy kind but is only exercised for bias rows, batched
+matmul and attention over a shared 2-D query/key set.
 
-All math is float64; speed is not a goal at this scale.
+All math is float64. At this scale a step costs Python-level numpy calls
+more than arithmetic, so a fused layer records one node where the composed
+ops recorded several. Its numbers are bitwise those of the composed ops:
+the same numpy calls on arrays of the same memory layout, with parents in
+the order that makes ``backward`` accumulate shared gradients in the same
+order.
 """
 
 from __future__ import annotations
@@ -100,8 +107,12 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # keeps the data's memory layout, which numpy's matmul is
+            # sensitive to when the gradient is fed back into it
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g
+        else:
+            self.grad += g
 
     def backward(self):
         """Populate ``grad`` of every reachable requires_grad tensor."""
@@ -157,6 +168,8 @@ def as_tensor(x):
 
 def _unbroadcast(g, shape):
     """Reduce a broadcast gradient back to the operand's shape."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for axis, extent in enumerate(shape):
@@ -170,8 +183,10 @@ def add(a, b):
     out_data = a.data + b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g, a.data.shape))
-        b._accumulate(_unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.data.shape))
 
     return Tensor(out_data, _parents=(a, b), _backward=backward)
 
@@ -181,8 +196,10 @@ def mul(a, b):
     out_data = a.data * b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
     return Tensor(out_data, _parents=(a, b), _backward=backward)
 
@@ -196,10 +213,96 @@ def matmul(a, b):
     out_data = a.data @ b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return Tensor(out_data, _parents=(a, b), _backward=backward)
+
+
+def linear(x, w, b):
+    """``x @ w + b`` as one node; the same numbers as ``add(matmul(x, w), b)``."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear inner dimensions disagree: {x.shape} x {w.shape}")
+    out_data = x.data @ w.data + b.data
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g @ w.data.T)
+        if w.requires_grad:
+            w._accumulate(_unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.data.shape))
+
+    return Tensor(out_data, _parents=(x, w, b), _backward=backward)
+
+
+def _to_heads(a, n_head):
+    # (..., T, d) -> (..., h, T, d/h), a view
+    *lead, T, d = a.shape
+    return np.swapaxes(a.reshape(*lead, T, n_head, d // n_head), -3, -2)
+
+
+def _from_heads(a):
+    # (..., h, T, d/h) -> (..., T, d)
+    a = np.swapaxes(a, -3, -2)
+    return a.reshape(*a.shape[:-2], -1)
+
+
+def _softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(g, p):
+    return p * (g - (g * p).sum(axis=-1, keepdims=True))
+
+
+def attention(q, k, v, n_head, scale, mask=None):
+    """Multi-head scaled dot-product attention as one node.
+
+    ``q`` is (..., T_q, d), ``k`` and ``v`` are (..., T_k, d), already
+    projected; leading axes broadcast (a 2-D query/key set may serve a
+    batch of values). Heads are the ``n_head`` equal slices of the last
+    axis. ``mask`` (broadcast to the scores, (..., T_q, T_k)) marks the
+    keys a query may not see. Returns the merged heads, (..., T_q, d).
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if not q.shape[-1] == k.shape[-1] == v.shape[-1] or k.shape[-2] != v.shape[-2]:
+        raise ShapeError(f"attention shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}")
+    if q.shape[-1] % n_head:
+        raise ShapeError(f"width {q.shape[-1]} not divisible by n_head={n_head}")
+    qh, kh, vh = (_to_heads(t.data, n_head) for t in (q, k, v))
+    kt = np.swapaxes(kh, -1, -2)
+    scores = (qh @ kt) * scale
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        scores = np.where(mask, -1e9, scores)
+    probs = _softmax(scores)
+    out_data = _from_heads(probs @ vh)
+
+    def backward(g):
+        # the head-split gradient is contiguous, as the composed graph's was
+        g_ctx = np.ascontiguousarray(_to_heads(g, n_head))
+        if v.requires_grad:
+            g_v = _unbroadcast(np.swapaxes(probs, -1, -2) @ g_ctx, vh.shape)
+            v._accumulate(_from_heads(g_v))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        g_probs = _unbroadcast(g_ctx @ np.swapaxes(vh, -1, -2), probs.shape)
+        g_scores = _softmax_grad(g_probs, probs)
+        if mask is not None:
+            g_scores = np.where(mask, 0.0, g_scores)
+        g_scores = g_scores * scale
+        if q.requires_grad:
+            q._accumulate(_from_heads(_unbroadcast(g_scores @ kh, qh.shape)))
+        if k.requires_grad:
+            g_kt = _unbroadcast(np.swapaxes(qh, -1, -2) @ g_scores, kt.shape)
+            k._accumulate(_from_heads(np.swapaxes(g_kt, -1, -2)))
+
+    return Tensor(out_data, _parents=(q, k, v), _backward=backward)
 
 
 def relu(x):
@@ -227,24 +330,30 @@ def log(x):
 def softmax_rows(x):
     """Softmax along the last axis with max-subtraction for stability."""
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
+    out_data = _softmax(x.data)
 
     def backward(g):
-        inner = (g * out_data).sum(axis=-1, keepdims=True)
-        x._accumulate(out_data * (g - inner))
+        x._accumulate(_softmax_grad(g, out_data))
 
     return Tensor(out_data, _parents=(x,), _backward=backward)
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
-    """Normalize the last axis, then scale and shift."""
+def layer_norm(x, gain, bias, eps=1e-5, residual=None):
+    """Normalize the last axis, then scale and shift. With ``residual`` the
+    input is the residual connection's sum ``x + residual``, in one node
+    with the same numbers as ``layer_norm(add(x, residual), ...)``."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    if residual is None:
+        inputs, data = (x,), x.data
+    else:
+        residual = as_tensor(residual)
+        inputs, data = (x, residual), x.data + residual.data
+    # the moments numpy's mean and var compute, without their Python layer
+    n = data.shape[-1]
+    centered = data - data.sum(axis=-1, keepdims=True) / n
+    var = np.square(centered).sum(axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv_std
+    xhat = centered * inv_std
     out_data = gain.data * xhat + bias.data
 
     def backward(g):
@@ -252,11 +361,13 @@ def layer_norm(x, gain, bias, eps=1e-5):
         gain._accumulate(_unbroadcast((g * xhat).sum(axis=lead), gain.data.shape))
         bias._accumulate(_unbroadcast(g.sum(axis=lead), bias.data.shape))
         dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        x._accumulate(inv_std * (dxhat - m1 - xhat * m2))
+        m1 = dxhat.sum(axis=-1, keepdims=True) / n
+        m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
+        dx = inv_std * (dxhat - m1 - xhat * m2)
+        for t in inputs:
+            t._accumulate(_unbroadcast(dx, t.data.shape))
 
-    return Tensor(out_data, _parents=(x, gain, bias), _backward=backward)
+    return Tensor(out_data, _parents=(*inputs, gain, bias), _backward=backward)
 
 
 def embedding(weight, ids):
@@ -356,9 +467,9 @@ def tsum(x, axis=None):
 
     def backward(g):
         if axis is None:
-            x._accumulate(np.broadcast_to(g, x.data.shape).copy())
+            x._accumulate(np.broadcast_to(g, x.data.shape))
         else:
-            x._accumulate(np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy())
+            x._accumulate(np.broadcast_to(np.expand_dims(g, axis), x.data.shape))
 
     return Tensor(out_data, _parents=(x,), _backward=backward)
 

@@ -177,6 +177,119 @@ def test_constant_reward_gives_zero_parameter_gradient():
     assert worst <= 1e-10
 
 
+def test_train_ce_error_leaves_dropout_off():
+    """A TrainingError must not leave the model in training mode, where a
+    following finetune_rl or decode would apply dropout."""
+    model = build_model("nat", ModelConfig(**{**TINY.__dict__, "p_dropout": 0.3}), seed=3)
+    model.embed.data[:] = np.nan
+    with pytest.raises(pl.TrainingError, match="diverged"):
+        pl.train_ce(model, tiny_corpus(), tiny_cfg(max_steps=3))
+    assert model.training is False
+
+
+def test_finetune_rl_runs_without_dropout():
+    """finetune_rl applies no dropout, whatever mode the model arrives in."""
+    corpus = tiny_corpus(len_range=(3, 4))
+    ecfg = est.EstimatorConfig(k=2, n=3, rng_seed=5)
+    cfg = ModelConfig(**{**TINY.__dict__, "p_dropout": 0.3})
+    runs = []
+    for arrives_training in (False, True):
+        model = build_model("nat", cfg, seed=3)
+        model.training = arrives_training
+        logs = pl.finetune_rl(model, corpus, ecfg, rewards.RewardFn("GLEU"), tiny_cfg(max_steps=3))
+        assert model.training is False
+        runs.append((logs, model.state()))
+    (logs_a, state_a), (logs_b, state_b) = runs
+    assert logs_a == logs_b
+    assert all(np.array_equal(state_a[name], state_b[name]) for name in state_a)
+
+
+# ---------------------------------------------------------------------------
+# Adam
+
+
+class ReferenceAdam:
+    """The per-parameter update loop the flat-vector ``pl.Adam`` replaced."""
+
+    def __init__(self, params, cfg):
+        self.params = list(params)
+        self.cfg = cfg
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.step_count = 0
+
+    def step(self):
+        self.step_count += 1
+        lr = pl.Adam.rate(self, self.step_count)
+        b1, b2, eps = self.cfg.adam_beta1, self.cfg.adam_beta2, self.cfg.adam_eps
+        for p, m, v in zip(self.params, self.m, self.v):
+            if p.grad is None:
+                continue
+            g = p.grad
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            mhat = m / (1 - b1**self.step_count)
+            vhat = v / (1 - b2**self.step_count)
+            p.data -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
+ADAM_SHAPES = [(3, 4), (5,), (2, 3, 2), (4,)]
+
+
+def _adam_params(seed):
+    rng = np.random.default_rng(seed)
+    return [tc.Tensor(rng.standard_normal(s), requires_grad=True) for s in ADAM_SHAPES]
+
+
+def _set_grads(params, rng, skip=()):
+    for i, p in enumerate(params):
+        scale = 10.0 ** rng.integers(-4, 2)
+        p.grad = None if i in skip else rng.standard_normal(p.data.shape) * scale
+
+
+@pytest.mark.parametrize("warmup", [1, 3])
+def test_flat_adam_matches_per_parameter_reference(warmup):
+    """Bitwise over several steps, with a parameter left out now and then
+    and one that never gets a gradient."""
+    cfg = pl.TrainConfig(lr=0.05, warmup=warmup)
+    flat_params, ref_params = _adam_params(1), _adam_params(1)
+    flat, ref = pl.Adam(flat_params, cfg), ReferenceAdam(ref_params, cfg)
+    skips = [(3,), (3, 1), (3,), (0, 3), (3,), (1, 2, 3)]
+    for step, skip in enumerate(skips):
+        for params in (flat_params, ref_params):
+            _set_grads(params, np.random.default_rng(step), skip)
+        flat.step()
+        ref.step()
+        assert flat.step_count == ref.step_count
+        for i, (p, q) in enumerate(zip(flat_params, ref_params)):
+            assert p.data.tobytes() == q.data.tobytes()
+            lo, hi = flat.offsets[i], flat.offsets[i + 1]
+            assert flat.m[lo:hi].tobytes() == ref.m[i].reshape(-1).tobytes()
+            assert flat.v[lo:hi].tobytes() == ref.v[i].reshape(-1).tobytes()
+    # the parameter that never had a gradient is untouched
+    assert flat_params[3].data.tobytes() == _adam_params(1)[3].data.tobytes()
+    assert not flat.m[flat.offsets[3]:].any() and not flat.v[flat.offsets[3]:].any()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adam_rejects_non_finite_gradient_before_any_change(bad):
+    params = _adam_params(2)
+    opt = pl.Adam(params, pl.TrainConfig(warmup=1))
+    for step in range(2):
+        _set_grads(params, np.random.default_rng(step))
+        opt.step()
+    _set_grads(params, np.random.default_rng(7))
+    params[2].grad[1, 0, 1] = bad
+    m, v, data = opt.m.copy(), opt.v.copy(), [p.data.copy() for p in params]
+    with pytest.raises(pl.TrainingError, match="non-finite gradient at step 3"):
+        opt.step()
+    assert opt.step_count == 2
+    assert opt.m.tobytes() == m.tobytes() and opt.v.tobytes() == v.tobytes()
+    assert all(p.data.tobytes() == d.tobytes() for p, d in zip(params, data))
+
+
 # ---------------------------------------------------------------------------
 # decoding
 

@@ -174,6 +174,14 @@ class TestBackward:
         loss.backward()
         assert np.allclose(x.grad, 3.0 + 2.0 * x.data)
 
+    def test_first_gradient_keeps_data_layout(self):
+        # numpy's matmul may round differently for another memory layout,
+        # so a gradient fed back into one must be laid out like the data
+        data = np.asfortranarray(np.random.default_rng(0).standard_normal((3, 4)))
+        x = tc.Tensor(data, requires_grad=True)
+        readout(np.random.default_rng(1), x).backward()
+        assert x.grad.strides == data.strides
+
     def test_mlp_matches_finite_differences(self):
         rng = np.random.default_rng(42)
         w1 = rand(rng, 4, 8)
@@ -306,3 +314,219 @@ class TestNoGrad:
         assert loss_a == loss_b
         for ga, gb, pa, pb in zip(grads_a, grads_b, after_a, after_b):
             assert np.array_equal(ga, gb) and np.array_equal(pa, pb)
+
+
+# ---------------------------------------------------------------------------
+# fused layers, checked against finite differences and against the composed
+# ops they replace (the oracle below is the graph the models used to record:
+# matmul + add, head reshapes and transposes, residual add before layer norm)
+
+
+def composed_linear(x, w, b):
+    return tc.add(tc.matmul(x, w), b)
+
+
+FUSED_LAYER_NORM = tc.layer_norm
+
+
+def composed_layer_norm(x, gain, bias, eps=1e-5, residual=None):
+    if residual is not None:
+        x = tc.add(x, residual)
+    # the plain layer norm, also while a test patches tc.layer_norm with this
+    return FUSED_LAYER_NORM(x, gain, bias, eps)
+
+
+def _swap_last_two_of_three(ndim):
+    axes = list(range(ndim))
+    axes[-3], axes[-2] = axes[-2], axes[-3]
+    return axes
+
+
+def composed_attention(q, k, v, n_head, scale, mask=None):
+    def split(x):
+        *lead, T, d = x.shape
+        x = tc.reshape(x, (*lead, T, n_head, d // n_head))
+        return tc.transpose(x, _swap_last_two_of_three(x.ndim))
+
+    q, k, v = split(q), split(k), split(v)
+    k_axes = list(range(k.ndim))
+    k_axes[-1], k_axes[-2] = k_axes[-2], k_axes[-1]
+    scores = tc.mul(tc.matmul(q, tc.transpose(k, k_axes)), scale)
+    if mask is not None:
+        scores = tc.masked_fill(scores, mask, -1e9)
+    ctx = tc.matmul(tc.softmax_rows(scores), v)
+    ctx = tc.transpose(ctx, _swap_last_two_of_three(ctx.ndim))
+    *lead, T, h, dh = ctx.shape
+    return tc.reshape(ctx, (*lead, T, h * dh))
+
+
+# (q/k input shape, v input shape, causal mask): self-attention, causal
+# self-attention, NAT positional attention (shared 2-D queries and keys over
+# a batch of values) and cross-attention with T_q != T_k
+ATTENTION_CASES = {
+    "unmasked": ((2, 3, 4), (2, 3, 4), False),
+    "causal": ((2, 4, 4), (2, 4, 4), True),
+    "broadcast_qk": ((3, 4), (2, 3, 4), False),
+    "cross": ((2, 5, 4), (2, 3, 4), False),
+}
+
+
+def _attention_inputs(rng, case):
+    qk_shape, v_shape, causal = ATTENTION_CASES[case]
+    if case == "cross":
+        q = rand(rng, *qk_shape)
+        k = rand(rng, *v_shape)
+    else:
+        q, k = rand(rng, *qk_shape), rand(rng, *qk_shape)
+    v = rand(rng, *v_shape)
+    mask = np.triu(np.ones((qk_shape[-2],) * 2, dtype=bool), k=1) if causal else None
+    return q, k, v, mask
+
+
+class TestFusedGradients:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_linear(self, seed):
+        rng = np.random.default_rng(seed)
+        x, w, b = rand(rng, 2, 3, 4), rand(rng, 4, 5), rand(rng, 5)
+        report = tc.grad_check(
+            lambda: readout(np.random.default_rng(6), tc.linear(x, w, b)), [x, w, b]
+        )
+        assert report.passed, report.worst
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_layer_norm_with_residual(self, seed):
+        rng = np.random.default_rng(seed)
+        x, r, g, b = rand(rng, 2, 3, 6), rand(rng, 2, 3, 6), rand(rng, 6), rand(rng, 6)
+        report = tc.grad_check(
+            lambda: readout(np.random.default_rng(5), tc.layer_norm(x, g, b, residual=r)),
+            [x, r, g, b],
+        )
+        assert report.passed, report.worst
+
+    @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_attention(self, case, seed):
+        rng = np.random.default_rng(seed)
+        q, k, v, mask = _attention_inputs(rng, case)
+        report = tc.grad_check(
+            lambda: readout(np.random.default_rng(9), tc.attention(q, k, v, 2, 0.7, mask=mask)),
+            [q, k, v],
+        )
+        assert report.passed, report.worst
+
+    def test_causal_mask_hides_later_values(self):
+        rng = np.random.default_rng(0)
+        q, k, v, mask = _attention_inputs(rng, "causal")
+        out = tc.attention(q, k, v, 2, 0.7, mask=mask)
+        tc.tsum(tc.take(out, (np.array([0]), np.array([0])))).backward()
+        # the first query sees only the first key and value
+        assert not v.grad[0, 1:].any() and not k.grad[0, 1:].any()
+
+    def test_shape_errors(self):
+        x = tc.Tensor(np.zeros((2, 3, 4)))
+        with pytest.raises(tc.ShapeError):
+            tc.linear(x, tc.Tensor(np.zeros((5, 2))), tc.Tensor(np.zeros(2)))
+        with pytest.raises(tc.ShapeError):
+            tc.attention(x, x, tc.Tensor(np.zeros((2, 5, 4))), 2, 1.0)
+        with pytest.raises(tc.ShapeError):
+            tc.attention(x, x, x, 3, 1.0)
+
+
+def _grads_of(tensors):
+    return [None if t.grad is None else t.grad.copy() for t in tensors]
+
+
+def _assert_bitwise(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert x is not None and y is not None
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestFusedMatchComposed:
+    """Forward values and gradients equal the composed ops bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_linear(self, seed):
+        results = []
+        for op in (tc.linear, composed_linear):
+            rng = np.random.default_rng(seed)
+            x, w, b = rand(rng, 3, 5, 8), rand(rng, 8, 6), rand(rng, 6)
+            out = op(x, w, b)
+            readout(np.random.default_rng(1), out).backward()
+            results.append((out.data.copy(), _grads_of([x, w, b])))
+        (out_f, grads_f), (out_c, grads_c) = results
+        assert out_f.tobytes() == out_c.tobytes()
+        _assert_bitwise(grads_f, grads_c)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_layer_norm_with_residual(self, seed):
+        results = []
+        for op in (tc.layer_norm, composed_layer_norm):
+            rng = np.random.default_rng(seed)
+            x, r, g, b = rand(rng, 3, 5, 8), rand(rng, 3, 5, 8), rand(rng, 8), rand(rng, 8)
+            out = op(x, g, b, residual=r)
+            readout(np.random.default_rng(1), out).backward()
+            results.append((out.data.copy(), _grads_of([x, r, g, b])))
+        (out_f, grads_f), (out_c, grads_c) = results
+        assert out_f.tobytes() == out_c.tobytes()
+        _assert_bitwise(grads_f, grads_c)
+
+    @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_multi_head_attention(self, case, seed):
+        """Projections, attention and output projection as a model layer
+        records them; every input and weight gradient is compared."""
+        qk_shape, v_shape, causal = ATTENTION_CASES[case]
+        d, n_head = 8, 2
+        results = []
+        for linear, attention in ((tc.linear, tc.attention), (composed_linear, composed_attention)):
+            rng = np.random.default_rng(seed)
+            q_in = rand(rng, *qk_shape[:-1], d)
+            k_in = q_in if case != "cross" else rand(rng, *v_shape[:-1], d)
+            v_in = rand(rng, *v_shape[:-1], d)
+            weights = [(rand(rng, d, d), rand(rng, d)) for _ in range(4)]
+            mask = np.triu(np.ones((qk_shape[-2],) * 2, dtype=bool), k=1) if causal else None
+            q, k, v = (linear(t, *wb) for t, wb in zip((q_in, k_in, v_in), weights))
+            out = linear(attention(q, k, v, n_head, 0.6, mask=mask), *weights[3])
+            readout(np.random.default_rng(2), out).backward()
+            leaves = [q_in, k_in, v_in] + [t for wb in weights for t in wb]
+            results.append((out.data.copy(), _grads_of(leaves)))
+        (out_f, grads_f), (out_c, grads_c) = results
+        assert out_f.tobytes() == out_c.tobytes()
+        _assert_bitwise(grads_f, grads_c)
+
+    @pytest.mark.parametrize("kind", ["nat", "ar", "fs"])
+    def test_ce_steps_match_composed_models(self, kind, monkeypatch):
+        """Three CE steps of a whole model (dropout on): losses, gradients
+        and updated parameters equal those of the composed graph."""
+        from nsqt import models
+        from nsqt import pipeline as pl
+
+        # head width 6: the attention scale is not a power of two
+        cfg = models.ModelConfig(d_model=12, d_hidden=16, vocab_size=10, max_len=12, p_dropout=0.1)
+        srcs = np.array([[4, 5, 6, 7], [7, 6, 5, 4]])
+        tgts = np.array([[5, 6, 7, 2], [6, 5, 4, 2]])
+
+        def run():
+            model = models.build_model(kind, cfg, seed=4)
+            model.training = True
+            opt = pl.Adam(model.parameters(), pl.TrainConfig(warmup=1))
+            trail = []
+            for _ in range(3):
+                model.zero_grad()
+                loss = pl._nll_loss(model, srcs, tgts)
+                loss.backward()
+                trail.append((loss.item(), _grads_of(model.parameters())))
+                opt.step()
+            return trail, [p.data.copy() for p in model.parameters()]
+
+        fused = run()
+        monkeypatch.setattr(tc, "linear", composed_linear)
+        monkeypatch.setattr(tc, "attention", composed_attention)
+        monkeypatch.setattr(tc, "layer_norm", composed_layer_norm)
+        composed = run()
+        for (loss_f, grads_f), (loss_c, grads_c) in zip(fused[0], composed[0]):
+            assert loss_f == loss_c
+            _assert_bitwise(grads_f, grads_c)
+        _assert_bitwise(fused[1], composed[1])
