@@ -544,21 +544,31 @@ class _Stepper:
 def beam_decode(model, src_ids, out_len, beam=1, force_include=()):
     """Length-normalized beam search for AR and FS models; greedy when beam=1.
 
-    One decoder invocation per emitted step (live beams are stacked into a
-    batch, and their cached keys and values follow each surviving
-    hypothesis's parent row). Runs without recording a compute graph.
-    Stops on EOS or after ``out_len`` steps. ``force_include`` adds
-    extra candidate token sequences to the final selection, scored under the
-    model; decoding itself is unchanged.
+    One decoder invocation per step (live beams are stacked into a batch,
+    and their cached keys and values follow each surviving hypothesis's
+    parent row). Runs without recording a compute graph.
+
+    Decoding stops after ``out_len`` steps, when no hypothesis is live, or
+    as soon as the best finished score beats every live score divided by
+    ``out_len``. That stop is exact: the result is the one a run to
+    ``out_len`` would return. Each later step adds ``log p <= 0`` (softmax
+    rows never exceed 1), so a live hypothesis with summed log-probability
+    ``S <= 0`` can only finish with ``S'/L' <= S/L' <= S/out_len`` for
+    ``L' <= out_len`` (float addition and division round monotonically). The
+    comparison is strict, so a tie, which the final sort breaks by tokens,
+    never stops decoding. ``force_include`` adds extra candidate token
+    sequences to the final selection, scored under the model after the loop;
+    decoding itself is unchanged.
 
     Returns (tokens, steps) where tokens is the raw best hypothesis
-    (terminating EOS stripped) and steps the number of decoder steps taken.
+    (terminating EOS stripped) and steps the number of decoder steps run.
     """
     if beam < 1:
         raise ValueError(f"beam must be >= 1, got {beam}")
     stepper = _Stepper(model, src_ids, out_len)
     live = [((), 0.0)]
     finished = []
+    best_done = -math.inf
     steps = 0
     for _ in range(out_len):
         probs = stepper.step_probs([tokens[-1] if tokens else BOS for tokens, _ in live])
@@ -574,12 +584,13 @@ def beam_decode(model, src_ids, out_len, beam=1, force_include=()):
         for tokens, score, parent in candidates:
             if tokens[-1] == EOS:
                 finished.append((tokens, score / len(tokens)))
+                best_done = max(best_done, finished[-1][1])
             elif len(live) < beam:
                 live.append((tokens, score))
                 parents.append(parent)
             if len(finished) >= beam and len(live) >= beam:
                 break
-        if not live:
+        if not live or best_done > max(score for _, score in live) / out_len:
             break
         stepper.cache.reorder(parents)
     for tokens, score in live:

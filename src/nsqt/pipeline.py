@@ -318,7 +318,8 @@ def _strip(tokens):
 @tc.no_grad()
 def _decode_raw(model, src, dec, table):
     """Decode one sentence without recording a compute graph; returns
-    (clean tokens, raw emitted length)."""
+    (clean tokens, raw length): the argmax row's length for NAT, the
+    decoder steps run for AR and FS."""
     src = tuple(int(t) for t in src)
     src_arr = np.array([src], dtype=np.int64)
     table = table if table is not None else LengthTable()

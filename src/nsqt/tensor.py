@@ -474,11 +474,6 @@ def tsum(x, axis=None):
     return Tensor(out_data, _parents=(x,), _backward=backward)
 
 
-def mean(x):
-    x = as_tensor(x)
-    return mul(tsum(x), 1.0 / x.size)
-
-
 def dropout(x, p, rng, training):
     """Inverted dropout with an explicit RNG stream; identity when not training."""
     x = as_tensor(x)

@@ -86,6 +86,7 @@ def test_criterion_01_proof_identity():
     )
 
 
+@pytest.mark.slow
 def test_criterion_02_unbiasedness():
     t0 = time.time()
     V, T, reps = 4, 3, 50_000
@@ -142,6 +143,7 @@ def test_criterion_03_exact_at_full_traversal():
     )
 
 
+@pytest.mark.slow
 def test_criterion_04_variance_reduction():
     t0 = time.time()
     reps, wins = 10_000, 0
@@ -223,6 +225,7 @@ def test_criterion_05_gradient_integrity():
     )
 
 
+@pytest.mark.slow
 def test_criterion_06_rl_improves_nat():
     t0 = time.time()
     train, valid, table = echo_data()

@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsqt import checkpoint, models
 from nsqt import tensor as tc
@@ -236,9 +240,10 @@ class TestFSDecode:
         assert s_beam >= s_greedy - 1e-12
 
 
-def rerun_prefix_decode(model, src, out_len, beam):
-    """Reference beam search without a cache: every step re-runs each live
-    hypothesis's whole prefix through the teacher-forced decoder."""
+def rerun_prefix_decode(model, src, out_len, beam, force_include=()):
+    """Reference beam search without a cache and without early stopping:
+    every step re-runs each live hypothesis's whole prefix through the
+    teacher-forced decoder, until ``out_len`` steps or no live hypothesis."""
     if model.kind == "fs":
         h, enc = model.bottom_states(src, out_len)
     else:
@@ -270,6 +275,9 @@ def rerun_prefix_decode(model, src, out_len, beam):
         if not live:
             break
     finished += [(t, s / max(len(t), 1)) for t, s in live]
+    finished += [
+        (tuple(t), models.score_sequence(model, src, t, out_len)) for t in force_include
+    ]
     finished.sort(key=lambda c: (-c[1], c[0]))
     best = list(finished[0][0])
     return (best[:-1] if best and best[-1] == models.EOS else best), steps
@@ -378,7 +386,7 @@ class TestDecodeCache:
 def _acceptance_corpora():
     """The criterion 8 copy corpus and the echo-runs validation corpus, each
     with a model config and the CE steps that make decodes stop early."""
-    from nsqt.data import build_length_table, gen_synthetic_task
+    from nsqt.data import gen_synthetic_task
 
     copy = gen_synthetic_task("copy", 12, (3, 8), 100, np.random.default_rng(8))
     copy_cfg = models.ModelConfig(d_model=16, d_hidden=32, vocab_size=12, max_len=20)
@@ -392,9 +400,11 @@ def _acceptance_corpora():
     }
 
 
-@pytest.mark.parametrize("corpus_name", ["copy", "echo_runs"])
-@pytest.mark.parametrize("kind", ["ar", "fs"])
-def test_cached_decode_matches_rerun_prefix_reference(kind, corpus_name, monkeypatch):
+@functools.lru_cache(maxsize=None)
+def _acceptance_model(kind, corpus_name):
+    """A model of ``kind`` CE-trained as ``_acceptance_corpora`` prescribes,
+    with the validation pairs to decode and the training length table;
+    built once per test session."""
     from nsqt import pipeline as pl
     from nsqt.data import build_length_table
 
@@ -402,7 +412,14 @@ def test_cached_decode_matches_rerun_prefix_reference(kind, corpus_name, monkeyp
     model = models.build_model(kind, cfg, seed=1)
     if ce_steps:
         pl.train_ce(model, train, pl.TrainConfig(max_steps=ce_steps, lr=0.003, warmup=50))
-    table = build_length_table(train)
+    return model, valid.pairs[:n_sent], build_length_table(train)
+
+
+@pytest.mark.parametrize("corpus_name", ["copy", "echo_runs"])
+@pytest.mark.parametrize("kind", ["ar", "fs"])
+def test_cached_decode_matches_rerun_prefix_reference(kind, corpus_name, monkeypatch):
+    model, pairs, table = _acceptance_model(kind, corpus_name)
+    cfg = model.config
     reorders = []
     original = models.DecodeCache.reorder
 
@@ -411,7 +428,8 @@ def test_cached_decode_matches_rerun_prefix_reference(kind, corpus_name, monkeyp
         return original(self, rows)
 
     monkeypatch.setattr(models.DecodeCache, "reorder", recording)
-    for src, _ in valid.pairs[:n_sent]:
+    stopped_early = 0
+    for src, _ in pairs:
         src_arr = np.array([src])
         if kind == "fs":
             out_len = min(models.predict_length(len(src), table) + 1, cfg.max_len)
@@ -419,10 +437,96 @@ def test_cached_decode_matches_rerun_prefix_reference(kind, corpus_name, monkeyp
             out_len = cfg.max_len
         for beam in (1, 4):
             with tc.no_grad():
-                want = rerun_prefix_decode(model, src_arr, out_len, beam)
-            assert models.beam_decode(model, src_arr, out_len, beam=beam) == want
+                want, want_steps = rerun_prefix_decode(model, src_arr, out_len, beam)
+            tokens, steps = models.beam_decode(model, src_arr, out_len, beam=beam)
+            # early stopping changes how many steps run, never what is decoded
+            assert tokens == want
+            assert steps <= want_steps
+            stopped_early += steps < want_steps
     # beams were dropped, duplicated and permuted, not only kept in place
     assert any(rows != list(range(len(rows))) for rows in reorders)
+    if corpus_name == "echo_runs":
+        assert stopped_early > 0
+
+
+def test_trained_ar_greedy_stops_before_max_len():
+    from nsqt import pipeline as pl
+    from nsqt.data import ParallelCorpus
+
+    model, pairs, table = _acceptance_model("ar", "echo_runs")
+    corpus = ParallelCorpus(pairs)
+    report = pl.evaluate(model, corpus, pl.DecodeConfig(mode="greedy"), table)
+    assert min(report.raw_output_lens) < model.config.max_len
+    # the invocation counts are the steps actually run
+    assert report.per_sentence_invocations["decoder_calls"] == report.raw_output_lens
+
+
+@functools.lru_cache(maxsize=None)
+def _small_trained(kind, seed, ce_steps):
+    from nsqt import pipeline as pl
+    from nsqt.data import gen_synthetic_task
+
+    cfg = models.ModelConfig(d_model=8, d_hidden=16, n_head=2, vocab_size=10, max_len=12)
+    model = models.build_model(kind, cfg, seed=seed)
+    if ce_steps:
+        train = gen_synthetic_task("copy", 10, (1, 4), 64, np.random.default_rng(seed))
+        pl.train_ce(model, train, pl.TrainConfig(max_steps=ce_steps, lr=0.01, warmup=5))
+    return model
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["ar", "fs"]),
+    seed=st.integers(0, 3),
+    ce_steps=st.sampled_from([0, 10, 30, 60]),
+    src=st.lists(st.integers(4, 9), min_size=1, max_size=6),
+    out_len=st.integers(3, 10),
+    beam=st.integers(1, 4),
+    data=st.data(),
+)
+def test_early_stop_is_exact(kind, seed, ce_steps, src, out_len, beam, data):
+    model = _small_trained(kind, seed, ce_steps)
+    extra = data.draw(st.lists(st.integers(2, 9), min_size=1, max_size=out_len))
+    force_include = data.draw(st.sampled_from([(), (extra,), (extra + [models.EOS],)]))
+    src_arr = np.array([src])
+    with tc.no_grad():
+        want, _ = rerun_prefix_decode(model, src_arr, out_len, beam, force_include)
+    model.reset_counters()
+    tokens, steps = models.beam_decode(model, src_arr, out_len, beam, force_include)
+    assert tokens == want
+    assert 1 <= steps <= out_len
+    # one decoder call per step, plus one teacher-forced call per forced candidate
+    calls = model.decoder_calls if kind == "ar" else model.top_calls
+    assert calls == steps + len(force_include)
+
+
+class _ScriptedAR:
+    """An AR stand-in whose next-token distribution depends only on the
+    newest token: ``script[token]``, else all mass on EOS."""
+
+    kind = "ar"
+
+    def __init__(self, script, vocab_size):
+        self.script, self.vocab_size = script, vocab_size
+
+    def encode(self, src_ids):
+        return None
+
+    def forward(self, src_ids, tgt_in, enc=None, cache=None):
+        probs = np.zeros((len(tgt_in), 1, self.vocab_size))
+        for i, last in enumerate(np.asarray(tgt_in)[:, -1]):
+            for tok, p in self.script.get(int(last), {models.EOS: 1.0}).items():
+                probs[i, 0, tok] = p
+        return tc.Tensor(probs)
+
+
+def test_tie_with_best_finished_does_not_stop():
+    # step 1 finishes (EOS,) at log 0.5 and keeps (PAD,) at log 0.25, whose
+    # bound log(0.25) / 2 ties it exactly; step 2 ends (PAD, EOS) at that
+    # same score, and the tie goes to the smaller token tuple
+    assert np.log(0.25) / 2 == np.log(0.5)
+    model = _ScriptedAR({models.BOS: {models.PAD: 0.25, models.EOS: 0.5, 5: 0.25}}, 8)
+    assert models.beam_decode(model, SRC, out_len=2, beam=1) == ([models.PAD], 2)
 
 
 class TestPredictLength:
@@ -511,6 +615,23 @@ class TestCheckpoint:
         clone = checkpoint.load_model(path)
         for name, data in models.build_model("fs", CFG, seed=2).state().items():
             assert np.array_equal(clone.state()[name], data), name
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_damaged_file_raises_only_checkpoint_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz.nsqt"
+        checkpoint.save_model(models.build_model("fs", CFG, seed=2), path, seed=2)
+        raw = path.read_bytes()
+        damage = data.draw(st.sampled_from(["truncate", "append", "random"]))
+        if damage == "truncate":
+            blob = raw[: data.draw(st.integers(0, len(raw) - 1))]
+        elif damage == "append":
+            blob = raw + data.draw(st.binary(min_size=1, max_size=64))
+        else:
+            blob = data.draw(st.binary(max_size=256))
+        path.write_bytes(blob)
+        with pytest.raises(checkpoint.CheckpointError):
+            checkpoint.load_model(path)
 
 
 def test_shift_right():
