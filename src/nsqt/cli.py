@@ -455,10 +455,9 @@ def _parse_args(argv):
         if key == "config":
             config_path = value
         elif key == "seed":
-            try:
-                seed = int(value)
-            except ValueError:
-                raise UsageError(f"--seed: expected an integer, got {value!r}") from None
+            if not value.isdecimal():
+                raise UsageError("--seed: expected a non-negative integer")
+            seed = int(value)
         elif key == "out":
             out = value
         else:

@@ -10,6 +10,14 @@ same gradient through the recorded graph (softmax, model parameters).
 Convention: ``dprobs[t][y]`` estimates d(loss)/d(p[t][y]) where the loss is
 the negative expected reward, so the exact value is -r(y_t = y), the
 expected reward with position t clamped to token y.
+
+Random streams: ``reinforce_nat_step`` gives position t of a sentence the
+child stream ``c + t`` of the sentence's stream (c being the children that
+stream had spawned), and candidate j of that position the child stream j of
+the position stream. The streams are bitwise those of ``Generator.spawn``;
+they are derived from the seed sequence's words by numpy's documented
+SeedSequence mixing and PCG64 seeding instead of building a Generator per
+stream.
 """
 
 from __future__ import annotations
@@ -28,6 +36,8 @@ ENUM_LIMIT = 10**7
 @dataclass
 class PositionDistributions:
     """Row-stochastic T x V matrix; the joint is the product of row entries.
+    A B x T x V array holds a batch of B such sentences, which only
+    ``reinforce_nat_step`` accepts.
 
     ``tensor`` optionally links the matrix to a recorded compute graph so
     estimators can emit a differentiable surrogate; ``prefix`` holds leading
@@ -40,21 +50,23 @@ class PositionDistributions:
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64)
-        if self.probs.ndim != 2:
-            raise ContractError(f"expected a T x V matrix, got {self.probs.shape}")
+        if self.probs.ndim not in (2, 3):
+            raise ContractError(
+                f"expected a T x V matrix or a B x T x V batch, got {self.probs.shape}"
+            )
         if np.any(self.probs < 0):
             raise ContractError("probabilities must be non-negative")
-        rows = self.probs.sum(axis=1)
+        rows = self.probs.sum(axis=-1)
         if np.max(np.abs(rows - 1.0)) > 1e-9:
             raise ContractError("rows must sum to 1 within 1e-9")
 
     @property
     def T(self):
-        return self.probs.shape[0]
+        return self.probs.shape[-2]
 
     @property
     def V(self):
-        return self.probs.shape[1]
+        return self.probs.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -71,17 +83,25 @@ class EstimatorConfig:
             raise ContractError(f"k must be non-negative, got {self.k}")
         if self.n < 1:
             raise ContractError(f"n must be positive, got {self.n}")
+        # also false for nan, which would silently drop every residual term
+        if not 0.0 <= self.residual_epsilon <= 1.0:
+            raise ContractError(
+                f"residual_epsilon must be a finite number in [0, 1], "
+                f"got {self.residual_epsilon}"
+            )
 
 
 @dataclass
 class TopKPartition:
-    """The k most probable tokens of one row, their mass, and the renormalized
-    remainder distribution (zero where the remainder is negligible)."""
+    """Per row: the k most probable tokens in increasing id order, their
+    mass, the renormalized remainder distribution (zero where the remainder
+    is negligible) and whether it is sampled. Arrays carry the rows' leading
+    shape."""
 
     members: np.ndarray
-    mass: float
+    mass: np.ndarray
     residual: np.ndarray
-    has_residual: bool
+    has_residual: np.ndarray
 
 
 @dataclass
@@ -90,24 +110,27 @@ class GradientEstimate:
     surrogate: tc.Tensor | None = None
 
 
-def top_k_partition(row, k, residual_epsilon=1e-6):
-    """Split a probability row into its top-k members and the residual.
+def top_k_partition(probs, k, residual_epsilon=1e-6):
+    """Split every probability row (the last axis) into its top-k members
+    and the residual.
 
-    Ties are broken toward the lower token id.
+    Ties are broken toward the lower token id. The remainder is sampled when
+    its mass 1 - mass is at least ``residual_epsilon`` and some probability
+    lies outside the members.
     """
-    row = np.asarray(row, dtype=np.float64)
-    if k > row.shape[0]:
-        raise ContractError(f"k={k} exceeds vocabulary size {row.shape[0]}")
-    order = np.argsort(-row, kind="stable")
-    members = np.sort(order[:k])
-    mass = float(row[members].sum()) if k else 0.0
-    residual = row.copy()
-    residual[members] = 0.0
-    rest = 1.0 - mass
-    if rest >= residual_epsilon and residual.sum() > 0.0:
-        residual /= residual.sum()
-        return TopKPartition(members, mass, residual, True)
-    return TopKPartition(members, mass, np.zeros_like(row), False)
+    probs = np.asarray(probs, dtype=np.float64)
+    if k > probs.shape[-1]:
+        raise ContractError(f"k={k} exceeds vocabulary size {probs.shape[-1]}")
+    order = np.argsort(-probs, axis=-1, kind="stable")
+    members = np.sort(order[..., :k], axis=-1)
+    mass = np.take_along_axis(probs, members, axis=-1).sum(axis=-1)
+    residual = probs.copy()
+    np.put_along_axis(residual, members, 0.0, axis=-1)
+    total = residual.sum(axis=-1)
+    has = (1.0 - mass >= residual_epsilon) & (total > 0.0)
+    residual /= np.where(has, total, 1.0)[..., None]
+    residual[~has] = 0.0
+    return TopKPartition(members, mass, residual, has)
 
 
 def _sample_completions(probs, u):
@@ -151,8 +174,27 @@ def estimate_reward_at(dist, t, y, n, reward, ref, rng):
         raise ContractError(f"n must be positive, got {n}")
     tokens = _sample_completions(dist.probs, rng.random((n, dist.T)))
     tokens[:, t] = y
-    ref = tuple(ref)
-    return sum(reward(tuple(row), ref) for row in tokens) / n
+    return float(_mean_rewards(tokens, n, reward, tuple(ref))[0])
+
+
+def _mean_rewards(tokens, n, reward, ref):
+    """The mean reward of each consecutive block of n rows of ``tokens``,
+    summed left to right. A reward with a ``batch(tokens, ref)`` method
+    scores all rows in one call; otherwise it is called once per row. Both
+    give the same numbers."""
+    batch = getattr(reward, "batch", None)
+    if batch is None:
+        scores = np.array([reward(tuple(row), ref) for row in tokens.tolist()], dtype=np.float64)
+    else:
+        scores = np.asarray(batch(tokens, ref), dtype=np.float64)
+        if scores.shape != (len(tokens),):
+            raise ContractError(
+                f"reward.batch returned shape {scores.shape}, expected ({len(tokens)},)"
+            )
+        if not np.all((scores >= 0.0) & (scores <= 1.0)):
+            raise ContractError("reward.batch returned values outside [0, 1]")
+    # cumsum adds in row order, as a Python loop over the rows would
+    return np.cumsum(scores.reshape(-1, n), axis=1)[:, -1] / n
 
 
 def enumerate_gradient_direct(dist, reward, ref):
@@ -210,7 +252,7 @@ def enumerate_expected_gradient(dist, reward, ref):
 
 def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
     """One estimate of the loss gradient via top-k traversal plus one
-    residual sample per position.
+    residual sample per position, for one sentence or a batch of them.
 
     Per position: exact-weight gradient terms for the top-k tokens (reward
     estimated by Monte Carlo unless ``exact_rewards``), then, if residual
@@ -219,91 +261,226 @@ def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
     leftover mass are treated as constants; only probabilities carry
     gradient (realized through the returned surrogate scalar).
 
-    A reward with a ``batch(tokens, ref)`` method scores all of the
+    With a T x V ``dist``, ``ref`` is one reference and ``rng`` one
+    ``Generator``; ``dprobs`` is T x V. With a B x T x V ``dist``, ``ref``
+    and ``rng`` hold one reference and one stream per sentence; ``dprobs``
+    is B x T x V and the surrogate is the sum of the sentences' surrogates,
+    added in sentence order. Sentences are independent: each one's numbers
+    are those of a call with that sentence alone.
+
+    The streams are derived from each sentence stream's seed sequence (see
+    the module docstring), which must be numpy's ``SeedSequence`` with its
+    default pool size behind a ``PCG64``. The call reads that seed sequence
+    but does not advance its spawn counter, unlike ``Generator.spawn``: a
+    second call with the same stream repeats the estimate, so give each
+    call a fresh stream (for instance one of ``rng.spawn(n)``).
+
+    A reward with a ``batch(tokens, ref)`` method scores all of a
     sentence's sampled completions in one call; otherwise it is called once
     per completion. Both give the same numbers.
     """
-    T, V = dist.T, dist.V
-    if config.k > V:
-        raise ContractError(f"k={config.k} exceeds vocabulary size {V}")
-    ref = tuple(ref)
-    # plan: one (t, y, stream, leftover mass or None) per candidate. One
-    # independent stream per position, then per candidate, fixed order:
-    # results do not depend on execution interleaving
-    pos_rngs = rng.spawn(T)
-    plan = []
-    for t in range(T):
-        part = top_k_partition(dist.probs[t], config.k, config.residual_epsilon)
-        cand_rngs = pos_rngs[t].spawn(config.k + 1)
-        for j, y in enumerate(part.members):
-            plan.append((t, int(y), cand_rngs[j], None))
-        if part.has_residual:
-            cum = np.cumsum(part.residual)
-            y = int(np.searchsorted(cum, pos_rngs[t].random(), side="right"))
-            plan.append((t, min(y, V - 1), cand_rngs[config.k], 1.0 - part.mass))
+    batched = dist.probs.ndim == 3
+    probs = dist.probs if batched else dist.probs[None]
+    refs = [tuple(r) for r in ref] if batched else [tuple(ref)]
+    rngs = list(rng) if batched else [rng]
+    B, T, V = probs.shape
+    if len(refs) != B or len(rngs) != B:
+        raise ContractError(
+            f"expected {B} references and {B} streams, got {len(refs)} and {len(rngs)}"
+        )
+    k = config.k
+    if k > V:
+        raise ContractError(f"k={k} exceeds vocabulary size {V}")
+    part = top_k_partition(probs, k, config.residual_epsilon)
+    streams = _StreamTree(rngs, T, k + 1)
+
+    # the residual sample of each position, from the position's own stream;
+    # counting the CDF entries <= u is searchsorted(side="right")
+    u = np.zeros((B, T))
+    for b, t in zip(*np.nonzero(part.has_residual)):
+        u[b, t] = streams.seeded(streams.position_words[b, t].tolist()).random()
+    cum = np.cumsum(part.residual, axis=-1)
+    drawn = np.minimum(np.count_nonzero(cum <= u[..., None], axis=-1), V - 1)
+
+    # the plan: candidates (b, t, j, y) in sentence, position, candidate
+    # order; j < k are the members, j = k the residual sample
+    candidates = np.concatenate([part.members, drawn[..., None]], axis=-1)
+    planned = np.concatenate(
+        [np.ones(part.members.shape, dtype=bool), part.has_residual[..., None]], axis=-1
+    )
+    cb, ct, cj = np.nonzero(planned)
+    cy = candidates[cb, ct, cj]
+    ends = np.cumsum(planned.reshape(B, -1).sum(axis=1)).tolist()
+    starts = [0] + ends[:-1]
 
     if exact_rewards:
-        values = [exact_reward_at(dist, t, y, reward, ref) for t, y, _, _ in plan]
+        sentences = [PositionDistributions(p) for p in probs]
+        values = np.array([
+            exact_reward_at(sentences[b], t, y, reward, refs[b])
+            for b, t, y in zip(cb.tolist(), ct.tolist(), cy.tolist())
+        ])
     else:
-        values = _sampled_rewards(dist, plan, config.n, reward, ref)
+        n = config.n
+        u = np.empty((len(cb), n, T))
+        for c, words in enumerate(streams.candidate_words[cb, ct, cj].tolist()):
+            streams.seeded(words).random(out=u[c])
+        values = np.empty(len(cb))
+        for b, lo, hi in zip(range(B), starts, ends):
+            sampled = _sample_completions(probs[b], u[lo:hi].reshape(-1, T))
+            sampled[np.arange(len(sampled)), np.repeat(ct[lo:hi], n)] = np.repeat(cy[lo:hi], n)
+            values[lo:hi] = _mean_rewards(sampled, n, reward, refs[b])
 
-    dprobs = np.zeros((T, V))
-    prob_t, prob_y, prob_w = [], [], []  # p-weighted traversal terms
-    log_t, log_y, log_w = [], [], []  # log p residual terms
-    for (t, y, _, rest), r in zip(plan, values):
-        if rest is None:
-            dprobs[t, y] -= r
-            prob_t.append(t)
-            prob_y.append(y)
-            prob_w.append(r)
-        else:
-            weight = rest * r
-            dprobs[t, y] -= weight / dist.probs[t, y]
-            log_t.append(t)
-            log_y.append(y)
-            log_w.append(weight)
+    sampled = cj == k
+    weights = values.copy()
+    weights[sampled] *= 1.0 - part.mass[cb[sampled], ct[sampled]]
+    grads = weights.copy()
+    grads[sampled] /= probs[cb[sampled], ct[sampled], cy[sampled]]
+    dprobs = np.zeros((B, T, V))
+    np.subtract.at(dprobs, (cb, ct, cy), grads)
 
     surrogate = None
     if dist.tensor is not None:
-        terms = []
-        if prob_t:
-            idx = dist.prefix + (np.array(prob_t), np.array(prob_y))
-            terms.append(tc.tsum(tc.mul(tc.take(dist.tensor, idx), np.array(prob_w))))
-        if log_t:
-            idx = dist.prefix + (np.array(log_t), np.array(log_y))
-            terms.append(
-                tc.tsum(tc.mul(tc.log(tc.take(dist.tensor, idx)), np.array(log_w)))
-            )
-        if terms:
-            total = terms[0]
-            for extra in terms[1:]:
-                total = tc.add(total, extra)
-            surrogate = tc.mul(total, -1.0)
-    return GradientEstimate(dprobs, surrogate)
+        index = (cb, ct, cy) if batched else (ct, cy)
+        for lo, hi in zip(starts, ends):
+            rows = slice(lo, hi)
+            term = _sentence_surrogate(dist, [i[rows] for i in index], weights[rows], sampled[rows])
+            if term is not None:
+                surrogate = term if surrogate is None else tc.add(surrogate, term)
+    return GradientEstimate(dprobs if batched else dprobs[0], surrogate)
 
 
-def _sampled_rewards(dist, plan, n, reward, ref):
-    """Monte Carlo reward of every planned candidate: the mean over n
-    completions drawn from the candidate's own stream, with position t
-    clamped to y. Equal to ``estimate_reward_at`` per candidate."""
-    u = np.concatenate([stream.random((n, dist.T)) for _, _, stream, _ in plan])
-    tokens = _sample_completions(dist.probs, u)
-    clamp_t = np.repeat([t for t, _, _, _ in plan], n)
-    tokens[np.arange(len(tokens)), clamp_t] = np.repeat([y for _, y, _, _ in plan], n)
-    batch = getattr(reward, "batch", None)
-    if batch is None:
-        scores = [reward(tuple(row), ref) for row in tokens]
-    else:
-        scores = np.asarray(batch(tokens, ref), dtype=np.float64)
-        if scores.shape != (len(tokens),):
-            raise ContractError(
-                f"reward.batch returned shape {scores.shape}, expected ({len(tokens)},)"
-            )
-        if not np.all((scores >= 0.0) & (scores <= 1.0)):
-            raise ContractError("reward.batch returned values outside [0, 1]")
-        scores = scores.tolist()
-    # Python sum in row order, as estimate_reward_at adds them
-    return [sum(scores[i : i + n]) / n for i in range(0, len(scores), n)]
+def _sentence_surrogate(dist, index, weights, sampled):
+    """-(sum of p * weight over the members + sum of log p * weight over the
+    residual samples) of one sentence, or None without terms."""
+    terms = []
+    if not sampled.all():
+        idx = dist.prefix + tuple(i[~sampled] for i in index)
+        terms.append(tc.tsum(tc.mul(tc.take(dist.tensor, idx), weights[~sampled])))
+    if sampled.any():
+        idx = dist.prefix + tuple(i[sampled] for i in index)
+        terms.append(tc.tsum(tc.mul(tc.log(tc.take(dist.tensor, idx)), weights[sampled])))
+    if not terms:
+        return None
+    total = terms[0]
+    for extra in terms[1:]:
+        total = tc.add(total, extra)
+    return tc.mul(total, -1.0)
+
+
+# numpy's SeedSequence mixing and PCG64 seeding constants
+# (numpy/random/bit_generator.pyx, numpy/random/src/pcg64/pcg64.h)
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_POOL_SIZE = 4
+# MULT_A^0..8: the hash constants of the next 8 hashmix calls, times the current one
+_MULT_A_POWERS = np.array([pow(_MULT_A, i, 1 << 32) for i in range(9)], dtype=np.uint32)
+# generate_state's hash constant before and after each of the 8 words of 4 uint64
+_GEN_CONSTS = np.array(
+    [[_INIT_B * pow(_MULT_B, i + d, 1 << 32) & _MASK32 for i in range(8)] for d in (0, 1)],
+    dtype=np.uint32,
+)
+
+
+def _uint32_words(x):
+    """SeedSequence's coercion of an int or a nested sequence of ints into
+    little-endian uint32 words."""
+    if isinstance(x, (int, np.integer)):
+        x = int(x)
+        words = [x & _MASK32]
+        while x > _MASK32:
+            x >>= 32
+            words.append(x & _MASK32)
+        return words
+    return [w for v in x for w in _uint32_words(v)]
+
+
+def _hashmix(value, before, after):
+    v = (value ^ before) * after
+    return v ^ (v >> np.uint32(16))
+
+
+def _mix(x, y):
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> np.uint32(16))
+
+
+class _StreamTree:
+    """The position and candidate streams of one ``reinforce_nat_step``.
+
+    A child stream's SeedSequence pool is its parent's entropy words plus
+    the child's spawn index, mixed. Every child of a sentence shares the
+    mixing of all words but its last one or two, so numpy mixes that prefix
+    once per sentence and the remaining words are mixed here, vectorized
+    over every child. ``generate_state(4, uint64)`` of a pool, turned into a
+    PCG64 state by PCG64's seeding step, is set on one reused ``PCG64``
+    before drawing.
+    """
+
+    def __init__(self, rngs, T, K):
+        B = len(rngs)
+        pools = np.empty((B, _POOL_SIZE), dtype=np.uint32)
+        consts = np.empty((B, 1), dtype=np.uint32)
+        first = np.empty((B, 1), dtype=np.int64)
+        for b, rng in enumerate(rngs):
+            seq = _seed_sequence(rng)
+            # SeedSequence pads the run entropy to the pool size when a
+            # spawn key follows, as it always does for a child; a
+            # SeedSequence of these words alone (no spawn key, so no
+            # padding) mixes exactly the children's shared prefix
+            words = _uint32_words(seq.entropy)
+            words += [0] * (_POOL_SIZE - len(words)) + _uint32_words(seq.spawn_key)
+            pools[b] = np.random.SeedSequence(np.array(words, dtype=np.uint32)).pool
+            # mixing w words makes 4 w hashmix calls
+            consts[b] = _INIT_A * pow(_MULT_A, 4 * len(words), 1 << 32) & _MASK32
+            first[b] = seq.n_children_spawned
+        if int(first.max()) + T > _MASK32:
+            raise ContractError("a sentence stream has spawned too many children")
+        hc = consts * _MULT_A_POWERS
+        index = (first + np.arange(T)).astype(np.uint32)[..., None]
+        pos = _mix(pools[:, None], _hashmix(index, hc[:, None, 0:4], hc[:, None, 1:5]))
+        j = np.arange(K, dtype=np.uint32)[:, None]
+        cand = _mix(pos[:, :, None], _hashmix(j, hc[:, None, 4:8], hc[:, None, 5:9])[:, None])
+        # generate_state(4, uint64) of position (b, t) and of candidate (b, t, j)
+        self.position_words = _generate_state(pos)
+        self.candidate_words = _generate_state(cand)
+        self.bitgen = np.random.PCG64(0)
+        self.gen = np.random.Generator(self.bitgen)
+        self.state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+
+    def seeded(self, words):
+        """The reused generator set to the PCG64 state of the given
+        ``generate_state(4, uint64)`` words."""
+        s_hi, s_lo, i_hi, i_lo = words
+        inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
+        self.state["state"] = {"state": state, "inc": inc}
+        self.bitgen.state = self.state
+        return self.gen
+
+
+def _seed_sequence(rng):
+    bitgen = getattr(rng, "bit_generator", None)
+    seq = getattr(bitgen, "seed_seq", None)
+    if not isinstance(bitgen, np.random.PCG64) or not isinstance(seq, np.random.SeedSequence):
+        raise ContractError(
+            f"estimator streams must be PCG64 generators seeded by a SeedSequence, "
+            f"got {type(bitgen).__name__}"
+        )
+    if seq.pool_size != _POOL_SIZE:
+        raise ContractError(
+            f"estimator streams need a SeedSequence pool_size of {_POOL_SIZE}, got {seq.pool_size}"
+        )
+    return seq
+
+
+def _generate_state(pools):
+    """SeedSequence.generate_state(4, np.uint64) of each pool in the last axis."""
+    v = _hashmix(np.concatenate([pools, pools], axis=-1), _GEN_CONSTS[0], _GEN_CONSTS[1])
+    return v.astype("<u4").view("<u8")
 
 
 def reinforce_step(dist, reward, ref, n, rng):

@@ -263,23 +263,14 @@ def finetune_rl(model, corpus, est_cfg, reward, cfg, valid=None, table=None):
         model.zero_grad()
         probs = model.train_distributions(srcs, tgts)
         B = srcs.shape[0]
-        surrogate = None
-        dnorm = 0.0
-        for b, stream in enumerate(est_rng.spawn(B)):
-            dist = est.PositionDistributions(
-                probs.data[b], tensor=probs, prefix=(b,)
-            )
-            ge = est.reinforce_nat_step(dist, est_cfg, reward, tgts[b], stream)
-            dnorm += float(np.abs(ge.dprobs).sum())
-            if ge.surrogate is not None:
-                surrogate = (
-                    ge.surrogate
-                    if surrogate is None
-                    else tc.add(surrogate, ge.surrogate)
-                )
-        if surrogate is None:
+        dist = est.PositionDistributions(probs.data, tensor=probs)
+        ge = est.reinforce_nat_step(dist, est_cfg, reward, tgts, est_rng.spawn(B))
+        if ge.surrogate is None:
             raise TrainingError(f"estimator produced no surrogate at step {step}")
-        loss = tc.mul(surrogate, 1.0 / B)
+        dnorm = 0.0
+        for d in ge.dprobs:
+            dnorm += float(np.abs(d).sum())
+        loss = tc.mul(ge.surrogate, 1.0 / B)
         value = loss.item()
         if not np.isfinite(value):
             raise TrainingError(f"surrogate diverged to {value} at step {step}")

@@ -89,6 +89,11 @@ def test_non_integer_seed_is_usage_error(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+def test_negative_seed_is_usage_error(tmp_path, capsys):
+    assert run(["train-ce", "--out", tmp_path, "--seed", "-1"] + FAST) == 1
+    assert capsys.readouterr().err == "error: --seed: expected a non-negative integer\n"
+
+
 def test_thread_env_not_read(tmp_path, monkeypatch):
     """NSQT_THREADS is no knob: any value is ignored, and the resolved
     config holds only documented keys and the seed."""
@@ -145,6 +150,16 @@ def test_finetune_rl_runs_and_logs(tmp_path):
     assert code == 0
     text = (out / "metrics.csv").read_text()
     assert "surrogate" in text and text.startswith("step,split,metric,value")
+
+
+def test_finetune_rl_rejects_nan_residual_epsilon(tmp_path, capsys):
+    ckpt = _tiny_checkpoint(tmp_path)
+    assert run(
+        ["finetune-rl", "--out", tmp_path / "rl", "--init_checkpoint", ckpt,
+         "--residual_epsilon", "nan"] + FAST
+    ) == 2
+    err = capsys.readouterr().err
+    assert "residual_epsilon" in err and err.count("\n") == 1
 
 
 def test_finetune_rl_rejects_k_list(tmp_path, capsys):

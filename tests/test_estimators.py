@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsqt import estimators as est
+from nsqt import pipeline as pl
 from nsqt import rewards
 from nsqt import tensor as tc
+from nsqt.data import gen_synthetic_task
+from nsqt.models import ModelConfig, build_model
 
 
 def equality_reward(hyp, ref):
@@ -13,6 +18,105 @@ def equality_reward(hyp, ref):
 
 def uniform_dist(T, V):
     return est.PositionDistributions(np.full((T, V), 1.0 / V))
+
+
+# -- the per-sentence estimator with Generator.spawn streams: the oracle the
+# -- batched reinforce_nat_step must match bitwise
+
+
+def oracle_top_k_partition(row, k, residual_epsilon):
+    order = np.argsort(-row, kind="stable")
+    members = np.sort(order[:k])
+    mass = float(row[members].sum()) if k else 0.0
+    residual = row.copy()
+    residual[members] = 0.0
+    if 1.0 - mass >= residual_epsilon and residual.sum() > 0.0:
+        return members, mass, residual / residual.sum(), True
+    return members, mass, None, False
+
+
+def oracle_reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
+    """One sentence: plan (t, y, stream, leftover mass or None) per
+    candidate, score, then build dprobs and the surrogate."""
+    T, V = dist.T, dist.V
+    ref = tuple(ref)
+    pos_rngs = rng.spawn(T)
+    plan = []
+    for t in range(T):
+        members, mass, residual, has = oracle_top_k_partition(
+            dist.probs[t], config.k, config.residual_epsilon
+        )
+        cand_rngs = pos_rngs[t].spawn(config.k + 1)
+        for j, y in enumerate(members):
+            plan.append((t, int(y), cand_rngs[j], None))
+        if has:
+            cum = np.cumsum(residual)
+            y = int(np.searchsorted(cum, pos_rngs[t].random(), side="right"))
+            plan.append((t, min(y, V - 1), cand_rngs[config.k], 1.0 - mass))
+
+    if exact_rewards:
+        values = [est.exact_reward_at(dist, t, y, reward, ref) for t, y, _, _ in plan]
+    else:
+        n = config.n
+        u = np.concatenate([stream.random((n, T)) for _, _, stream, _ in plan])
+        tokens = est._sample_completions(dist.probs, u)
+        tokens[np.arange(len(tokens)), np.repeat([p[0] for p in plan], n)] = np.repeat(
+            [p[1] for p in plan], n
+        )
+        batch = getattr(reward, "batch", None)
+        if batch is None:
+            scores = [reward(tuple(row), ref) for row in tokens]
+        else:
+            scores = np.asarray(batch(tokens, ref), dtype=np.float64).tolist()
+        values = []
+        for i in range(0, len(scores), n):
+            total = 0.0  # left to right, as Python 3.11's sum adds floats
+            for score in scores[i : i + n]:
+                total += score
+            values.append(total / n)
+
+    dprobs = np.zeros((T, V))
+    prob_t, prob_y, prob_w, log_t, log_y, log_w = [], [], [], [], [], []
+    for (t, y, _, rest), r in zip(plan, values):
+        if rest is None:
+            dprobs[t, y] -= r
+            prob_t.append(t)
+            prob_y.append(y)
+            prob_w.append(r)
+        else:
+            weight = rest * r
+            dprobs[t, y] -= weight / dist.probs[t, y]
+            log_t.append(t)
+            log_y.append(y)
+            log_w.append(weight)
+    surrogate = None
+    if dist.tensor is not None:
+        terms = []
+        if prob_t:
+            idx = dist.prefix + (np.array(prob_t), np.array(prob_y))
+            terms.append(tc.tsum(tc.mul(tc.take(dist.tensor, idx), np.array(prob_w))))
+        if log_t:
+            idx = dist.prefix + (np.array(log_t), np.array(log_y))
+            terms.append(tc.tsum(tc.mul(tc.log(tc.take(dist.tensor, idx)), np.array(log_w))))
+        if terms:
+            total = terms[0]
+            for extra in terms[1:]:
+                total = tc.add(total, extra)
+            surrogate = tc.mul(total, -1.0)
+    return est.GradientEstimate(dprobs, surrogate)
+
+
+def oracle_batch_step(dist, config, reward, refs, rngs, exact_rewards=False):
+    """The B x T x V estimate as the sentence loop finetune_rl ran: one
+    oracle call per sentence, surrogates added in sentence order."""
+    dprobs, surrogate = [], None
+    for b, (ref, rng) in enumerate(zip(refs, rngs)):
+        sentence = est.PositionDistributions(dist.probs[b], tensor=dist.tensor, prefix=(b,))
+        ge = oracle_reinforce_nat_step(sentence, config, reward, ref, rng, exact_rewards)
+        dprobs.append(ge.dprobs)
+        if ge.surrogate is not None:
+            surrogate = ge.surrogate if surrogate is None else tc.add(surrogate, ge.surrogate)
+    return est.GradientEstimate(np.stack(dprobs), surrogate)
 
 
 class TestPositionDistributions:
@@ -318,3 +422,191 @@ class TestEstimatorStats:
     def test_repetition_guard(self):
         with pytest.raises(est.ContractError):
             est.estimator_stats(uniform_dist(1, 2), lambda rng: None, 1, np.random.default_rng(0))
+
+
+# -- streams: numpy's Generator.spawn is the oracle
+
+SEEDS = st.one_of(
+    st.just(0),
+    st.integers(1, 2**32 - 1),
+    st.integers(2**32, 2**64),
+    st.integers(2**64, 2**128 - 1),
+    st.lists(st.integers(0, 2**70), min_size=1, max_size=5).map(tuple),
+)
+
+
+class TestStreams:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=SEEDS,
+        paths=st.lists(
+            st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), min_size=1, max_size=3),
+            min_size=1,
+            max_size=2,
+        ),
+        spawned=st.integers(0, 3),
+        T=st.integers(1, 4),
+        K=st.integers(1, 4),
+    )
+    def test_streams_equal_generator_spawn(self, seed, paths, spawned, T, K):
+        # sentence streams at spawn depth 1-3, whose parents and which
+        # themselves may already have spawned children; one batch may mix
+        # depths, so its spawn keys differ in length
+        streams = []
+        for path in paths:
+            stream = np.random.default_rng(seed)
+            for earlier, i in path:
+                stream.spawn(earlier)
+                stream = stream.spawn(i + 1)[i]
+            stream.spawn(spawned)
+            streams.append(stream)
+        tree = est._StreamTree(streams, T, K)
+        for b, stream in enumerate(streams):
+            for t, position in enumerate(stream.spawn(T)):
+                candidates = position.spawn(K)
+                got = tree.seeded(tree.position_words[b, t].tolist())
+                assert np.array_equal(got.random(3), position.random(3))
+                for j, want in enumerate(candidates):
+                    got = tree.seeded(tree.candidate_words[b, t, j].tolist())
+                    assert np.array_equal(got.random((2, 3)), want.random((2, 3)))
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 1, (3, 4)])
+    def test_root_stream_equals_generator_spawn(self, seed):
+        # an unspawned root: SeedSequence pads short entropy only for children
+        tree = est._StreamTree([np.random.default_rng(seed)], 2, 2)
+        for t, position in enumerate(np.random.default_rng(seed).spawn(2)):
+            candidates = position.spawn(2)
+            got = tree.seeded(tree.position_words[0, t].tolist())
+            assert got.random() == position.random()
+            for j, want in enumerate(candidates):
+                got = tree.seeded(tree.candidate_words[0, t, j].tolist())
+                assert got.random() == want.random()
+
+    @pytest.mark.parametrize(
+        "rng",
+        [
+            np.random.Generator(np.random.MT19937(0)),
+            np.random.Generator(np.random.PCG64DXSM(0)),
+            np.random.Generator(np.random.PCG64(np.random.SeedSequence(0, pool_size=8))),
+        ],
+        ids=["mt19937", "pcg64dxsm", "pool8"],
+    )
+    def test_unsupported_stream_is_contract_error(self, rng):
+        with pytest.raises(est.ContractError) as info:
+            est.reinforce_nat_step(
+                uniform_dist(2, 3), est.EstimatorConfig(k=1, n=2), equality_reward, (), rng
+            )
+        assert "\n" not in str(info.value)
+
+    def test_spawn_counter_overflow_is_contract_error(self):
+        seq = np.random.SeedSequence(0, spawn_key=(1,), n_children_spawned=2**32 - 2)
+        rng = np.random.Generator(np.random.PCG64(seq))
+        with pytest.raises(est.ContractError, match="spawned too many"):
+            est.reinforce_nat_step(
+                uniform_dist(3, 2), est.EstimatorConfig(k=1, n=2), equality_reward, (), rng
+            )
+
+    def test_call_does_not_advance_the_spawn_counter(self):
+        dist = est.random_distributions(3, 4, np.random.default_rng(1))
+        cfg = est.EstimatorConfig(k=1, n=3)
+        stream = np.random.default_rng(2).spawn(1)[0]
+        first = est.reinforce_nat_step(dist, cfg, rewards.RewardFn("GLEU"), (0, 1, 2), stream)
+        assert stream.bit_generator.seed_seq.n_children_spawned == 0
+        again = est.reinforce_nat_step(dist, cfg, rewards.RewardFn("GLEU"), (0, 1, 2), stream)
+        assert np.array_equal(first.dprobs, again.dprobs)
+
+
+# -- the batched estimator against the per-sentence oracle, bitwise
+
+V_ORACLE = 7
+
+
+def _estimate(step, B, k, eps, reward, exact, seed=0):
+    """dprobs, surrogate value and logits gradient of ``step`` on a B x 3 x V
+    batch of softmax rows, as bytes."""
+    rng = np.random.default_rng(seed)
+    logits = tc.Tensor(2.5 * rng.standard_normal((B, 3, V_ORACLE)), requires_grad=True)
+    probs = tc.softmax_rows(logits)
+    refs = rng.integers(0, V_ORACLE, size=(B, 3))
+    dist = est.PositionDistributions(probs.data, tensor=probs)
+    cfg = est.EstimatorConfig(k=k, n=9, residual_epsilon=eps)
+    ge = step(dist, cfg, reward, refs, rng.spawn(B), exact_rewards=exact)
+    tc.mul(ge.surrogate, 1.0 / B).backward()
+    return ge.dprobs.tobytes(), ge.surrogate.data.tobytes(), logits.grad.tobytes()
+
+
+TABLE = est.random_reward_table(3, V_ORACLE, np.random.default_rng(99))
+REWARDS = {
+    "batch": (rewards.RewardFn("GLEU"), False),
+    "scalar": (lambda hyp, ref: rewards.gleu(hyp, ref), False),
+    "exact": (TABLE, True),
+}
+
+
+class TestBatchedEstimatorOracle:
+    @pytest.mark.parametrize("reward", sorted(REWARDS))
+    @pytest.mark.parametrize("eps", [1e-6, 0.5])
+    @pytest.mark.parametrize("k", [0, 1, 5, V_ORACLE])
+    @pytest.mark.parametrize("B", [1, 2, 16])
+    def test_batch_equals_sentence_oracle(self, B, k, eps, reward):
+        fn, exact = REWARDS[reward]
+        got = _estimate(est.reinforce_nat_step, B, k, eps, fn, exact, seed=B * 10 + k)
+        want = _estimate(oracle_batch_step, B, k, eps, fn, exact, seed=B * 10 + k)
+        assert got == want
+
+    @pytest.mark.parametrize("k", [0, 2, V_ORACLE])
+    def test_single_sentence_equals_oracle(self, k):
+        def run(step):
+            rng = np.random.default_rng(k)
+            logits = tc.Tensor(rng.standard_normal((3, V_ORACLE)), requires_grad=True)
+            probs = tc.softmax_rows(logits)
+            dist = est.PositionDistributions(probs.data, tensor=probs)
+            ge = step(dist, est.EstimatorConfig(k=k, n=5), rewards.RewardFn("GLEU"), (1, 2, 3), rng)
+            ge.surrogate.backward()
+            return ge.dprobs.tobytes(), ge.surrogate.item(), logits.grad.tobytes()
+
+        assert run(est.reinforce_nat_step) == run(oracle_reinforce_nat_step)
+
+    def test_residual_only_where_mass_is_left(self):
+        # eps = 0.5 mixes positions with and without a residual sample
+        probs = np.array([[[0.9, 0.05, 0.05], [0.4, 0.3, 0.3]]])
+        part = est.top_k_partition(probs, 1, 0.5)
+        assert part.has_residual.tolist() == [[False, True]]
+
+    def test_reference_and_stream_counts_must_match(self):
+        dist = est.PositionDistributions(np.full((2, 3, 4), 0.25))
+        with pytest.raises(est.ContractError, match="2 references"):
+            est.reinforce_nat_step(
+                dist, est.EstimatorConfig(k=1, n=2), equality_reward, [(0,)],
+                [np.random.default_rng(0)],
+            )
+
+    def test_finetune_rl_equals_oracle_loop(self, monkeypatch):
+        corpus = gen_synthetic_task("echo_runs", 12, (3, 5), 48, np.random.default_rng(4))
+        config = ModelConfig(
+            d_model=16, d_hidden=32, n_layer=2, n_head=2, p_dropout=0.0, vocab_size=12, max_len=16
+        )
+        train = pl.TrainConfig(batch_size=8, max_steps=3, lr=0.01, warmup=2, rng_seed=1)
+        est_cfg = est.EstimatorConfig(k=3, n=5, rng_seed=2)
+
+        def run():
+            model = build_model("nat", config, seed=5)
+            rows = pl.finetune_rl(model, corpus, est_cfg, rewards.RewardFn("GLEU"), train)
+            return rows, [p.data.tobytes() for p in model.parameters()]
+
+        got = run()
+        monkeypatch.setattr(est, "reinforce_nat_step", oracle_batch_step)
+        want = run()
+        assert len(got[0]) == 6
+        assert got == want
+
+
+class TestEstimatorConfig:
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-9, 1.5])
+    def test_rejects_bad_residual_epsilon(self, eps):
+        with pytest.raises(est.ContractError, match="residual_epsilon"):
+            est.EstimatorConfig(residual_epsilon=eps)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-6, 1.0])
+    def test_accepts_residual_epsilon_in_unit_interval(self, eps):
+        assert est.EstimatorConfig(residual_epsilon=eps).residual_epsilon == eps
