@@ -14,37 +14,34 @@ left in the same directory.
 from __future__ import annotations
 
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import checkpoint, data, estimators, pipeline, rewards
-from .models import ModelConfig, build_model, predict_length
+from .models import ModelConfig, build_model
 
-COMMANDS = (
-    "train-ce",
-    "finetune-rl",
-    "decode",
-    "evaluate",
-    "distill",
-    "estimator-bench",
-    "topk-stats",
-    "emit-report",
-)
 
-# every key has a documented default; values double as type witnesses
+def _field_defaults(cls, names):
+    return {f.name: f.default for f in fields(cls) if f.name in names}
+
+
+_MODEL_KEYS = tuple(f.name for f in fields(ModelConfig))
+# the training seed comes from --seed
+_TRAIN_KEYS = tuple(f.name for f in fields(pipeline.TrainConfig) if f.name != "rng_seed")
+
+# every key has a documented default; values double as type witnesses. Keys
+# named after a field of the library's config dataclasses take its default,
+# except vocab_size, max_len and k, which the CLI sets here
 DEFAULTS = {
     # model
     "model": "nat",  # ar | nat | fs
-    "d_model": 32,
-    "d_hidden": 64,
-    "n_layer": 2,
-    "n_head": 2,
-    "p_dropout": 0.0,
+    **_field_defaults(ModelConfig, _MODEL_KEYS),
+    "vocab_size": 20,  # also the synthetic tasks' vocabulary
     "max_len": 32,
     # synthetic data (used when train_src is empty)
     "task": "copy",  # copy | reverse | sort | echo_runs
-    "vocab_size": 20,
     "len_min": 4,
     "len_max": 12,
     "train_pairs": 2000,
@@ -57,24 +54,14 @@ DEFAULTS = {
     "valid_tgt": "",
     "vocab_file": "",
     # training
-    "batch_size": 16,
-    "max_steps": 2000,
-    "lr": 0.01,
-    "warmup": 200,
-    "adam_beta1": 0.9,
-    "adam_beta2": 0.98,
-    "adam_eps": 1e-9,
-    "patience": 10,
-    "eval_every": 200,
+    **_field_defaults(pipeline.TrainConfig, _TRAIN_KEYS),
     # estimator; k is a comma list for the sweep commands, a single int
     # elsewhere; estimator-bench defaults to 0,1,5,10 (COMMAND_DEFAULTS)
     "k": "5",
-    "n": 20,
-    "residual_epsilon": 1e-6,
+    **_field_defaults(estimators.EstimatorConfig, ("n", "residual_epsilon")),
     # decoding
     "decode_mode": "",  # empty = default per model kind
-    "beam": 1,
-    "dedup": True,
+    **_field_defaults(pipeline.DecodeConfig, ("beam", "dedup")),
     # checkpoints
     "init_checkpoint": "",
     "teacher_checkpoint": "",
@@ -192,15 +179,7 @@ def write_metrics(path, rows):
 
 
 def _model_config(cfg):
-    return ModelConfig(
-        d_model=cfg["d_model"],
-        d_hidden=cfg["d_hidden"],
-        n_layer=cfg["n_layer"],
-        n_head=cfg["n_head"],
-        p_dropout=cfg["p_dropout"],
-        vocab_size=cfg["vocab_size"],
-        max_len=cfg["max_len"],
-    )
+    return ModelConfig(**{key: cfg[key] for key in _MODEL_KEYS})
 
 
 def _load_corpora(cfg):
@@ -229,25 +208,16 @@ def _load_corpora(cfg):
 
 def _train_config(cfg):
     return pipeline.TrainConfig(
-        batch_size=cfg["batch_size"],
-        max_steps=cfg["max_steps"],
-        lr=cfg["lr"],
-        warmup=cfg["warmup"],
-        adam_beta1=cfg["adam_beta1"],
-        adam_beta2=cfg["adam_beta2"],
-        adam_eps=cfg["adam_eps"],
-        patience=cfg["patience"],
-        rng_seed=cfg["seed"],
-        eval_every=cfg["eval_every"],
+        rng_seed=cfg["seed"], **{key: cfg[key] for key in _TRAIN_KEYS}
     )
 
 
 def _decode_config(cfg, kind):
-    mode = cfg["decode_mode"] or ("nat_argmax" if kind == "nat" else "greedy")
+    mode = cfg["decode_mode"] or pipeline.default_decode_config(kind).mode
     return pipeline.DecodeConfig(mode=mode, beam=cfg["beam"], dedup=cfg["dedup"])
 
 
-def _get_model(cfg, out_dir):
+def _get_model(cfg):
     if cfg["init_checkpoint"]:
         return checkpoint.load_model(cfg["init_checkpoint"])
     return build_model(cfg["model"], _model_config(cfg), seed=cfg["seed"])
@@ -255,7 +225,7 @@ def _get_model(cfg, out_dir):
 
 def cmd_train_ce(cfg, out_dir):
     train, valid = _load_corpora(cfg)
-    model = _get_model(cfg, out_dir)
+    model = _get_model(cfg)
     rows = pipeline.train_ce(model, train, _train_config(cfg), valid=valid)
     write_metrics(out_dir / "metrics.csv", rows)
     checkpoint.save_model(model, out_dir / "model.nsqt", seed=cfg["seed"])
@@ -265,7 +235,7 @@ def cmd_train_ce(cfg, out_dir):
 
 def cmd_finetune_rl(cfg, out_dir):
     train, valid = _load_corpora(cfg)
-    model = _get_model(cfg, out_dir)
+    model = _get_model(cfg)
     est_cfg = estimators.EstimatorConfig(
         k=_k_single(cfg["k"]),
         n=cfg["n"],
@@ -284,7 +254,7 @@ def cmd_finetune_rl(cfg, out_dir):
 def cmd_decode(cfg, out_dir):
     train, valid = _load_corpora(cfg)
     corpus = valid or train
-    model = _get_model(cfg, out_dir)
+    model = _get_model(cfg)
     table = data.build_length_table(train)
     dec = _decode_config(cfg, model.kind)
     vocab = corpus.vocab
@@ -297,7 +267,7 @@ def cmd_decode(cfg, out_dir):
 def cmd_evaluate(cfg, out_dir):
     train, valid = _load_corpora(cfg)
     corpus = valid or train
-    model = _get_model(cfg, out_dir)
+    model = _get_model(cfg)
     table = data.build_length_table(train)
     report = pipeline.evaluate(model, corpus, _decode_config(cfg, model.kind), table)
     summary = [
@@ -334,7 +304,7 @@ def cmd_estimator_bench(cfg, out_dir):
     """Total-variance sweep over k on random instances with a GLEU reward."""
     ks = _k_list(cfg["k"])
     V, T = cfg["bench_vocab"], cfg["bench_len"]
-    reward = rewards.memoize_reward(rewards.RewardFn("GLEU"))
+    reward = rewards.RewardFn("GLEU")
     rows = []
     for k in ks:
         totals = []
@@ -364,7 +334,7 @@ def cmd_estimator_bench(cfg, out_dir):
 def cmd_topk_stats(cfg, out_dir):
     train, valid = _load_corpora(cfg)
     corpus = valid or train
-    model = _get_model(cfg, out_dir)
+    model = _get_model(cfg)
     if model.kind != "nat":
         raise UsageError("topk-stats requires a NAT model")
     ks = _k_list(cfg["topk_k"], key="topk_k")
@@ -432,6 +402,7 @@ HANDLERS = {
     "topk-stats": cmd_topk_stats,
     "emit-report": cmd_emit_report,
 }
+COMMANDS = tuple(HANDLERS)
 
 
 def _parse_args(argv):

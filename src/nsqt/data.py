@@ -26,6 +26,10 @@ class FormatError(ValueError):
     """Malformed corpus or vocabulary input."""
 
 
+class EmptyCorpusError(FormatError):
+    """A corpus without sentence pairs where sentences are needed."""
+
+
 @dataclass
 class Vocabulary:
     tokens: tuple
@@ -150,7 +154,7 @@ def gen_synthetic_task(kind, vocab_size, len_range, count, rng):
 def build_length_table(corpus):
     """Mode of target lengths per source length, ties toward the shorter."""
     if corpus.size == 0:
-        raise FormatError("cannot build a length table from an empty corpus")
+        raise EmptyCorpusError("cannot build a length table from an empty corpus")
     by_src = {}
     for src, tgt in corpus.pairs:
         by_src.setdefault(len(src), Counter())[len(tgt)] += 1

@@ -349,6 +349,21 @@ class ModelBase:
     def _head(self, x):
         return tc.softmax_rows(self.out_proj(x))
 
+    def _parallel_pass(self, src_ids, out_len, enc, layers):
+        """Uniform-copied source embeddings at ``out_len`` positions, run in
+        one pass through the NAT-style ``layers``; returns (states, enc)."""
+        src_ids = np.atleast_2d(np.asarray(src_ids, dtype=np.int64))
+        self._check_len(out_len, "decoder")
+        if enc is None:
+            enc = self.encode(src_ids)
+        copy_idx = uniform_copy_positions(src_ids.shape[1], out_len)
+        x = tc.add(self._embed_tokens(src_ids[:, copy_idx]), self.pe[:out_len])
+        x = self._dropout(x)
+        pos_enc = tc.Tensor(self.pe[:out_len])
+        for layer in layers:
+            x = layer(x, enc, pos_enc)
+        return x, enc
+
 
 class ARModel(ModelBase):
     kind = "ar"
@@ -399,17 +414,8 @@ class NATModel(ModelBase):
 
     def forward(self, src_ids, out_len, enc=None):
         """All ``out_len`` position distributions in one decoder pass."""
-        src_ids = np.atleast_2d(np.asarray(src_ids, dtype=np.int64))
-        self._check_len(out_len, "decoder")
-        if enc is None:
-            enc = self.encode(src_ids)
+        x, _ = self._parallel_pass(src_ids, out_len, enc, self.dec_layers)
         self.decoder_calls += 1
-        copy_idx = uniform_copy_positions(src_ids.shape[1], out_len)
-        x = tc.add(self._embed_tokens(src_ids[:, copy_idx]), self.pe[:out_len])
-        x = self._dropout(x)
-        pos_enc = tc.Tensor(self.pe[:out_len])
-        for layer in self.dec_layers:
-            x = layer(x, enc, pos_enc)
         return self._head(x)
 
     def train_distributions(self, src_ids, tgt_ids):
@@ -433,18 +439,9 @@ class FSModel(ModelBase):
 
     def bottom_states(self, src_ids, out_len, enc=None):
         """One parallel pass of the NAT-style bottom layers."""
-        src_ids = np.atleast_2d(np.asarray(src_ids, dtype=np.int64))
-        self._check_len(out_len, "decoder")
-        if enc is None:
-            enc = self.encode(src_ids)
+        states = self._parallel_pass(src_ids, out_len, enc, self.bottom_layers)
         self.bottom_calls += 1
-        copy_idx = uniform_copy_positions(src_ids.shape[1], out_len)
-        x = tc.add(self._embed_tokens(src_ids[:, copy_idx]), self.pe[:out_len])
-        x = self._dropout(x)
-        pos_enc = tc.Tensor(self.pe[:out_len])
-        for layer in self.bottom_layers:
-            x = layer(x, enc, pos_enc)
-        return x, enc
+        return states
 
     def _fit_length(self, h, start, end):
         """Bottom-state rows start..end-1, padded with zero vectors past the
@@ -507,13 +504,6 @@ def shift_right(tgt_ids, bos=BOS):
     return out
 
 
-def sequence_logprob(probs, tokens):
-    """Length-normalized log-probability of a token row under (T, V) probs."""
-    tokens = np.asarray(tokens, dtype=np.int64)
-    p = probs[np.arange(len(tokens)), tokens]
-    return float(np.log(np.maximum(p, 1e-300)).sum() / max(len(tokens), 1))
-
-
 class _Stepper:
     """Incremental decoding of one source sentence with an AR or FS model:
     the encoder (and FS bottom) pass runs once, and each step computes only
@@ -541,7 +531,7 @@ class _Stepper:
 
 
 @tc.no_grad()
-def beam_decode(model, src_ids, out_len, beam=1, force_include=()):
+def beam_decode(model, src_ids, out_len, beam=1):
     """Length-normalized beam search for AR and FS models; greedy when beam=1.
 
     One decoder invocation per step (live beams are stacked into a batch,
@@ -556,9 +546,7 @@ def beam_decode(model, src_ids, out_len, beam=1, force_include=()):
     ``S <= 0`` can only finish with ``S'/L' <= S/L' <= S/out_len`` for
     ``L' <= out_len`` (float addition and division round monotonically). The
     comparison is strict, so a tie, which the final sort breaks by tokens,
-    never stops decoding. ``force_include`` adds extra candidate token
-    sequences to the final selection, scored under the model after the loop;
-    decoding itself is unchanged.
+    never stops decoding.
 
     Returns (tokens, steps) where tokens is the raw best hypothesis
     (terminating EOS stripped) and steps the number of decoder steps run.
@@ -595,24 +583,9 @@ def beam_decode(model, src_ids, out_len, beam=1, force_include=()):
         stepper.cache.reorder(parents)
     for tokens, score in live:
         finished.append((tokens, score / max(len(tokens), 1)))
-    for extra in force_include:
-        finished.append((tuple(extra), score_sequence(model, src_ids, extra, out_len)))
     finished.sort(key=lambda c: (-c[1], c[0]))
     best = list(finished[0][0])
     if best and best[-1] == EOS:
         best = best[:-1]
     return best, steps
 
-
-def score_sequence(model, src_ids, tokens, out_len=None):
-    """Length-normalized log-probability of a full hypothesis (with its
-    terminating EOS) under an AR or FS model, via teacher forcing."""
-    tokens = list(tokens)
-    if not tokens:
-        return float("-inf")
-    row = np.array([tokens], dtype=np.int64)
-    if model.kind == "ar":
-        probs = model.forward(src_ids, shift_right(row))
-    else:
-        probs = model.forward_train(src_ids, row, out_len=out_len or len(tokens))
-    return sequence_logprob(probs.data[0], tokens)

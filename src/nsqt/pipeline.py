@@ -18,7 +18,7 @@ import numpy as np
 from . import estimators as est
 from . import rewards
 from . import tensor as tc
-from .data import build_length_table
+from .data import EmptyCorpusError, build_length_table
 from .errors import ContractError
 from .models import EOS, PAD, LengthTable, beam_decode, predict_length
 
@@ -159,7 +159,13 @@ def _batches(corpus, kind, batch_size, rng):
     return batches
 
 
+def _require_pairs(corpus, role):
+    if corpus.size == 0:
+        raise EmptyCorpusError(f"{role} corpus is empty")
+
+
 def _step_generator(corpus, kind, batch_size, rng, max_steps):
+    _require_pairs(corpus, "training")
     done = 0
     while done < max_steps:
         for batch in _batches(corpus, kind, batch_size, rng):
@@ -180,6 +186,7 @@ def _nll_loss(model, src_batch, tgt_batch):
 
 
 def mean_validation_gleu(model, corpus, dec, table):
+    _require_pairs(corpus, "validation")
     total = 0.0
     for src, tgt in corpus.pairs:
         hyp = decode(model, src, dec, table)
@@ -187,8 +194,39 @@ def mean_validation_gleu(model, corpus, dec, table):
     return total / corpus.size
 
 
-def _default_decode_config(kind):
+def default_decode_config(kind):
+    """Argmax decoding for NAT models, greedy for AR and FS."""
     return DecodeConfig(mode="nat_argmax" if kind == "nat" else "greedy")
+
+
+class _Validation:
+    """Validation GLEU every ``eval_every`` steps and the patience count
+    that stops training early; a no-op without a validation corpus."""
+
+    def __init__(self, model, corpus, valid, table, cfg):
+        if valid is not None:
+            _require_pairs(valid, "validation")
+            if table is None:
+                table = build_length_table(corpus)
+        self.model, self.valid, self.table, self.cfg = model, valid, table, cfg
+        self.dec = default_decode_config(model.kind)
+        self.best, self.since_best = -1.0, 0
+
+    def should_stop(self, step, rows):
+        """Validate, with dropout off, when ``step`` is due, logging the
+        score to ``rows``; True once ``patience`` validations in a row
+        have not beaten the best score."""
+        if self.valid is None or step % self.cfg.eval_every != 0:
+            return False
+        training, self.model.training = self.model.training, False
+        score = mean_validation_gleu(self.model, self.valid, self.dec, self.table)
+        self.model.training = training
+        rows.append((step, "valid", "gleu", score))
+        if score > self.best:
+            self.best, self.since_best = score, 0
+            return False
+        self.since_best += 1
+        return self.since_best >= self.cfg.patience
 
 
 def train_ce(model, corpus, cfg, valid=None, table=None):
@@ -202,10 +240,8 @@ def train_ce(model, corpus, cfg, valid=None, table=None):
     """
     rng = np.random.default_rng(cfg.rng_seed)
     opt = Adam(model.parameters(), cfg)
-    if valid is not None and table is None:
-        table = build_length_table(corpus)
-    dec = _default_decode_config(model.kind)
-    rows, best, since_best = [], -1.0, 0
+    validation = _Validation(model, corpus, valid, table, cfg)
+    rows = []
     try:
         model.training = True
         for step, (srcs, tgts) in enumerate(
@@ -219,17 +255,8 @@ def train_ce(model, corpus, cfg, valid=None, table=None):
             loss.backward()
             opt.step()
             rows.append((step, "train", "loss", value))
-            if valid is not None and step % cfg.eval_every == 0:
-                model.training = False
-                score = mean_validation_gleu(model, valid, dec, table)
-                model.training = True
-                rows.append((step, "valid", "gleu", score))
-                if score > best:
-                    best, since_best = score, 0
-                else:
-                    since_best += 1
-                    if since_best >= cfg.patience:
-                        break
+            if validation.should_stop(step, rows):
+                break
     finally:
         # also after a TrainingError: a later caller must not train or
         # decode with dropout it did not ask for
@@ -253,10 +280,8 @@ def finetune_rl(model, corpus, est_cfg, reward, cfg, valid=None, table=None):
     rng = np.random.default_rng(cfg.rng_seed)
     est_rng = np.random.default_rng(est_cfg.rng_seed)
     opt = Adam(model.parameters(), cfg)
-    if valid is not None and table is None:
-        table = build_length_table(corpus)
-    dec = _default_decode_config(model.kind)
-    rows, best, since_best = [], -1.0, 0
+    validation = _Validation(model, corpus, valid, table, cfg)
+    rows = []
     for step, (srcs, tgts) in enumerate(
         _step_generator(corpus, model.kind, cfg.batch_size, rng, cfg.max_steps), 1
     ):
@@ -278,15 +303,8 @@ def finetune_rl(model, corpus, est_cfg, reward, cfg, valid=None, table=None):
         opt.step()
         rows.append((step, "train", "surrogate", value))
         rows.append((step, "train", "dprobs_l1", dnorm / B))
-        if valid is not None and step % cfg.eval_every == 0:
-            score = mean_validation_gleu(model, valid, dec, table)
-            rows.append((step, "valid", "gleu", score))
-            if score > best:
-                best, since_best = score, 0
-            else:
-                since_best += 1
-                if since_best >= cfg.patience:
-                    break
+        if validation.should_stop(step, rows):
+            break
     return rows
 
 
@@ -381,6 +399,7 @@ def evaluate(model, corpus, dec, table=None):
     decoder (or bottom/top) passes per sentence is recorded exactly. Length
     buckets have width 10 on the reference length.
     """
+    _require_pairs(corpus, "evaluation")
     if table is None:
         table = build_length_table(corpus)
     hyps, refs, raw_lens = [], [], []
@@ -419,6 +438,7 @@ def evaluate(model, corpus, dec, table=None):
 def topk_stats(model, corpus, k_list):
     """Mean top-k probability mass over every target-position prediction,
     plus a 5-interval histogram of the per-position masses."""
+    _require_pairs(corpus, "evaluation")
     values = {k: [] for k in k_list}
     for src, tgt in corpus.pairs:
         with tc.no_grad():

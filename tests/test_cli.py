@@ -1,5 +1,12 @@
 """Command-line interface: config handling, dispatch, exit codes, reports."""
 
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -41,8 +48,11 @@ def test_no_command_is_usage_error(capsys):
 
 def test_unknown_command_lists_commands(capsys):
     assert run(["frobnicate"]) == 1
-    err = capsys.readouterr().err
-    assert "train-ce" in err and "topk-stats" in err
+    assert capsys.readouterr().err == (
+        "error: unknown command 'frobnicate'; expected one of: train-ce, "
+        "finetune-rl, decode, evaluate, distill, estimator-bench, topk-stats, "
+        "emit-report\n"
+    )
 
 
 def test_missing_config_file_names_path(tmp_path, capsys):
@@ -104,12 +114,132 @@ def test_thread_env_not_read(tmp_path, monkeypatch):
     assert keys == set(cli.DEFAULTS) | {"seed"}
 
 
+# the full resolved configuration of every command run with no config file,
+# flags or seed (empty values without their trailing space): a changed
+# default, derived or hand-written, shows up here
+DEFAULT_RESOLVED = """\
+adam_beta1 = 0.9
+adam_beta2 = 0.98
+adam_eps = 1e-09
+batch_size = 16
+beam = 1
+bench_instances = 5
+bench_len = 3
+bench_reps = 2000
+bench_vocab = 10
+d_hidden = 64
+d_model = 32
+data_seed = 0
+decode_mode =
+dedup = True
+eval_every = 200
+init_checkpoint =
+k = 5
+len_max = 12
+len_min = 4
+lr = 0.01
+max_len = 32
+max_steps = 2000
+model = nat
+n = 20
+n_head = 2
+n_layer = 2
+p_dropout = 0.0
+patience = 10
+residual_epsilon = 1e-06
+seed = 0
+task = copy
+teacher_checkpoint =
+topk_k = 1,5,10
+train_pairs = 2000
+train_src =
+train_tgt =
+valid_pairs = 200
+valid_src =
+valid_tgt =
+vocab_file =
+vocab_size = 20
+warmup = 200
+"""
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_default_resolved_config_is_pinned(tmp_path, command):
+    cfg = cli.resolve_config({}, {}, 0, command)
+    cli.write_resolved_config(cfg, tmp_path)
+    want = DEFAULT_RESOLVED
+    if command == "estimator-bench":
+        want = want.replace("\nk = 5\n", "\nk = 0,1,5,10\n")
+    assert (tmp_path / "config.resolved.cfg").read_text().replace(" \n", "\n") == want
+
+
+def _readme_recipes():
+    """Every ``nsqt ...`` line of the README's fenced code blocks, with
+    backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    recipes = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.strip().startswith("nsqt "):
+                recipes.append(shlex.split(line)[1:])
+    return recipes
+
+
+def test_readme_recipes_parse_and_resolve():
+    recipes = _readme_recipes()
+    assert {r[0] for r in recipes} >= {
+        "train-ce", "finetune-rl", "evaluate", "estimator-bench", "topk-stats"
+    }
+    for argv in recipes:
+        command, config_path, seed, _, overrides = cli._parse_args(argv)
+        assert config_path is None, argv
+        cli.resolve_config({}, overrides, seed, command)
+
+
 def test_resolved_config_written_before_work(tmp_path):
     out = tmp_path / "run"
     # fails at runtime (distill without a teacher checkpoint = usage error),
     # but the resolved config must already be on disk
     assert run(["distill", "--out", out] + FAST) == 1
     assert (out / "config.resolved.cfg").exists()
+
+
+# ---------------------------------------------------------------------------
+# empty corpora
+
+
+def test_training_on_empty_file_corpus_exits_2(tmp_path):
+    """Every pair is dropped as longer than max_len, leaving no batch; a
+    subprocess, so that a training loop that never ends fails the test
+    instead of hanging the suite."""
+    (tmp_path / "vocab.txt").write_text("a\nb\n")
+    (tmp_path / "train.src").write_text("a b a\n")
+    (tmp_path / "train.tgt").write_text("b a b\n")
+    args = [
+        "train-ce", "--out", tmp_path / "run", "--max_len", "2",
+        "--vocab_file", tmp_path / "vocab.txt",
+        "--train_src", tmp_path / "train.src", "--train_tgt", tmp_path / "train.tgt",
+    ]
+    src_dir = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-m", "nsqt.cli", *map(str, args)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: EmptyCorpusError: training corpus is empty\n"
+
+
+@pytest.mark.parametrize("command", ["train-ce", "evaluate", "topk-stats"])
+def test_empty_validation_corpus_exits_2(tmp_path, capsys, command):
+    args = [command, "--out", tmp_path / "run"] + FAST + ["--valid_pairs", "0"]
+    if command != "train-ce":
+        args += ["--init_checkpoint", _tiny_checkpoint(tmp_path)]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: EmptyCorpusError: ") and "corpus is empty" in err
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

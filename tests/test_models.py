@@ -226,21 +226,8 @@ class TestFSDecode:
             prefix.append(tok)
         assert greedy == prefix
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_beam_never_below_greedy_with_force_include(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        model = models.FSModel(CFG, seed=17)
-        src = rng.integers(4, CFG.vocab_size, size=(1, 6))
-        greedy, _ = models.beam_decode(model, src, out_len=6, beam=1)
-        beamed, _ = models.beam_decode(
-            model, src, out_len=6, beam=4, force_include=[greedy + [models.EOS]]
-        )
-        s_greedy = models.score_sequence(model, src, greedy + [models.EOS], out_len=6)
-        s_beam = models.score_sequence(model, src, beamed + [models.EOS], out_len=6)
-        assert s_beam >= s_greedy - 1e-12
 
-
-def rerun_prefix_decode(model, src, out_len, beam, force_include=()):
+def rerun_prefix_decode(model, src, out_len, beam):
     """Reference beam search without a cache and without early stopping:
     every step re-runs each live hypothesis's whole prefix through the
     teacher-forced decoder, until ``out_len`` steps or no live hypothesis."""
@@ -275,9 +262,6 @@ def rerun_prefix_decode(model, src, out_len, beam, force_include=()):
         if not live:
             break
     finished += [(t, s / max(len(t), 1)) for t, s in live]
-    finished += [
-        (tuple(t), models.score_sequence(model, src, t, out_len)) for t in force_include
-    ]
     finished.sort(key=lambda c: (-c[1], c[0]))
     best = list(finished[0][0])
     return (best[:-1] if best and best[-1] == models.EOS else best), steps
@@ -482,22 +466,19 @@ def _small_trained(kind, seed, ce_steps):
     src=st.lists(st.integers(4, 9), min_size=1, max_size=6),
     out_len=st.integers(3, 10),
     beam=st.integers(1, 4),
-    data=st.data(),
 )
-def test_early_stop_is_exact(kind, seed, ce_steps, src, out_len, beam, data):
+def test_early_stop_is_exact(kind, seed, ce_steps, src, out_len, beam):
     model = _small_trained(kind, seed, ce_steps)
-    extra = data.draw(st.lists(st.integers(2, 9), min_size=1, max_size=out_len))
-    force_include = data.draw(st.sampled_from([(), (extra,), (extra + [models.EOS],)]))
     src_arr = np.array([src])
     with tc.no_grad():
-        want, _ = rerun_prefix_decode(model, src_arr, out_len, beam, force_include)
+        want, _ = rerun_prefix_decode(model, src_arr, out_len, beam)
     model.reset_counters()
-    tokens, steps = models.beam_decode(model, src_arr, out_len, beam, force_include)
+    tokens, steps = models.beam_decode(model, src_arr, out_len, beam)
     assert tokens == want
     assert 1 <= steps <= out_len
-    # one decoder call per step, plus one teacher-forced call per forced candidate
+    # one decoder call per step
     calls = model.decoder_calls if kind == "ar" else model.top_calls
-    assert calls == steps + len(force_include)
+    assert calls == steps
 
 
 class _ScriptedAR:

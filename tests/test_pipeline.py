@@ -11,7 +11,7 @@ from nsqt import estimators as est
 from nsqt import pipeline as pl
 from nsqt import rewards
 from nsqt import tensor as tc
-from nsqt.data import ParallelCorpus, build_length_table, gen_synthetic_task
+from nsqt.data import EmptyCorpusError, ParallelCorpus, build_length_table, gen_synthetic_task
 from nsqt.models import LengthTable, ModelConfig, NATModel, build_model
 
 TINY = ModelConfig(
@@ -459,6 +459,37 @@ def test_evaluate_mean_lengths():
     )
     expect = sum(len(t) for _, t in corpus.pairs) / corpus.size
     assert report.mean_ref_len == pytest.approx(expect)
+
+
+# ---------------------------------------------------------------------------
+# empty corpora
+
+
+def _finetune(model, corpus, cfg, valid=None):
+    ecfg = est.EstimatorConfig(k=2, n=2)
+    return pl.finetune_rl(model, corpus, ecfg, rewards.RewardFn("GLEU"), cfg, valid=valid)
+
+
+@pytest.mark.parametrize("loop", [pl.train_ce, _finetune])
+def test_empty_validation_corpus_raises_before_any_step(loop):
+    model = build_model("nat", TINY, seed=3)
+    before = {name: data.copy() for name, data in model.state().items()}
+    with pytest.raises(EmptyCorpusError, match="validation corpus is empty"):
+        loop(model, tiny_corpus(), tiny_cfg(eval_every=2), valid=ParallelCorpus([]))
+    assert all(np.array_equal(before[n], d) for n, d in model.state().items())
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m, c: pl.evaluate(m, c, pl.DecodeConfig(), LengthTable()),
+        lambda m, c: pl.mean_validation_gleu(m, c, pl.DecodeConfig(), LengthTable()),
+        lambda m, c: pl.topk_stats(m, c, [1, 5]),
+    ],
+)
+def test_scoring_an_empty_corpus_raises(call):
+    with pytest.raises(EmptyCorpusError, match="corpus is empty"):
+        call(build_model("nat", TINY, seed=3), ParallelCorpus([]))
 
 
 def test_error_classes_are_shared_across_modules():
