@@ -253,20 +253,19 @@ def cmd_finetune_rl(cfg, out_dir):
 
 def cmd_decode(cfg, out_dir):
     train, valid = _load_corpora(cfg)
-    corpus = valid or train
+    corpus = valid if valid is not None else train
     model = _get_model(cfg)
     table = data.build_length_table(train)
-    dec = _decode_config(cfg, model.kind)
-    vocab = corpus.vocab
+    hyps = pipeline.decode_corpus(model, corpus, _decode_config(cfg, model.kind), table)
     with open(out_dir / "decodes.txt", "w", encoding="utf-8") as f:
-        for src, _ in corpus.pairs:
-            f.write(vocab.decode(pipeline.decode(model, src, dec, table)) + "\n")
+        for hyp in hyps:
+            f.write(corpus.vocab.decode(hyp) + "\n")
     return 0
 
 
 def cmd_evaluate(cfg, out_dir):
     train, valid = _load_corpora(cfg)
-    corpus = valid or train
+    corpus = valid if valid is not None else train
     model = _get_model(cfg)
     table = data.build_length_table(train)
     report = pipeline.evaluate(model, corpus, _decode_config(cfg, model.kind), table)
@@ -333,7 +332,7 @@ def cmd_estimator_bench(cfg, out_dir):
 
 def cmd_topk_stats(cfg, out_dir):
     train, valid = _load_corpora(cfg)
-    corpus = valid or train
+    corpus = valid if valid is not None else train
     model = _get_model(cfg)
     if model.kind != "nat":
         raise UsageError("topk-stats requires a NAT model")

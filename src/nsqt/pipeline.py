@@ -45,8 +45,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.warmup < 0:
             raise ContractError(f"warmup must be >= 0, got {self.warmup}")
-        if self.patience < 1:
-            raise ContractError(f"patience must be >= 1, got {self.patience}")
+        for key in ("batch_size", "max_steps", "patience", "eval_every"):
+            if getattr(self, key) < 1:
+                raise ContractError(f"{key} must be >= 1, got {getattr(self, key)}")
 
 
 @dataclass(frozen=True)
@@ -360,20 +361,22 @@ def decode(model, src, dec, table=None):
     return _decode_raw(model, src, dec, table)[0]
 
 
+def decode_corpus(model, corpus, dec, table=None):
+    """The decodes of every source sentence of a non-empty corpus, in order."""
+    _require_pairs(corpus, "decoding")
+    if table is None:
+        table = build_length_table(corpus)
+    return [decode(model, src, dec, table) for src, _ in corpus.pairs]
+
+
 def distill_corpus(teacher, corpus, dec, table=None):
     """Replace targets with the teacher's decodes; empty decodes keep the
     original target (count logged)."""
     from .data import ParallelCorpus
 
-    if table is None:
-        table = build_length_table(corpus)
-    pairs, kept = [], 0
-    for src, tgt in corpus.pairs:
-        hyp = decode(teacher, src, dec, table)
-        if not hyp:
-            hyp = list(tgt)
-            kept += 1
-        pairs.append((tuple(src), tuple(hyp)))
+    hyps = decode_corpus(teacher, corpus, dec, table)
+    pairs = [(tuple(src), tuple(hyp or tgt)) for (src, tgt), hyp in zip(corpus.pairs, hyps)]
+    kept = sum(not hyp for hyp in hyps)
     if kept:
         log.info("kept %d original targets for empty teacher decodes", kept)
     return ParallelCorpus(pairs, corpus.vocab)

@@ -54,12 +54,18 @@ def gleu_rows(tokens, ref, max_n=MAX_N):
     """``gleu(row, ref)`` for every row of an (R, T) token matrix, as a
     float64 vector, bitwise equal to the scalar calls.
 
-    The reference n-grams are counted once. Tokens are renumbered densely
-    over the reference vocabulary (every other token becomes 0), so each
-    n-gram is one base-(m+1) integer code and a hypothesis n-gram holding a
-    token absent from the reference never matches. Clipped matches are
-    counted by sorting each row's codes and keeping the occurrences whose
-    rank within the row is below the reference count.
+    Prefix-slot counting. Tokens are renumbered densely over the reference
+    vocabulary: ids 1..m, and 0 for a token absent from the reference. Slot
+    0 is a sink, slots 1..m are the reference unigrams, and each distinct
+    reference n-gram of order 2..max_n gets the next slot. A table built
+    from the reference maps (prefix slot, last id) to the n-gram's slot, so
+    each hypothesis n-gram's slot is one lookup from its order-(n-1)
+    prefix's, and every n-gram the reference lacks lands in the sink, whose
+    reference count is 0. One ``bincount`` counts all orders' slots per
+    row; clipping the counts by the reference counts and summing gives the
+    matched n-grams as exact integers. For a length-L reference the table
+    has at most (min(max_n, L) * L + 1) x (L + 1) entries, whatever the
+    token ids, so nothing can overflow and every input takes this one path.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
@@ -67,43 +73,47 @@ def gleu_rows(tokens, ref, max_n=MAX_N):
     if tokens.ndim != 2:
         raise ValueError(f"expected an R x T token matrix, got shape {tokens.shape}")
     ref = np.asarray(ref, dtype=np.int64).reshape(-1)
-    T, L = tokens.shape[1], ref.shape[0]
+    (R, T), L = tokens.shape, ref.shape[0]
     total_hyp = sum(max(T - n + 1, 0) for n in range(1, max_n + 1))
     total_ref = sum(max(L - n + 1, 0) for n in range(1, max_n + 1))
-    scores = np.zeros(tokens.shape[0])
-    if total_hyp and total_ref:
-        vocab = np.unique(ref)
-        base, top = len(vocab) + 1, min(max_n, T, L)
-        if base**top >= 2**63:  # codes would overflow int64
-            return np.array([gleu(row, ref.tolist(), max_n) for row in tokens.tolist()])
-        pos = np.minimum(np.searchsorted(vocab, tokens), len(vocab) - 1)
-        hyp_ids = np.where(vocab[pos] == tokens, pos + 1, 0)
-        ref_ids = np.searchsorted(vocab, ref) + 1
-        hyp_codes = np.zeros_like(hyp_ids)
-        ref_codes = np.zeros_like(ref_ids)
-        matched = np.zeros(tokens.shape[0], dtype=np.int64)
-        for n in range(1, top + 1):
-            hyp_codes = hyp_codes[:, : T - n + 1] * base + hyp_ids[:, n - 1 :]
-            ref_codes = ref_codes[: L - n + 1] * base + ref_ids[n - 1 :]
-            matched += _clipped_match_rows(hyp_codes, ref_codes)
-        scores = np.minimum(matched / total_hyp, matched / total_ref)
-    if T == L:
-        scores[np.all(tokens == ref, axis=1)] = 1.0
-    return scores
+    if not (total_hyp and total_ref):
+        # gleu: equal sequences score 1, and here only two empty ones can be
+        return np.full(R, float(T == L == 0))
+    top = min(max_n, T, L)
+    vocab, ref_ids = np.unique(ref, return_inverse=True)
+    width = len(vocab) + 1
+    ref_ids = (ref_ids + 1).tolist()
+    slot_of = {}  # prefix slot * width + last id -> slot, over orders 2..top
+    ref_slots = prefix = ref_ids
+    for n in range(2, top + 1):
+        prefix = [
+            slot_of.setdefault(p * width + tok, width + len(slot_of))
+            for p, tok in zip(prefix, ref_ids[n - 1 :])
+        ]
+        ref_slots = ref_slots + prefix
+    n_slots = width + len(slot_of)
+    table = np.zeros(n_slots * width, dtype=np.int64)
+    table[list(slot_of)] = list(slot_of.values())
+    ref_counts = np.bincount(ref_slots, minlength=n_slots).astype(np.float64)
 
-
-def _clipped_match_rows(hyp_codes, ref_codes):
-    """Per row of ``hyp_codes``, the sum over codes of min(row count,
-    reference count)."""
-    codes, counts = np.unique(ref_codes, return_counts=True)
-    srt = np.sort(hyp_codes, axis=1)
-    col = np.arange(srt.shape[1])
-    run_start = np.ones(srt.shape, dtype=bool)
-    run_start[:, 1:] = srt[:, 1:] != srt[:, :-1]
-    rank = col - np.maximum.accumulate(np.where(run_start, col, 0), axis=1)
-    pos = np.minimum(np.searchsorted(codes, srt), len(codes) - 1)
-    limit = np.where(codes[pos] == srt, counts[pos], 0)
-    return np.count_nonzero(rank < limit, axis=1)
+    # ids = j + 1 where a token equals vocab[j], else 0: searchsorted gives
+    # the number of vocab entries <= the token, and the shifted vocab holds
+    # the largest of them at that index
+    ids = np.searchsorted(vocab, tokens, side="right")
+    ids *= np.concatenate((vocab[:1], vocab))[ids] == tokens
+    slots = [ids]
+    for n in range(2, top + 1):
+        key = slots[-1][:, :-1] * width
+        key += ids[:, n - 1 :]
+        slots.append(table[key])
+    slots = np.concatenate(slots, axis=1)
+    slots += np.arange(0, R * n_slots, n_slots)[:, None]  # row r counts in its own block
+    counts = np.bincount(slots.ravel(), minlength=R * n_slots).reshape(R, n_slots)
+    # integer-valued doubles far below 2**53: the matrix product sums exactly
+    matched = np.minimum(counts, ref_counts) @ np.ones(n_slots)
+    # A row equal to the reference matches all its n-grams, so it scores
+    # matched / total = 1.0 exactly, as gleu's early return does.
+    return np.minimum(matched / total_hyp, matched / total_ref)
 
 
 def bleu_sentence(hyp, ref):

@@ -231,7 +231,7 @@ def test_training_on_empty_file_corpus_exits_2(tmp_path):
     assert proc.stderr == "error: EmptyCorpusError: training corpus is empty\n"
 
 
-@pytest.mark.parametrize("command", ["train-ce", "evaluate", "topk-stats"])
+@pytest.mark.parametrize("command", ["train-ce", "decode", "evaluate", "topk-stats"])
 def test_empty_validation_corpus_exits_2(tmp_path, capsys, command):
     args = [command, "--out", tmp_path / "run"] + FAST + ["--valid_pairs", "0"]
     if command != "train-ce":
@@ -240,6 +240,17 @@ def test_empty_validation_corpus_exits_2(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: EmptyCorpusError: ") and "corpus is empty" in err
     assert err.count("\n") == 1
+    assert not (tmp_path / "run" / "decodes.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value", [("eval_every", "0"), ("batch_size", "0"), ("max_steps", "-5")]
+)
+def test_train_config_out_of_range_exits_2(tmp_path, capsys, key, value):
+    out = tmp_path / "run"
+    assert run(["train-ce", "--out", out] + FAST + [f"--{key}", value]) == 2
+    assert capsys.readouterr().err == f"error: ContractError: {key} must be >= 1, got {value}\n"
+    assert not (out / "metrics.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +327,21 @@ def test_decode_writes_one_line_per_sentence(tmp_path):
     assert run(["decode", "--out", out, "--init_checkpoint", ckpt] + FAST) == 0
     lines = (out / "decodes.txt").read_text().splitlines()
     assert len(lines) == 6  # one per validation sentence
+
+
+def test_decode_without_validation_files_decodes_the_training_corpus(tmp_path):
+    # six words fill the tiny checkpoint's vocabulary of ten after the reserved ids
+    (tmp_path / "vocab.txt").write_text("a\nb\nc\nd\ne\nf\n")
+    (tmp_path / "train.src").write_text("a b a\nb b\n")
+    (tmp_path / "train.tgt").write_text("b a b\na a\n")
+    out = tmp_path / "dec"
+    args = [
+        "decode", "--out", out, "--init_checkpoint", _tiny_checkpoint(tmp_path),
+        "--vocab_file", tmp_path / "vocab.txt",
+        "--train_src", tmp_path / "train.src", "--train_tgt", tmp_path / "train.tgt",
+    ]
+    assert run(args) == 0
+    assert len((out / "decodes.txt").read_text().splitlines()) == 2
 
 
 def test_evaluate_writes_reports(tmp_path):

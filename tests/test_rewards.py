@@ -69,15 +69,17 @@ class TestGleu:
 @st.composite
 def batch_cases(draw):
     """An (R, T) token matrix, a reference of any length (empty included),
-    and max_n; some rows may equal the reference."""
-    vocab = draw(st.integers(1, 12))
-    width = draw(st.integers(0, 9))
-    tok = st.integers(0, vocab - 1)
-    ref = draw(st.lists(tok, min_size=0, max_size=10))
+    and max_n in 1..8. Token ids come from a small alphabet of ids up to
+    10^6, so n-grams repeat; with widths up to 40, (m + 1)^max_n reaches far
+    past 2^63. Some rows may equal the reference."""
+    alphabet = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=12, unique=True))
+    tok = st.sampled_from(alphabet)
+    ref = draw(st.lists(tok, min_size=0, max_size=40))
+    width = len(ref) if draw(st.booleans()) else draw(st.integers(0, 40))
     rows = draw(st.lists(st.lists(tok, min_size=width, max_size=width), min_size=1, max_size=8))
     if len(ref) == width:
         rows = [list(ref) if draw(st.booleans()) else row for row in rows]
-    return np.array(rows, dtype=np.int64).reshape(len(rows), width), tuple(ref), draw(st.integers(1, 4))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), width), tuple(ref), draw(st.integers(1, 8))
 
 
 class TestGleuRows:
@@ -95,7 +97,7 @@ class TestGleuRows:
         ref = (1, 2, 3, 1)
         assert rewards.gleu_rows(tokens, ref).tolist() == [rewards.gleu(r, ref) for r in tokens.tolist()]
 
-    def test_codes_too_wide_for_int64_fall_back_to_scalar(self):
+    def test_long_orders_over_a_wide_reference_vocabulary(self):
         ref = tuple(range(40))
         tokens = np.array([ref, ref[::-1]])
         got = rewards.gleu_rows(tokens, ref, max_n=20)
