@@ -339,32 +339,10 @@ def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
     np.subtract.at(dprobs, (cb, ct, cy), grads)
 
     surrogate = None
-    if dist.tensor is not None:
-        index = (cb, ct, cy) if batched else (ct, cy)
-        for lo, hi in zip(starts, ends):
-            rows = slice(lo, hi)
-            term = _sentence_surrogate(dist, [i[rows] for i in index], weights[rows], sampled[rows])
-            if term is not None:
-                surrogate = term if surrogate is None else tc.add(surrogate, term)
+    if dist.tensor is not None and len(cb):
+        index = dist.prefix + ((cb, ct, cy) if batched else (ct, cy))
+        surrogate = tc.score_surrogate(dist.tensor, index, weights, sampled, cb)
     return GradientEstimate(dprobs if batched else dprobs[0], surrogate)
-
-
-def _sentence_surrogate(dist, index, weights, sampled):
-    """-(sum of p * weight over the members + sum of log p * weight over the
-    residual samples) of one sentence, or None without terms."""
-    terms = []
-    if not sampled.all():
-        idx = dist.prefix + tuple(i[~sampled] for i in index)
-        terms.append(tc.tsum(tc.mul(tc.take(dist.tensor, idx), weights[~sampled])))
-    if sampled.any():
-        idx = dist.prefix + tuple(i[sampled] for i in index)
-        terms.append(tc.tsum(tc.mul(tc.log(tc.take(dist.tensor, idx)), weights[sampled])))
-    if not terms:
-        return None
-    total = terms[0]
-    for extra in terms[1:]:
-        total = tc.add(total, extra)
-    return tc.mul(total, -1.0)
 
 
 # numpy's SeedSequence mixing and PCG64 seeding constants

@@ -245,10 +245,18 @@ class DecodeCache:
     """Keys and values of the causal layers for one sentence being decoded.
 
     ``self_kv[slot]`` holds a layer's projected self-attention keys and
-    values, (hypotheses, ``length``, d) each, for the positions decoded so far;
-    ``cross_kv[slot]`` holds its keys and values of the encoder output,
-    computed on first use. Encoder rows are per source and broadcast over
-    the hypotheses, so ``reorder`` leaves them as they are.
+    values in two preallocated (hypotheses, capacity, d) arrays; rows
+    ``[0, length)`` are the positions decoded so far, and ``extend`` writes
+    new positions in place behind them. A buffer doubles (or grows to fit a
+    longer chunk) when it runs out of room. The views ``extend`` returns
+    have the inner strides of a (hypotheses, length, d) array, so attention
+    over them gives the numbers it gives over a fresh one.
+
+    ``cross_kv[slot]`` holds the layer's keys and values of the encoder
+    output, computed on first use. Encoder rows are per source and broadcast
+    over the hypotheses, so ``reorder`` leaves them as they are.
+
+    The buffers hold values, not graph: decode under ``tensor.no_grad()``.
     """
 
     def __init__(self):
@@ -257,19 +265,28 @@ class DecodeCache:
         self.cross_kv = {}
 
     def extend(self, slot, k, v):
-        """Append new positions' keys and values; returns the full ones."""
-        if slot in self.self_kv:
-            k_old, v_old = self.self_kv[slot]
-            k, v = tc.concat([k_old, k], axis=-2), tc.concat([v_old, v], axis=-2)
-        self.self_kv[slot] = (k, v)
-        return k, v
+        """Write the keys and values of the positions after ``length`` into
+        the slot's buffers; returns the views of every position so far."""
+        if tc.is_grad_enabled():
+            raise tc.GraphError("DecodeCache records no graph; step under tensor.no_grad()")
+        start, end = self.length, self.length + k.shape[-2]
+        buffers = self.self_kv.get(slot)
+        if buffers is None or buffers[0].shape[1] < end:
+            capacity = end if buffers is None else max(end, 2 * buffers[0].shape[1])
+            grown = tuple(np.empty((t.shape[0], capacity, t.shape[2])) for t in (k, v))
+            for new, old in zip(grown, buffers or ()):
+                new[:, :start] = old[:, :start]
+            buffers = self.self_kv[slot] = grown
+        buffers[0][:, start:end] = k.data
+        buffers[1][:, start:end] = v.data
+        return tc.Tensor(buffers[0][:, :end]), tc.Tensor(buffers[1][:, :end])
 
     def reorder(self, rows):
         """Keep the hypothesis rows ``rows`` in that order; a row may repeat."""
-        rows = np.asarray(rows, dtype=np.int64)
+        rows = [int(r) for r in rows]
         for slot, (k, v) in self.self_kv.items():
-            if not np.array_equal(rows, np.arange(k.shape[0])):
-                self.self_kv[slot] = (tc.take(k, (rows,)), tc.take(v, (rows,)))
+            if rows != list(range(k.shape[0])):
+                self.self_kv[slot] = (k[rows], v[rows])
 
 
 class ModelBase:

@@ -48,6 +48,13 @@ class TrainConfig:
         for key in ("batch_size", "max_steps", "patience", "eval_every"):
             if getattr(self, key) < 1:
                 raise ContractError(f"{key} must be >= 1, got {getattr(self, key)}")
+        # the comparisons are also false for nan
+        for key in ("lr", "adam_eps"):
+            if not 0.0 < getattr(self, key) < math.inf:
+                raise ContractError(f"{key} must be finite and > 0, got {getattr(self, key)}")
+        for key in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ContractError(f"{key} must be in [0, 1), got {getattr(self, key)}")
 
 
 @dataclass(frozen=True)

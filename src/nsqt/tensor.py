@@ -4,7 +4,8 @@ The primitive set is deliberately small: exactly what a small Transformer
 and the surrogate losses need (matmul, add/mul, relu, log, row softmax,
 layer norm, embedding gather, concat, masked fill, reshape/transpose,
 entry gather, slice, sum, dropout), plus fused layers: ``linear``,
-multi-head ``attention`` and ``layer_norm`` over a residual sum.
+multi-head ``attention``, ``layer_norm`` over a residual sum, and the
+estimator's ``score_surrogate``.
 Broadcasting is the numpy kind but is only exercised for bias rows, batched
 matmul and attention over a shared 2-D query/key set.
 
@@ -29,7 +30,8 @@ class ShapeError(ValueError):
 
 
 class GraphError(RuntimeError):
-    """Backward invoked on something that is not a recorded scalar."""
+    """Backward invoked on something that is not a recorded scalar, or a
+    graph-free operation called while gradients are recorded."""
 
 
 # Read by every Tensor construction; switched off only by ``no_grad``.
@@ -452,6 +454,53 @@ def tsum(x, axis=None):
             x._accumulate(np.broadcast_to(np.expand_dims(g, axis), x.data.shape))
 
     return Tensor(out_data, _parents=(x,), _backward=backward)
+
+
+def score_surrogate(x, index, weights, logged, segments):
+    """A score-function surrogate as one node: over the segments in
+    increasing order, the sum of each segment's
+    ``-(sum of x[i] * w over its plain entries + sum of log x[i] * w over
+    its logged entries)``.
+
+    ``index`` is a tuple of integer arrays picking N entries of ``x``;
+    ``weights``, ``logged`` (bool) and ``segments`` (non-negative ints)
+    hold one value per entry. A part with no entries adds no term, and a
+    segment with none adds no summand. The numbers are those of one
+    ``take``, ``log``, ``mul``, ``tsum`` chain per part and segment joined
+    by ``add``: each sum is an ``np.sum`` over the part's entries in index
+    order, and the gradient at entry i is ``(g * -1) * w``, divided by
+    ``x[i]`` when it is logged.
+    """
+    x = as_tensor(x)
+    index = tuple(np.asarray(i, dtype=np.int64) for i in index)
+    weights = np.asarray(weights, dtype=np.float64)
+    logged = np.asarray(logged, dtype=bool)
+    picked = x.data[index]
+    # each segment's plain entries, then its logged ones, in index order
+    key = 2 * np.asarray(segments, dtype=np.int64) + logged
+    order = np.argsort(key, kind="stable")
+    terms = picked * weights
+    terms[logged] = np.log(picked[logged]) * weights[logged]
+    terms, key = terms[order], key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
+    sums = {}
+    for lo, hi, k in zip(starts, starts[1:] + [len(key)], key[starts].tolist()):
+        part = np.sum(terms[lo:hi])
+        sums[k // 2] = sums[k // 2] + part if k // 2 in sums else part
+    # the first segment starts the total, as the add chain did: 0.0 + -0.0
+    # would turn a negative zero positive
+    total = 0.0
+    for i, s in enumerate(sums.values()):
+        total = -s if i == 0 else total + -s
+
+    def backward(g):
+        dx_vals = (g * -1.0) * weights
+        dx_vals[logged] = dx_vals[logged] / picked[logged]
+        dx = np.zeros_like(x.data)
+        np.add.at(dx, index, dx_vals)
+        x._accumulate(dx)
+
+    return Tensor(total, _parents=(x,), _backward=backward)
 
 
 def dropout(x, p, rng, training):

@@ -253,6 +253,22 @@ def test_train_config_out_of_range_exits_2(tmp_path, capsys, key, value):
     assert not (out / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("lr", "-0.5"), ("lr", "0"), ("lr", "nan"), ("lr", "inf"),
+        ("adam_beta1", "-0.1"), ("adam_beta1", "1"), ("adam_beta2", "1.5"),
+        ("adam_beta2", "nan"), ("adam_eps", "-1"), ("adam_eps", "0"), ("adam_eps", "inf"),
+    ],
+)
+def test_optimiser_config_out_of_range_exits_2(tmp_path, capsys, key, value):
+    out = tmp_path / "run"
+    assert run(["train-ce", "--out", out] + FAST + [f"--{key}", value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ContractError: {key} must be ") and err.count("\n") == 1
+    assert not (out / "metrics.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # command behavior
 

@@ -601,6 +601,36 @@ class TestBatchedEstimatorOracle:
         assert got == want
 
 
+class TestScoreSurrogate:
+    """``tc.score_surrogate`` as the estimator calls it, its arguments
+    recorded from one exact-reward step and then held constant."""
+
+    @pytest.mark.parametrize("layout", ["plain", "prefix", "batch"])
+    @pytest.mark.parametrize("k", [0, 2, 4])  # 4 = V: no residual samples
+    def test_grad_check(self, k, layout, monkeypatch):
+        rng = np.random.default_rng(k)
+        shape = (3, 4) if layout == "plain" else (2, 3, 4)
+        logits = tc.Tensor(rng.standard_normal(shape), requires_grad=True)
+        table = est.random_reward_table(3, 4, rng)
+        calls = []
+        op = tc.score_surrogate
+        monkeypatch.setattr(tc, "score_surrogate", lambda x, *a: calls.append(a) or op(x, *a))
+        probs = tc.softmax_rows(logits)
+        if layout == "batch":
+            dist = est.PositionDistributions(probs.data, tensor=probs)
+            refs, rngs = [(0,), (0,)], rng.spawn(2)
+        else:
+            prefix = () if layout == "plain" else (1,)
+            dist = est.PositionDistributions(probs.data[prefix], tensor=probs, prefix=prefix)
+            refs, rngs = (0,), rng
+        cfg = est.EstimatorConfig(k=k, n=1)
+        ge = est.reinforce_nat_step(dist, cfg, table, refs, rngs, exact_rewards=True)
+        (args,) = calls
+        assert ge.surrogate.item() == op(probs, *args).item()
+        report = tc.grad_check(lambda: op(tc.softmax_rows(logits), *args), [logits])
+        assert report.passed, report.worst
+
+
 class TestEstimatorConfig:
     @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-9, 1.5])
     def test_rejects_bad_residual_epsilon(self, eps):

@@ -366,6 +366,103 @@ class TestDecodeCache:
             with pytest.raises(models.CapacityError):
                 ar.forward(None, np.array([[5]]), enc=enc, cache=cache)
 
+    def test_extend_with_grad_recording_raises(self, ar):
+        # the buffers hold values, so a recorded step would drop gradient
+        cache = models.DecodeCache()
+        enc = ar.encode(SRC)
+        with pytest.raises(tc.GraphError, match="no_grad"):
+            ar.forward(None, np.array([[models.BOS]]), enc=enc, cache=cache)
+
+
+class ConcatCache(models.DecodeCache):
+    """The cache before preallocated buffers: each step concatenates the
+    history with the new positions into fresh arrays, and ``reorder`` takes
+    rows. The oracle the buffer cache must match bitwise."""
+
+    def extend(self, slot, k, v):
+        if slot in self.self_kv:
+            k_old, v_old = self.self_kv[slot]
+            k, v = tc.concat([k_old, k], axis=-2), tc.concat([v_old, v], axis=-2)
+        self.self_kv[slot] = (k, v)
+        return k, v
+
+    def reorder(self, rows):
+        rows = np.asarray(rows, dtype=np.int64)
+        for slot, (k, v) in self.self_kv.items():
+            if not np.array_equal(rows, np.arange(k.shape[0])):
+                self.self_kv[slot] = (tc.take(k, (rows,)), tc.take(v, (rows,)))
+
+
+class TestBufferCacheAgainstConcatOracle:
+    @pytest.mark.parametrize("kind", ["ar", "fs"])
+    def test_chunks_reorders_and_growth_bitwise(self, kind):
+        model = models.build_model(kind, CFG, seed=3)
+        # chunk ends 1, 2, 5, 6, 9, 13: the buffer grows to 1, 2, 5 (a chunk
+        # past double the capacity), 10 and 20; the reorders repeat rows and
+        # change the hypothesis count
+        script = [1, 1, 3, [2, 0, 2, 1], 1, 3, [3, 3, 0], 4]
+
+        def run(cache_cls):
+            cache, out, rows = cache_cls(), [], 3
+            with tc.no_grad():
+                if kind == "fs":
+                    h, enc = model.bottom_states(SRC, 8)
+                else:
+                    enc = model.encode(SRC)
+                step_rng = np.random.default_rng(11)
+                for item in script:
+                    if isinstance(item, list):
+                        cache.reorder(item)
+                        rows = len(item)
+                        continue
+                    tgt_in = step_rng.integers(2, CFG.vocab_size, size=(rows, item))
+                    if kind == "fs":
+                        probs = model.fuse_and_top(h, tgt_in, enc, cache=cache)
+                    else:
+                        probs = model.forward(None, tgt_in, enc=enc, cache=cache)
+                    out.append(probs.data.tobytes())
+            return out, cache
+
+        got, cache = run(models.DecodeCache)
+        want, _ = run(ConcatCache)
+        assert got == want
+        assert cache.length == 13
+        assert cache.self_kv[0][0].shape == (3, 20, CFG.d_model)
+
+    @pytest.mark.parametrize("kind, beam", [("ar", 1), ("fs", 1), ("fs", 4)])
+    def test_decode_bitwise(self, kind, beam, monkeypatch):
+        model, pairs, table = _acceptance_model(kind, "echo_runs")
+        reorders = []
+
+        def run(cache_cls):
+            probs = []
+            step_probs, reorder = models._Stepper.step_probs, cache_cls.reorder
+
+            def recording_step(self, last_tokens):
+                out = step_probs(self, last_tokens)
+                probs.append(out.tobytes())
+                return out
+
+            def recording_reorder(self, rows):
+                reorders.append(list(rows))
+                return reorder(self, rows)
+
+            with monkeypatch.context() as m:
+                m.setattr(models, "DecodeCache", cache_cls)
+                m.setattr(models._Stepper, "step_probs", recording_step)
+                m.setattr(cache_cls, "reorder", recording_reorder)
+                tokens = []
+                for src, _ in pairs[:20]:
+                    out_len = model.config.max_len
+                    if kind == "fs":
+                        out_len = min(models.predict_length(len(src), table) + 1, out_len)
+                    tokens.append(models.beam_decode(model, np.array([src]), out_len, beam))
+            return tokens, probs
+
+        assert run(models.DecodeCache) == run(ConcatCache)
+        if beam > 1:
+            assert any(len(set(rows)) < len(rows) for rows in reorders)
+
 
 def _acceptance_corpora():
     """The criterion 8 copy corpus and the echo-runs validation corpus, each
