@@ -29,6 +29,9 @@ from .models import ModelConfig, build_model
 
 MAGIC = b"NSQT"
 VERSION = 1
+# the ModelConfig fields of the header, in file order, and their layout
+CONFIG_FIELDS = ("d_model", "d_hidden", "n_layer", "n_head", "p_dropout", "vocab_size", "max_len")
+CONFIG_FORMAT = "<IIIIdII"
 
 
 class CheckpointError(RuntimeError):
@@ -83,18 +86,7 @@ def save_model(model, path, seed=0):
         f.write(struct.pack("<I", VERSION))
         _write_str(f, model.kind)
         f.write(struct.pack("<Q", seed))
-        f.write(
-            struct.pack(
-                "<IIIIdII",
-                cfg.d_model,
-                cfg.d_hidden,
-                cfg.n_layer,
-                cfg.n_head,
-                cfg.p_dropout,
-                cfg.vocab_size,
-                cfg.max_len,
-            )
-        )
+        f.write(struct.pack(CONFIG_FORMAT, *(getattr(cfg, name) for name in CONFIG_FIELDS)))
         state = model.state()
         f.write(struct.pack("<I", len(state)))
         for name, data in state.items():
@@ -115,7 +107,7 @@ def load_model(path):
             raise CheckpointError(f"{path}: unsupported format version {version}")
         kind = r.text()
         (seed,) = r.unpack("<Q")
-        fields = r.unpack("<IIIIdII")
+        header = dict(zip(CONFIG_FIELDS, r.unpack(CONFIG_FORMAT)))
         (count,) = r.unpack("<I")
         state = {}
         for _ in range(count):
@@ -126,16 +118,7 @@ def load_model(path):
             state[name] = data.reshape(shape).astype(np.float64)
         r.finish()
     try:
-        cfg = ModelConfig(
-            d_model=fields[0],
-            d_hidden=fields[1],
-            n_layer=fields[2],
-            n_head=fields[3],
-            p_dropout=fields[4],
-            vocab_size=fields[5],
-            max_len=fields[6],
-        )
-        model = build_model(kind, cfg, seed=seed)
+        model = build_model(kind, ModelConfig(**header), seed=seed)
         model.load_state(state)
     except (ValueError, KeyError) as e:
         raise CheckpointError(f"{path}: does not describe a loadable model: {e}") from None

@@ -59,8 +59,7 @@ DEFAULTS = {
     # elsewhere; estimator-bench defaults to 0,1,5,10 (COMMAND_DEFAULTS)
     "k": "5",
     **_field_defaults(estimators.EstimatorConfig, ("n", "residual_epsilon")),
-    # decoding
-    "decode_mode": "",  # empty = default per model kind
+    # decoding; the mode follows from the model kind and beam (_decode_config)
     **_field_defaults(pipeline.DecodeConfig, ("beam", "dedup")),
     # checkpoints
     "init_checkpoint": "",
@@ -213,8 +212,16 @@ def _train_config(cfg):
 
 
 def _decode_config(cfg, kind):
-    mode = cfg["decode_mode"] or pipeline.default_decode_config(kind).mode
-    return pipeline.DecodeConfig(mode=mode, beam=cfg["beam"], dedup=cfg["dedup"])
+    """NAT models decode by argmax; AR and FS greedily at beam 1 and by beam
+    search above it."""
+    beam = cfg["beam"]
+    if kind == "nat":
+        if beam > 1:
+            raise UsageError(f"key beam: NAT models decode by argmax, got beam {beam}")
+        mode = "nat_argmax"
+    else:
+        mode = "greedy" if beam == 1 else "beam"
+    return pipeline.DecodeConfig(mode=mode, beam=beam, dedup=cfg["dedup"])
 
 
 def _get_model(cfg):
@@ -302,6 +309,8 @@ def cmd_distill(cfg, out_dir):
 def cmd_estimator_bench(cfg, out_dir):
     """Total-variance sweep over k on random instances with a GLEU reward."""
     ks = _k_list(cfg["k"])
+    if cfg["bench_instances"] < 1:
+        raise UsageError(f"key bench_instances: expected >= 1, got {cfg['bench_instances']}")
     V, T = cfg["bench_vocab"], cfg["bench_len"]
     reward = rewards.RewardFn("GLEU")
     rows = []

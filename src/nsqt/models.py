@@ -177,22 +177,21 @@ class ARDecoderLayer:
         self.norm2 = LayerNorm(store, f"{name}.norm2", cfg.d_model)
         self.norm3 = LayerNorm(store, f"{name}.norm3", cfg.d_model)
 
-    def __call__(self, x, enc):
-        T = x.shape[-2]
-        x = self.norm1(x, self.self_attn(x, x, x, mask=causal_mask(T)))
-        x = self.norm2(x, self.cross_attn(x, enc, enc))
-        return self.norm3(x, self.ff(x))
-
-    def step(self, x, enc, cache, slot):
-        """The positions after ``cache.length``, attending to the keys and
-        values cached under ``slot`` and appending their own."""
-        start, end = cache.length, cache.length + x.shape[-2]
-        k, v = cache.extend(slot, *self.self_attn.keys_values(x, x))
+    def __call__(self, x, enc, cache=None, slot=0):
+        """Teacher-forced over the positions of ``x``; with a ``DecodeCache``,
+        ``x`` holds the positions after ``cache.length``, which attend to the
+        keys and values cached under ``slot`` and append their own."""
+        start = 0 if cache is None else cache.length
+        end = start + x.shape[-2]
+        k, v = self.self_attn.keys_values(x, x)
+        if cache is not None:
+            k, v = cache.extend(slot, k, v)
         mask = causal_mask(end)[start:] if end - start > 1 else None
         x = self.norm1(x, self.self_attn.attend(x, k, v, mask=mask))
-        if slot not in cache.cross_kv:
-            cache.cross_kv[slot] = self.cross_attn.keys_values(enc, enc)
-        x = self.norm2(x, self.cross_attn.attend(x, *cache.cross_kv[slot]))
+        cross_kv = {} if cache is None else cache.cross_kv
+        if slot not in cross_kv:
+            cross_kv[slot] = self.cross_attn.keys_values(enc, enc)
+        x = self.norm2(x, self.cross_attn.attend(x, *cross_kv[slot]))
         return self.norm3(x, self.ff(x))
 
 
@@ -407,12 +406,9 @@ class ARModel(ModelBase):
         self.decoder_calls += 1
         x = tc.add(self._embed_tokens(tgt_in), self.pe[start:end])
         x = self._dropout(x)
-        if cache is None:
-            for layer in self.dec_layers:
-                x = layer(x, enc)
-        else:
-            for slot, layer in enumerate(self.dec_layers):
-                x = layer.step(x, enc, cache, slot)
+        for slot, layer in enumerate(self.dec_layers):
+            x = layer(x, enc, cache, slot)
+        if cache is not None:
             cache.length = end
         return self._head(x)
 
@@ -485,10 +481,8 @@ class FSModel(ModelBase):
         h = self._fit_length(h_bottom, start, end)
         y = tc.add(self._embed_tokens(tgt_in), self.pe[start:end])
         fused = tc.relu(tc.add(tc.matmul(h, self.fuse_w), tc.matmul(y, self.fuse_u)))
-        if cache is None:
-            x = self.top_layer(fused, enc)
-        else:
-            x = self.top_layer.step(fused, enc, cache, 0)
+        x = self.top_layer(fused, enc, cache)
+        if cache is not None:
             cache.length = end
         return self._head(x)
 
@@ -521,32 +515,6 @@ def shift_right(tgt_ids, bos=BOS):
     return out
 
 
-class _Stepper:
-    """Incremental decoding of one source sentence with an AR or FS model:
-    the encoder (and FS bottom) pass runs once, and each step computes only
-    the newest position against the stepper's ``DecodeCache``."""
-
-    def __init__(self, model, src_ids, out_len):
-        self.model = model
-        self.cache = DecodeCache()
-        if model.kind == "fs":
-            self.h, self.enc = model.bottom_states(src_ids, out_len)
-        elif model.kind == "ar":
-            self.enc = model.encode(src_ids)
-        else:
-            raise ValueError(f"incremental decoding undefined for {model.kind!r}")
-
-    def step_probs(self, last_tokens):
-        """Next-token distributions, one row per live hypothesis, given
-        each hypothesis's newest token (BOS at the first step)."""
-        tgt_in = np.asarray(last_tokens, dtype=np.int64)[:, None]
-        if self.model.kind == "fs":
-            probs = self.model.fuse_and_top(self.h, tgt_in, self.enc, cache=self.cache)
-        else:
-            probs = self.model.forward(None, tgt_in, enc=self.enc, cache=self.cache)
-        return probs.data[:, -1, :]
-
-
 @tc.no_grad()
 def beam_decode(model, src_ids, out_len, beam=1):
     """Length-normalized beam search for AR and FS models; greedy when beam=1.
@@ -570,13 +538,30 @@ def beam_decode(model, src_ids, out_len, beam=1):
     """
     if beam < 1:
         raise ValueError(f"beam must be >= 1, got {beam}")
-    stepper = _Stepper(model, src_ids, out_len)
+    # the encoder (and FS bottom) pass runs once; each step computes only the
+    # newest position of every live hypothesis against the cache
+    cache = DecodeCache()
+    if model.kind == "ar":
+        enc = model.encode(src_ids)
+
+        def step(tgt_in):
+            return model.forward(None, tgt_in, enc=enc, cache=cache)
+
+    elif model.kind == "fs":
+        h, enc = model.bottom_states(src_ids, out_len)
+
+        def step(tgt_in):
+            return model.fuse_and_top(h, tgt_in, enc, cache=cache)
+
+    else:
+        raise ValueError(f"incremental decoding undefined for {model.kind!r}")
     live = [((), 0.0)]
     finished = []
     best_done = -math.inf
     steps = 0
     for _ in range(out_len):
-        probs = stepper.step_probs([tokens[-1] if tokens else BOS for tokens, _ in live])
+        last = [[tokens[-1] if tokens else BOS] for tokens, _ in live]
+        probs = step(np.array(last, dtype=np.int64)).data[:, -1, :]
         steps += 1
         logp = np.log(np.maximum(probs, 1e-300))
         candidates = []
@@ -597,7 +582,7 @@ def beam_decode(model, src_ids, out_len, beam=1):
                 break
         if not live or best_done > max(score for _, score in live) / out_len:
             break
-        stepper.cache.reorder(parents)
+        cache.reorder(parents)
     for tokens, score in live:
         finished.append((tokens, score / max(len(tokens), 1)))
     finished.sort(key=lambda c: (-c[1], c[0]))

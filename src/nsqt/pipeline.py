@@ -202,74 +202,72 @@ def mean_validation_gleu(model, corpus, dec, table):
     return total / corpus.size
 
 
-def default_decode_config(kind):
-    """Argmax decoding for NAT models, greedy for AR and FS."""
-    return DecodeConfig(mode="nat_argmax" if kind == "nat" else "greedy")
+def _train(model, corpus, cfg, valid, table, batch_loss):
+    """The training loop of ``train_ce`` and ``finetune_rl``.
 
-
-class _Validation:
-    """Validation GLEU every ``eval_every`` steps and the patience count
-    that stops training early; a no-op without a validation corpus."""
-
-    def __init__(self, model, corpus, valid, table, cfg):
-        if valid is not None:
-            _require_pairs(valid, "validation")
-            if table is None:
-                table = build_length_table(corpus)
-        self.model, self.valid, self.table, self.cfg = model, valid, table, cfg
-        self.dec = default_decode_config(model.kind)
-        self.best, self.since_best = -1.0, 0
-
-    def should_stop(self, step, rows):
-        """Validate, with dropout off, when ``step`` is due, logging the
-        score to ``rows``; True once ``patience`` validations in a row
-        have not beaten the best score."""
-        if self.valid is None or step % self.cfg.eval_every != 0:
-            return False
-        training, self.model.training = self.model.training, False
-        score = mean_validation_gleu(self.model, self.valid, self.dec, self.table)
-        self.model.training = training
+    ``batch_loss(srcs, tgts, step)`` returns (metric name, loss tensor,
+    extra (metric, value) rows) for one batch; the loop checks that the loss
+    is finite, steps Adam and logs the rows (step, split, metric, value).
+    Validation GLEU (NAT argmax or greedy decoding, dropout off) runs every
+    ``eval_every`` steps when a validation corpus is given, and training
+    stops once ``patience`` validations in a row have not beaten the best
+    score.
+    """
+    rng = np.random.default_rng(cfg.rng_seed)
+    opt = Adam(model.parameters(), cfg)
+    if valid is not None:
+        _require_pairs(valid, "validation")
+        if table is None:
+            table = build_length_table(corpus)
+    dec = DecodeConfig(mode="nat_argmax" if model.kind == "nat" else "greedy")
+    best, since_best = -1.0, 0
+    rows = []
+    for step, (srcs, tgts) in enumerate(
+        _step_generator(corpus, model.kind, cfg.batch_size, rng, cfg.max_steps), 1
+    ):
+        model.zero_grad()
+        metric, loss, extra = batch_loss(srcs, tgts, step)
+        value = loss.item()
+        if not np.isfinite(value):
+            raise TrainingError(f"{metric} diverged to {value} at step {step}")
+        loss.backward()
+        opt.step()
+        rows.append((step, "train", metric, value))
+        rows.extend((step, "train", name, v) for name, v in extra)
+        if valid is None or step % cfg.eval_every != 0:
+            continue
+        training, model.training = model.training, False
+        score = mean_validation_gleu(model, valid, dec, table)
+        model.training = training
         rows.append((step, "valid", "gleu", score))
-        if score > self.best:
-            self.best, self.since_best = score, 0
-            return False
-        self.since_best += 1
-        return self.since_best >= self.cfg.patience
+        if score > best:
+            best, since_best = score, 0
+        else:
+            since_best += 1
+            if since_best >= cfg.patience:
+                break
+    return rows
 
 
 def train_ce(model, corpus, cfg, valid=None, table=None):
     """Token-level cross-entropy training with Adam and warmup.
 
-    Returns metric log rows (step, split, metric, value). Validation GLEU is
-    computed every ``eval_every`` steps when a validation corpus is given;
-    training stops early once ``patience`` evaluations pass without
-    improvement. Dropout is on while training and off for validation;
-    ``model.training`` is False on return, also when training raises.
+    Returns metric log rows (step, split, metric, value); validation and the
+    early stop are ``_train``'s. Dropout is on while training and off for
+    validation; ``model.training`` is False on return, also when training
+    raises.
     """
-    rng = np.random.default_rng(cfg.rng_seed)
-    opt = Adam(model.parameters(), cfg)
-    validation = _Validation(model, corpus, valid, table, cfg)
-    rows = []
+
+    def nll(srcs, tgts, step):
+        return "loss", _nll_loss(model, srcs, tgts), ()
+
     try:
         model.training = True
-        for step, (srcs, tgts) in enumerate(
-            _step_generator(corpus, model.kind, cfg.batch_size, rng, cfg.max_steps), 1
-        ):
-            model.zero_grad()
-            loss = _nll_loss(model, srcs, tgts)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise TrainingError(f"loss diverged to {value} at step {step}")
-            loss.backward()
-            opt.step()
-            rows.append((step, "train", "loss", value))
-            if validation.should_stop(step, rows):
-                break
+        return _train(model, corpus, cfg, valid, table, nll)
     finally:
         # also after a TrainingError: a later caller must not train or
         # decode with dropout it did not ask for
         model.training = False
-    return rows
 
 
 def finetune_rl(model, corpus, est_cfg, reward, cfg, valid=None, table=None):
@@ -285,15 +283,9 @@ def finetune_rl(model, corpus, est_cfg, reward, cfg, valid=None, table=None):
             f"output only, got model kind {model.kind!r}"
         )
     model.training = False
-    rng = np.random.default_rng(cfg.rng_seed)
     est_rng = np.random.default_rng(est_cfg.rng_seed)
-    opt = Adam(model.parameters(), cfg)
-    validation = _Validation(model, corpus, valid, table, cfg)
-    rows = []
-    for step, (srcs, tgts) in enumerate(
-        _step_generator(corpus, model.kind, cfg.batch_size, rng, cfg.max_steps), 1
-    ):
-        model.zero_grad()
+
+    def surrogate(srcs, tgts, step):
         probs = model.train_distributions(srcs, tgts)
         B = srcs.shape[0]
         dist = est.PositionDistributions(probs.data, tensor=probs)
@@ -303,17 +295,9 @@ def finetune_rl(model, corpus, est_cfg, reward, cfg, valid=None, table=None):
         dnorm = 0.0
         for d in ge.dprobs:
             dnorm += float(np.abs(d).sum())
-        loss = tc.mul(ge.surrogate, 1.0 / B)
-        value = loss.item()
-        if not np.isfinite(value):
-            raise TrainingError(f"surrogate diverged to {value} at step {step}")
-        loss.backward()
-        opt.step()
-        rows.append((step, "train", "surrogate", value))
-        rows.append((step, "train", "dprobs_l1", dnorm / B))
-        if validation.should_stop(step, rows):
-            break
-    return rows
+        return "surrogate", tc.mul(ge.surrogate, 1.0 / B), [("dprobs_l1", dnorm / B)]
+
+    return _train(model, corpus, cfg, valid, table, surrogate)
 
 
 def dedup_consecutive(tokens):

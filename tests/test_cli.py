@@ -1,5 +1,6 @@
 """Command-line interface: config handling, dispatch, exit codes, reports."""
 
+import dataclasses
 import os
 import re
 import shlex
@@ -130,7 +131,6 @@ bench_vocab = 10
 d_hidden = 64
 d_model = 32
 data_seed = 0
-decode_mode =
 dedup = True
 eval_every = 200
 init_checkpoint =
@@ -171,6 +171,17 @@ def test_default_resolved_config_is_pinned(tmp_path, command):
     if command == "estimator-bench":
         want = want.replace("\nk = 5\n", "\nk = 0,1,5,10\n")
     assert (tmp_path / "config.resolved.cfg").read_text().replace(" \n", "\n") == want
+
+
+def test_every_default_key_is_read():
+    """No unused knobs: every key is a model or training config field, or
+    read as ``cfg["<key>"]`` in cli.py."""
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    read = set(re.findall(r'cfg\["(\w+)"\]', source))
+    config_fields = {
+        f.name for cls in (ModelConfig, pl.TrainConfig) for f in dataclasses.fields(cls)
+    }
+    assert set(cli.DEFAULTS) - config_fields - read == set()
 
 
 def _readme_recipes():
@@ -360,6 +371,34 @@ def test_decode_without_validation_files_decodes_the_training_corpus(tmp_path):
     assert len((out / "decodes.txt").read_text().splitlines()) == 2
 
 
+@pytest.mark.parametrize(
+    "kind, beam, mode",
+    [("nat", 1, "nat_argmax"), ("ar", 1, "greedy"), ("ar", 4, "beam"), ("fs", 3, "beam")],
+)
+def test_beam_selects_the_decode_mode(tmp_path, monkeypatch, kind, beam, mode):
+    seen = []
+    evaluate = pl.evaluate
+
+    def spy(model, corpus, dec, table=None):
+        seen.append((dec.mode, dec.beam))
+        return evaluate(model, corpus, dec, table)
+
+    monkeypatch.setattr(pl, "evaluate", spy)
+    ckpt = _tiny_checkpoint(tmp_path, kind=kind)
+    args = ["evaluate", "--out", tmp_path / "ev", "--init_checkpoint", ckpt, "--beam", beam]
+    assert run(args + FAST) == 0
+    assert seen == [(mode, beam)]
+
+
+@pytest.mark.parametrize("command", ["decode", "evaluate"])
+def test_beam_on_nat_model_is_usage_error(tmp_path, capsys, command):
+    ckpt = _tiny_checkpoint(tmp_path)
+    out = tmp_path / "run"
+    assert run([command, "--out", out, "--init_checkpoint", ckpt, "--beam", "4"] + FAST) == 1
+    assert capsys.readouterr().err == "error: key beam: NAT models decode by argmax, got beam 4\n"
+    assert sorted(p.name for p in out.iterdir()) == ["config.resolved.cfg"]
+
+
 def test_evaluate_writes_reports(tmp_path):
     ckpt = _tiny_checkpoint(tmp_path)
     out = tmp_path / "ev"
@@ -391,6 +430,18 @@ def test_estimator_bench_one_row_per_k(tmp_path):
     assert code == 0
     lines = (out / "variance.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines] == ["k", "0", "1", "5", "10"]
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_estimator_bench_without_instances_is_usage_error(tmp_path, capsys, value):
+    out = tmp_path / "bench"
+    code = run(
+        ["estimator-bench", "--out", out, "--bench_instances", value,
+         "--bench_reps", "5", "--n", "2"]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: key bench_instances: expected >= 1, got {value}\n"
+    assert not (out / "variance.csv").exists()
 
 
 def test_estimator_bench_single_k_is_not_the_default_sweep(tmp_path):

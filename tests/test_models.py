@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import struct
 
 import numpy as np
 import pytest
@@ -434,13 +436,19 @@ class TestBufferCacheAgainstConcatOracle:
         model, pairs, table = _acceptance_model(kind, "echo_runs")
         reorders = []
 
+        # the per-step call beam_decode makes: forward (AR) or fuse_and_top (FS)
+        owner, name = (
+            (models.FSModel, "fuse_and_top") if kind == "fs" else (models.ARModel, "forward")
+        )
+
         def run(cache_cls):
             probs = []
-            step_probs, reorder = models._Stepper.step_probs, cache_cls.reorder
+            call, reorder = getattr(owner, name), cache_cls.reorder
 
-            def recording_step(self, last_tokens):
-                out = step_probs(self, last_tokens)
-                probs.append(out.tobytes())
+            def recording_call(self, *args, cache=None, **kwargs):
+                out = call(self, *args, cache=cache, **kwargs)
+                if cache is not None:
+                    probs.append(out.data[:, -1].tobytes())
                 return out
 
             def recording_reorder(self, rows):
@@ -449,7 +457,7 @@ class TestBufferCacheAgainstConcatOracle:
 
             with monkeypatch.context() as m:
                 m.setattr(models, "DecodeCache", cache_cls)
-                m.setattr(models._Stepper, "step_probs", recording_step)
+                m.setattr(owner, name, recording_call)
                 m.setattr(cache_cls, "reorder", recording_reorder)
                 tokens = []
                 for src, _ in pairs[:20]:
@@ -693,6 +701,19 @@ class TestCheckpoint:
         clone = checkpoint.load_model(path)
         for name, data in models.build_model("fs", CFG, seed=2).state().items():
             assert np.array_equal(clone.state()[name], data), name
+
+    def test_config_block_holds_every_model_field(self, saved):
+        _, raw = saved
+        names = tuple(f.name for f in dataclasses.fields(models.ModelConfig))
+        assert checkpoint.CONFIG_FIELDS == names
+        # the version-1 layout, spelled out: it follows magic, version, kind "fs" and seed
+        at = 8 + 4 + 2 + 8
+        block = struct.pack(
+            "<IIIIdII",
+            CFG.d_model, CFG.d_hidden, CFG.n_layer, CFG.n_head,
+            CFG.p_dropout, CFG.vocab_size, CFG.max_len,
+        )
+        assert raw[at : at + len(block)] == block
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
