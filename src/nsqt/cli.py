@@ -309,31 +309,19 @@ def cmd_distill(cfg, out_dir):
 def cmd_estimator_bench(cfg, out_dir):
     """Total-variance sweep over k on random instances with a GLEU reward."""
     ks = _k_list(cfg["k"])
-    if cfg["bench_instances"] < 1:
-        raise UsageError(f"key bench_instances: expected >= 1, got {cfg['bench_instances']}")
-    V, T = cfg["bench_vocab"], cfg["bench_len"]
-    reward = rewards.RewardFn("GLEU")
-    rows = []
-    for k in ks:
-        totals = []
-        for i in range(cfg["bench_instances"]):
-            inst_rng = np.random.default_rng((cfg["seed"], i))
-            # moderately flat instances keep the empirical sweep stable:
-            # near-zero probabilities make the score-function term heavy-tailed
-            dist = estimators.random_distributions(T, V, inst_rng, concentration=3.0)
-            ref = tuple(int(x) for x in inst_rng.integers(0, V, size=T))
-            est_cfg = estimators.EstimatorConfig(k=k, n=cfg["n"])
-            stats = estimators.estimator_stats(
-                dist,
-                lambda r: estimators.reinforce_nat_step(dist, est_cfg, reward, ref, r),
-                cfg["bench_reps"],
-                np.random.default_rng((cfg["seed"], i, k)),
-            )
-            totals.append(stats.total_variance)
-        rows.append((k, float(np.mean(totals)), *totals))
-    header = ("k", "mean_total_variance") + tuple(
-        f"instance_{i}" for i in range(cfg["bench_instances"])
+    lows = {"bench_instances": 1, "bench_len": 1, "bench_vocab": 1, "bench_reps": 2}
+    for key, low in lows.items():
+        if cfg[key] < low:
+            raise UsageError(f"key {key}: expected >= {low}, got {cfg[key]}")
+    V = cfg["bench_vocab"]
+    if max(ks) > V:
+        raise UsageError(f"key k: expected values <= bench_vocab ({V}), got {max(ks)}")
+    totals = estimators.total_variance_sweep(
+        ks, cfg["bench_len"], V, cfg["n"], cfg["bench_instances"], cfg["bench_reps"],
+        rewards.RewardFn("GLEU"), cfg["seed"],
     )
+    rows = [(k, float(np.mean(t)), *t) for k, t in zip(ks, totals)]
+    header = ("k", "mean_total_variance", *(f"instance_{i}" for i in range(cfg["bench_instances"])))
     write_csv(out_dir / "variance.csv", header, rows)
     emit_report(out_dir, required=False)
     return 0

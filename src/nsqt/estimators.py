@@ -2,10 +2,10 @@
 (per-position independent) output distribution.
 
 Provides exact enumeration oracles, per-position Monte Carlo reward
-estimation, plain REINFORCE, and the variance-reduced top-k traversal
-estimator, all expressed as gradients with respect to the T x V probability
-matrix. The ``surrogate`` scalar attached to an estimate backpropagates the
-same gradient through the recorded graph (softmax, model parameters).
+estimation, the variance-reduced top-k traversal estimator (plain REINFORCE
+at k=0) and its Monte Carlo statistics, all on gradients with respect to
+the T x V probability matrix. The ``surrogate`` scalar attached to an
+estimate backpropagates the same gradient through the recorded graph.
 
 Convention: ``dprobs[t][y]`` estimates d(loss)/d(p[t][y]) where the loss is
 the negative expected reward, so the exact value is -r(y_t = y), the
@@ -461,14 +461,6 @@ def _generate_state(pools):
     return v.astype("<u4").view("<u8")
 
 
-def reinforce_step(dist, reward, ref, n, rng):
-    """Plain REINFORCE: one sampled token per position, log-prob gradient
-    weighted by its estimated expected reward. Identical to the top-k
-    estimator with k=0."""
-    config = EstimatorConfig(k=0, n=n)
-    return reinforce_nat_step(dist, config, reward, ref, rng)
-
-
 @dataclass
 class EstimatorStats:
     mean_dprobs: np.ndarray
@@ -477,22 +469,71 @@ class EstimatorStats:
     repetitions: int
 
 
-def estimator_stats(dist, estimator, repetitions, rng):
-    """Sample mean and unbiased per-entry variance of an estimator over
-    independent repetitions. ``estimator`` maps an RNG to a GradientEstimate."""
+# repetitions per batched call of reinforce_nat_stats; bounds its memory
+_STATS_CHUNK = 500
+
+
+def _moments(repetitions, rng, estimate, chunk):
+    """Sample mean and unbiased per-entry variance of the ``dprobs`` rows that
+    ``estimate`` returns for each run of up to ``chunk`` streams of
+    ``rng.spawn(repetitions)``, added in repetition order."""
     if repetitions < 2:
         raise ContractError(f"repetitions must be >= 2, got {repetitions}")
     streams = rng.spawn(repetitions)
-    acc = np.zeros((dist.T, dist.V))
-    acc_sq = np.zeros((dist.T, dist.V))
-    for stream in streams:
-        d = estimator(stream).dprobs
-        acc += d
-        acc_sq += d * d
+    acc = acc_sq = 0.0  # the first row's += makes each its own array
+    for lo in range(0, repetitions, chunk):
+        for d in estimate(streams[lo : lo + chunk]):
+            acc += d
+            acc_sq += d * d
     mean = acc / repetitions
     var = (acc_sq - repetitions * mean * mean) / (repetitions - 1)
     np.maximum(var, 0.0, out=var)
     return EstimatorStats(mean, var, float(var.sum()), repetitions)
+
+
+def estimator_stats(dist, estimator, repetitions, rng):
+    """Sample mean and unbiased per-entry variance of an estimator over
+    independent repetitions. ``estimator`` maps an RNG to a GradientEstimate
+    and runs once per repetition: the per-stream reference that
+    ``reinforce_nat_stats`` equals bitwise."""
+    return _moments(repetitions, rng, lambda streams: [estimator(s).dprobs for s in streams], 1)
+
+
+def reinforce_nat_stats(dist, config, reward, ref, repetitions, rng):
+    """``estimator_stats`` of ``reinforce_nat_step`` on one T x V ``dist``
+    and reference, with the same streams and bitwise the same numbers, but
+    each chunk of repetitions runs as one batched call."""
+
+    def estimate(streams):
+        B = len(streams)
+        batch = PositionDistributions(np.broadcast_to(dist.probs, (B, dist.T, dist.V)))
+        return reinforce_nat_step(batch, config, reward, [ref] * B, streams).dprobs
+
+    return _moments(repetitions, rng, estimate, _STATS_CHUNK)
+
+
+def total_variance_sweep(ks, T, V, n, instances, repetitions, reward, seed):
+    """Per k in ``ks``, the total variance of ``reinforce_nat_step`` on each
+    random T x V instance. Instance i draws Dirichlet(3) rows and a uniform
+    reference from the stream ``(seed, i)``; its repetitions for width k
+    spawn from ``(seed, i, k)``. Moderately flat instances keep the sweep
+    stable: near-zero probabilities make the score-function term heavy-tailed.
+    """
+    cases = []
+    for i in range(instances):
+        rng = np.random.default_rng((seed, i))
+        dist = random_distributions(T, V, rng, concentration=3.0)
+        cases.append((dist, tuple(int(x) for x in rng.integers(0, V, size=T))))
+    totals = []
+    for k in ks:
+        config = EstimatorConfig(k=k, n=n)
+        totals.append([
+            reinforce_nat_stats(
+                dist, config, reward, ref, repetitions, np.random.default_rng((seed, i, k))
+            ).total_variance
+            for i, (dist, ref) in enumerate(cases)
+        ])
+    return totals
 
 
 def random_distributions(T, V, rng, concentration=1.0):

@@ -116,6 +116,13 @@ def gleu_rows(tokens, ref, max_n=MAX_N):
     return np.minimum(matched / total_hyp, matched / total_ref)
 
 
+def _order_matches(hyp, ref, n):
+    """Clipped matches and hypothesis count of the order-n n-grams."""
+    hyp_n = Counter(hyp[i : i + n] for i in range(len(hyp) - n + 1))
+    ref_n = Counter(ref[i : i + n] for i in range(len(ref) - n + 1))
+    return _clipped_matches(hyp_n, ref_n), sum(hyp_n.values())
+
+
 def bleu_sentence(hyp, ref):
     """Smoothed sentence BLEU: 4-gram precisions with add-one smoothing for
     n >= 2, geometric mean, times the brevity penalty. Empty hypothesis
@@ -125,10 +132,7 @@ def bleu_sentence(hyp, ref):
         return 0.0
     log_prec = 0.0
     for n in range(1, MAX_N + 1):
-        hyp_n = Counter(hyp[i : i + n] for i in range(len(hyp) - n + 1))
-        ref_n = Counter(ref[i : i + n] for i in range(len(ref) - n + 1))
-        matched = _clipped_matches(hyp_n, ref_n)
-        total = sum(hyp_n.values())
+        matched, total = _order_matches(hyp, ref, n)
         if n >= 2:
             matched += 1
             total += 1
@@ -149,10 +153,9 @@ def corpus_bleu(hyps, refs):
         hyp_len += len(hyp)
         ref_len += len(ref)
         for n in range(1, MAX_N + 1):
-            hyp_n = Counter(hyp[i : i + n] for i in range(len(hyp) - n + 1))
-            ref_n = Counter(ref[i : i + n] for i in range(len(ref) - n + 1))
-            matched[n - 1] += _clipped_matches(hyp_n, ref_n)
-            total[n - 1] += sum(hyp_n.values())
+            m, t = _order_matches(hyp, ref, n)
+            matched[n - 1] += m
+            total[n - 1] += t
     if hyp_len == 0 or any(m == 0 for m in matched):
         return 0.0
     log_prec = sum(math.log(m / t) for m, t in zip(matched, total))

@@ -2,10 +2,9 @@
 
 The primitive set is deliberately small: exactly what a small Transformer
 and the surrogate losses need (matmul, add/mul, relu, log, row softmax,
-layer norm, embedding gather, concat, masked fill, reshape/transpose,
-entry gather, slice, sum, dropout), plus fused layers: ``linear``,
-multi-head ``attention``, ``layer_norm`` over a residual sum, and the
-estimator's ``score_surrogate``.
+layer norm, embedding gather, concat, entry gather, slice, sum, dropout),
+plus fused layers: ``linear``, multi-head ``attention``, ``layer_norm``
+over a residual sum, and the estimator's ``score_surrogate``.
 Broadcasting is the numpy kind but is only exercised for bias rows, batched
 matmul and attention over a shared 2-D query/key set.
 
@@ -368,27 +367,6 @@ def embedding(weight, ids):
     return Tensor(out_data, _parents=(weight,), _backward=backward)
 
 
-def reshape(x, shape):
-    x = as_tensor(x)
-    out_data = x.data.reshape(shape)
-
-    def backward(g):
-        x._accumulate(g.reshape(x.data.shape))
-
-    return Tensor(out_data, _parents=(x,), _backward=backward)
-
-
-def transpose(x, axes):
-    x = as_tensor(x)
-    out_data = np.transpose(x.data, axes)
-    inv = np.argsort(axes)
-
-    def backward(g):
-        x._accumulate(np.transpose(g, inv))
-
-    return Tensor(out_data, _parents=(x,), _backward=backward)
-
-
 def concat(tensors, axis=0):
     tensors = [as_tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -399,18 +377,6 @@ def concat(tensors, axis=0):
             t._accumulate(piece)
 
     return Tensor(out_data, _parents=tuple(tensors), _backward=backward)
-
-
-def masked_fill(x, mask, value):
-    """Replace entries where ``mask`` is true with a constant."""
-    x = as_tensor(x)
-    mask = np.asarray(mask, dtype=bool)
-    out_data = np.where(mask, float(value), x.data)
-
-    def backward(g):
-        x._accumulate(np.where(mask, 0.0, g))
-
-    return Tensor(out_data, _parents=(x,), _backward=backward)
 
 
 def take(x, indices):

@@ -93,22 +93,17 @@ def test_criterion_02_unbiasedness():
     rng = np.random.default_rng(2024)
     dist = est.random_distributions(T, V, rng)
     ref = (1, 3, 0)
-    reward = rewards.memoize_reward(rewards.RewardFn("GLEU"))
+    reward = rewards.RewardFn("GLEU")
     oracle = est.enumerate_expected_gradient(dist, reward, ref).dprobs
     worst_z = 0.0
     for k in (0, 1, 2):
         for n in (1, 20):
             cfg = est.EstimatorConfig(k=k, n=n)
-            acc = np.zeros((T, V))
-            acc_sq = np.zeros((T, V))
-            for stream in np.random.default_rng((7, k, n)).spawn(reps):
-                d = est.reinforce_nat_step(dist, cfg, reward, ref, stream).dprobs
-                acc += d
-                acc_sq += d * d
-            mean = acc / reps
-            var = np.maximum((acc_sq - reps * mean * mean) / (reps - 1), 0.0)
-            se = np.sqrt(var / reps)
-            z = np.abs(mean - oracle) / (se + 1e-12)
+            stats = est.reinforce_nat_stats(
+                dist, cfg, reward, ref, reps, np.random.default_rng((7, k, n))
+            )
+            se = np.sqrt(stats.per_entry_variance / reps)
+            z = np.abs(stats.mean_dprobs - oracle) / (se + 1e-12)
             worst_z = max(worst_z, float(z.max()))
     report(
         2,
@@ -146,25 +141,12 @@ def test_criterion_03_exact_at_full_traversal():
 @pytest.mark.slow
 def test_criterion_04_variance_reduction():
     t0 = time.time()
-    reps, wins = 10_000, 0
-    reward = rewards.memoize_reward(rewards.RewardFn("GLEU"))
-    pairs = []
-    for i in range(5):
-        rng = np.random.default_rng((0, i))
-        dist = est.random_distributions(3, 10, rng, concentration=3.0)
-        ref = tuple(int(x) for x in rng.integers(0, 10, size=3))
-        totals = {}
-        for k in (0, 5):
-            cfg = est.EstimatorConfig(k=k, n=20)
-            stats = est.estimator_stats(
-                dist,
-                lambda r: est.reinforce_nat_step(dist, cfg, reward, ref, r),
-                reps,
-                np.random.default_rng((0, i, k)),
-            )
-            totals[k] = stats.total_variance
-        pairs.append((totals[0], totals[5]))
-        wins += totals[5] <= totals[0]
+    # the estimator-bench sweep at seed 0: k in {0, 5}, V=10, T=3, n=20
+    k0, k5 = est.total_variance_sweep(
+        (0, 5), 3, 10, 20, 5, 10_000, rewards.RewardFn("GLEU"), 0
+    )
+    pairs = list(zip(k0, k5))
+    wins = sum(b <= a for a, b in pairs)
     detail = "; ".join(f"k0={a:.3g} k5={b:.3g}" for a, b in pairs)
     report(
         4,

@@ -444,6 +444,25 @@ def test_estimator_bench_without_instances_is_usage_error(tmp_path, capsys, valu
     assert not (out / "variance.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("bench_len", "0", "key bench_len: expected >= 1, got 0"),
+        ("bench_len", "-1", "key bench_len: expected >= 1, got -1"),
+        ("bench_vocab", "0", "key bench_vocab: expected >= 1, got 0"),
+        ("bench_reps", "1", "key bench_reps: expected >= 2, got 1"),
+        ("bench_vocab", "5", "key k: expected values <= bench_vocab (5), got 10"),
+    ],
+    ids=["len_0", "len_negative", "vocab_0", "reps_1", "k_above_vocab"],
+)
+def test_estimator_bench_bad_size_is_usage_error(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "bench"
+    code = run(["estimator-bench", "--out", out, f"--{flag}", value, "--n", "2"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "variance.csv").exists()
+
+
 def test_estimator_bench_single_k_is_not_the_default_sweep(tmp_path):
     out = tmp_path / "bench"
     code = run(

@@ -275,8 +275,9 @@ class TestReinforceNat:
             )
 
     def test_zero_reward_gives_zero_gradient(self):
-        got = est.reinforce_step(
-            uniform_dist(2, 3), lambda h, r: 0.0, (), 4, np.random.default_rng(0)
+        got = est.reinforce_nat_step(
+            uniform_dist(2, 3), est.EstimatorConfig(k=0, n=4), lambda h, r: 0.0, (),
+            np.random.default_rng(0),
         )
         assert np.all(got.dprobs == 0.0)
 
@@ -285,19 +286,12 @@ class TestReinforceNat:
         dist = est.PositionDistributions(probs)
         reward = rewards.gleu
         ref = (0, 1)
-        got = est.reinforce_step(dist, reward, ref, 1, np.random.default_rng(0))
+        got = est.reinforce_nat_step(
+            dist, est.EstimatorConfig(k=0, n=1), reward, ref, np.random.default_rng(0)
+        )
         oracle = est.enumerate_expected_gradient(dist, reward, ref)
         forced = probs > 0
         assert np.allclose(got.dprobs[forced], oracle.dprobs[forced], atol=1e-12)
-
-    def test_k0_equals_reinforce_given_same_rng(self):
-        dist = est.random_distributions(3, 5, np.random.default_rng(9))
-        args = (dist, rewards.gleu, (1, 2, 3), 6)
-        a = est.reinforce_step(*args, np.random.default_rng(11))
-        b = est.reinforce_nat_step(
-            dist, est.EstimatorConfig(k=0, n=6), rewards.gleu, (1, 2, 3), np.random.default_rng(11)
-        )
-        assert np.array_equal(a.dprobs, b.dprobs)
 
     @pytest.mark.parametrize("k,n,runs", [(0, 1, 20000), (1, 20, 8000), (2, 20, 8000)])
     def test_unbiasedness_smoke(self, k, n, runs):
@@ -308,12 +302,7 @@ class TestReinforceNat:
         reward = est.random_reward_table(2, 3, np.random.default_rng(k * 7 + n))
         oracle = est.enumerate_expected_gradient(dist, reward, ())
         cfg = est.EstimatorConfig(k=k, n=n)
-        stats = est.estimator_stats(
-            dist,
-            lambda rng: est.reinforce_nat_step(dist, cfg, reward, (), rng),
-            runs,
-            np.random.default_rng(123),
-        )
+        stats = est.reinforce_nat_stats(dist, cfg, reward, (), runs, np.random.default_rng(123))
         se = np.sqrt(stats.per_entry_variance / runs)
         assert np.all(np.abs(stats.mean_dprobs - oracle.dprobs) <= 3 * se + 1e-12)
 
@@ -405,16 +394,12 @@ class TestEstimatorStats:
     def test_variance_drops_with_traversal(self):
         rng = np.random.default_rng(17)
         dist = est.random_distributions(3, 10, rng, concentration=0.3)
-        reward = rewards.memoize_reward(rewards.gleu)
         ref = (4, 5, 6)
 
         def runner(k):
             cfg = est.EstimatorConfig(k=k, n=4)
-            return est.estimator_stats(
-                dist,
-                lambda r: est.reinforce_nat_step(dist, cfg, reward, ref, r),
-                2000,
-                np.random.default_rng(3),
+            return est.reinforce_nat_stats(
+                dist, cfg, rewards.RewardFn("GLEU"), ref, 2000, np.random.default_rng(3)
             )
 
         assert runner(5).total_variance <= runner(0).total_variance
@@ -422,6 +407,63 @@ class TestEstimatorStats:
     def test_repetition_guard(self):
         with pytest.raises(est.ContractError):
             est.estimator_stats(uniform_dist(1, 2), lambda rng: None, 1, np.random.default_rng(0))
+        with pytest.raises(est.ContractError, match="repetitions"):
+            est.reinforce_nat_stats(
+                uniform_dist(1, 2), est.EstimatorConfig(k=1, n=1), equality_reward, (), 1,
+                np.random.default_rng(0),
+            )
+
+
+class TestBatchedStats:
+    """``reinforce_nat_stats`` and ``total_variance_sweep`` against
+    ``estimator_stats`` over per-stream ``reinforce_nat_step`` calls, bitwise."""
+
+    @staticmethod
+    def _per_stream(dist, cfg, reward, ref, reps, seed):
+        return est.estimator_stats(
+            dist,
+            lambda r: est.reinforce_nat_step(dist, cfg, reward, ref, r),
+            reps,
+            np.random.default_rng(seed),
+        )
+
+    @staticmethod
+    def _bytes(stats):
+        return (
+            stats.mean_dprobs.tobytes(),
+            stats.per_entry_variance.tobytes(),
+            stats.total_variance,
+            stats.repetitions,
+        )
+
+    @pytest.mark.parametrize("reward", ["gleu", "table"])
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    def test_equals_per_stream_stats(self, k, reward, monkeypatch):
+        # 7 repetitions per batched call: 30 leaves a partial last chunk
+        monkeypatch.setattr(est, "_STATS_CHUNK", 7)
+        rng = np.random.default_rng(40 + k)
+        dist = est.random_distributions(3, 6, rng, concentration=0.5)
+        fn = rewards.RewardFn("GLEU") if reward == "gleu" else est.random_reward_table(3, 6, rng)
+        cfg = est.EstimatorConfig(k=k, n=3)
+        got = est.reinforce_nat_stats(dist, cfg, fn, (1, 2, 3), 30, np.random.default_rng(5))
+        want = self._per_stream(dist, cfg, fn, (1, 2, 3), 30, 5)
+        assert self._bytes(got) == self._bytes(want)
+
+    def test_sweep_equals_per_stream_totals(self):
+        reward = rewards.RewardFn("GLEU")
+        got = est.total_variance_sweep((0, 2), 3, 5, 2, 2, 12, reward, 8)
+        want = []
+        for k in (0, 2):
+            totals = []
+            for i in range(2):
+                rng = np.random.default_rng((8, i))
+                dist = est.random_distributions(3, 5, rng, concentration=3.0)
+                ref = tuple(int(x) for x in rng.integers(0, 5, size=3))
+                cfg = est.EstimatorConfig(k=k, n=2)
+                stats = self._per_stream(dist, cfg, reward, ref, 12, (8, i, k))
+                totals.append(stats.total_variance)
+            want.append(totals)
+        assert got == want
 
 
 # -- streams: numpy's Generator.spawn is the oracle

@@ -97,7 +97,7 @@ class TestPrimitiveGradients:
 
         def f():
             cat = tc.concat([a, b], axis=0)
-            filled = tc.masked_fill(cat, mask, -2.0)
+            filled = masked_fill(cat, mask, -2.0)
             picked = tc.take(filled, (np.array([0, 1, 3]), np.array([2, 0, 1])))
             return tc.tsum(tc.mul(picked, np.array([1.0, -0.5, 2.0])))
 
@@ -342,22 +342,56 @@ def _swap_last_two_of_three(ndim):
     return axes
 
 
+# graph ops only the composed attention oracle records: its head reshapes,
+# transposes and mask
+
+
+def reshape(x, shape):
+    x = tc.as_tensor(x)
+
+    def backward(g):
+        x._accumulate(g.reshape(x.data.shape))
+
+    return tc.Tensor(x.data.reshape(shape), _parents=(x,), _backward=backward)
+
+
+def transpose(x, axes):
+    x = tc.as_tensor(x)
+    inv = np.argsort(axes)
+
+    def backward(g):
+        x._accumulate(np.transpose(g, inv))
+
+    return tc.Tensor(np.transpose(x.data, axes), _parents=(x,), _backward=backward)
+
+
+def masked_fill(x, mask, value):
+    """Replace entries where ``mask`` is true with a constant."""
+    x = tc.as_tensor(x)
+    mask = np.asarray(mask, dtype=bool)
+
+    def backward(g):
+        x._accumulate(np.where(mask, 0.0, g))
+
+    return tc.Tensor(np.where(mask, float(value), x.data), _parents=(x,), _backward=backward)
+
+
 def composed_attention(q, k, v, n_head, scale, mask=None):
     def split(x):
         *lead, T, d = x.shape
-        x = tc.reshape(x, (*lead, T, n_head, d // n_head))
-        return tc.transpose(x, _swap_last_two_of_three(x.ndim))
+        x = reshape(x, (*lead, T, n_head, d // n_head))
+        return transpose(x, _swap_last_two_of_three(x.ndim))
 
     q, k, v = split(q), split(k), split(v)
     k_axes = list(range(k.ndim))
     k_axes[-1], k_axes[-2] = k_axes[-2], k_axes[-1]
-    scores = tc.mul(tc.matmul(q, tc.transpose(k, k_axes)), scale)
+    scores = tc.mul(tc.matmul(q, transpose(k, k_axes)), scale)
     if mask is not None:
-        scores = tc.masked_fill(scores, mask, -1e9)
+        scores = masked_fill(scores, mask, -1e9)
     ctx = tc.matmul(tc.softmax_rows(scores), v)
-    ctx = tc.transpose(ctx, _swap_last_two_of_three(ctx.ndim))
+    ctx = transpose(ctx, _swap_last_two_of_three(ctx.ndim))
     *lead, T, h, dh = ctx.shape
-    return tc.reshape(ctx, (*lead, T, h * dh))
+    return reshape(ctx, (*lead, T, h * dh))
 
 
 # (q/k input shape, v input shape, causal mask): self-attention, causal
