@@ -182,6 +182,11 @@ def _model_config(cfg):
 
 
 def _load_corpora(cfg):
+    for side in ("train", "valid"):
+        if cfg[f"{side}_src"]:
+            for key in (f"{side}_tgt", "vocab_file"):
+                if not cfg[key]:
+                    raise UsageError(f"key {side}_src requires key {key}")
     if cfg["train_src"]:
         vocab = data.Vocabulary.from_file(cfg["vocab_file"])
         train = data.load_parallel_corpus(
@@ -303,6 +308,7 @@ def cmd_distill(cfg, out_dir):
     data.save_corpus(
         distilled, out_dir / "distilled.src", out_dir / "distilled.tgt", train.vocab
     )
+    train.vocab.save(out_dir / "distilled.vocab")
     return 0
 
 
@@ -316,8 +322,9 @@ def cmd_estimator_bench(cfg, out_dir):
     V = cfg["bench_vocab"]
     if max(ks) > V:
         raise UsageError(f"key k: expected values <= bench_vocab ({V}), got {max(ks)}")
+    est_cfg = estimators.EstimatorConfig(n=cfg["n"], residual_epsilon=cfg["residual_epsilon"])
     totals = estimators.total_variance_sweep(
-        ks, cfg["bench_len"], V, cfg["n"], cfg["bench_instances"], cfg["bench_reps"],
+        ks, cfg["bench_len"], V, est_cfg, cfg["bench_instances"], cfg["bench_reps"],
         rewards.RewardFn("GLEU"), cfg["seed"],
     )
     rows = [(k, float(np.mean(t)), *t) for k, t in zip(ks, totals)]

@@ -23,7 +23,7 @@ stream.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,14 +39,12 @@ class PositionDistributions:
     A B x T x V array holds a batch of B such sentences, which only
     ``reinforce_nat_step`` accepts.
 
-    ``tensor`` optionally links the matrix to a recorded compute graph so
-    estimators can emit a differentiable surrogate; ``prefix`` holds leading
-    indices (e.g. a batch index) locating this matrix inside the tensor.
+    ``tensor`` optionally links the matrix to a recorded compute graph of
+    the same shape so estimators can emit a differentiable surrogate.
     """
 
     probs: np.ndarray
     tensor: tc.Tensor | None = None
-    prefix: tuple = ()
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64)
@@ -340,7 +338,7 @@ def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
 
     surrogate = None
     if dist.tensor is not None and len(cb):
-        index = dist.prefix + ((cb, ct, cy) if batched else (ct, cy))
+        index = (cb, ct, cy) if batched else (ct, cy)
         surrogate = tc.score_surrogate(dist.tensor, index, weights, sampled, cb)
     return GradientEstimate(dprobs if batched else dprobs[0], surrogate)
 
@@ -512,10 +510,11 @@ def reinforce_nat_stats(dist, config, reward, ref, repetitions, rng):
     return _moments(repetitions, rng, estimate, _STATS_CHUNK)
 
 
-def total_variance_sweep(ks, T, V, n, instances, repetitions, reward, seed):
+def total_variance_sweep(ks, T, V, config, instances, repetitions, reward, seed):
     """Per k in ``ks``, the total variance of ``reinforce_nat_step`` on each
-    random T x V instance. Instance i draws Dirichlet(3) rows and a uniform
-    reference from the stream ``(seed, i)``; its repetitions for width k
+    random T x V instance, under ``config`` with its k replaced by k (so its
+    n and residual_epsilon apply). Instance i draws Dirichlet(3) rows and a
+    uniform reference from the stream ``(seed, i)``; its repetitions for width k
     spawn from ``(seed, i, k)``. Moderately flat instances keep the sweep
     stable: near-zero probabilities make the score-function term heavy-tailed.
     """
@@ -526,10 +525,10 @@ def total_variance_sweep(ks, T, V, n, instances, repetitions, reward, seed):
         cases.append((dist, tuple(int(x) for x in rng.integers(0, V, size=T))))
     totals = []
     for k in ks:
-        config = EstimatorConfig(k=k, n=n)
+        at_k = replace(config, k=k)
         totals.append([
             reinforce_nat_stats(
-                dist, config, reward, ref, repetitions, np.random.default_rng((seed, i, k))
+                dist, at_k, reward, ref, repetitions, np.random.default_rng((seed, i, k))
             ).total_variance
             for i, (dist, ref) in enumerate(cases)
         ])

@@ -128,8 +128,8 @@ class MultiHeadAttention:
         self.wv = Linear(store, f"{name}.v", d_model, d_model)
         self.wo = Linear(store, f"{name}.o", d_model, d_model)
 
-    def __call__(self, q_in, k_in, v_in, mask=None):
-        return self.attend(q_in, *self.keys_values(k_in, v_in), mask=mask)
+    def __call__(self, q_in, k_in, v_in):
+        return self.attend(q_in, *self.keys_values(k_in, v_in))
 
     def keys_values(self, k_in, v_in):
         """Projected keys and values, (..., T, d) each."""
@@ -221,8 +221,6 @@ class LengthTable:
     """Source length -> most frequent target length."""
 
     table: dict = field(default_factory=dict)
-    lookups: int = 0
-    fallbacks: int = 0
 
 
 def predict_length(src_len, table):
@@ -230,10 +228,8 @@ def predict_length(src_len, table):
     (ties toward the smaller key), else the source length itself."""
     if src_len < 1:
         raise ValueError(f"src_len must be >= 1, got {src_len}")
-    table.lookups += 1
     if src_len in table.table:
         return table.table[src_len]
-    table.fallbacks += 1
     if table.table:
         key = min(table.table, key=lambda k: (abs(k - src_len), k))
         return table.table[key]
@@ -365,13 +361,12 @@ class ModelBase:
     def _head(self, x):
         return tc.softmax_rows(self.out_proj(x))
 
-    def _parallel_pass(self, src_ids, out_len, enc, layers):
+    def _parallel_pass(self, src_ids, out_len, layers):
         """Uniform-copied source embeddings at ``out_len`` positions, run in
         one pass through the NAT-style ``layers``; returns (states, enc)."""
         src_ids = np.atleast_2d(np.asarray(src_ids, dtype=np.int64))
         self._check_len(out_len, "decoder")
-        if enc is None:
-            enc = self.encode(src_ids)
+        enc = self.encode(src_ids)
         copy_idx = uniform_copy_positions(src_ids.shape[1], out_len)
         x = tc.add(self._embed_tokens(src_ids[:, copy_idx]), self.pe[:out_len])
         x = self._dropout(x)
@@ -425,9 +420,9 @@ class NATModel(ModelBase):
         ]
         self.decoder_calls = 0
 
-    def forward(self, src_ids, out_len, enc=None):
+    def forward(self, src_ids, out_len):
         """All ``out_len`` position distributions in one decoder pass."""
-        x, _ = self._parallel_pass(src_ids, out_len, enc, self.dec_layers)
+        x, _ = self._parallel_pass(src_ids, out_len, self.dec_layers)
         self.decoder_calls += 1
         return self._head(x)
 
@@ -450,20 +445,18 @@ class FSModel(ModelBase):
         self.bottom_calls = 0
         self.top_calls = 0
 
-    def bottom_states(self, src_ids, out_len, enc=None):
+    def bottom_states(self, src_ids, out_len):
         """One parallel pass of the NAT-style bottom layers."""
-        states = self._parallel_pass(src_ids, out_len, enc, self.bottom_layers)
+        states = self._parallel_pass(src_ids, out_len, self.bottom_layers)
         self.bottom_calls += 1
         return states
 
     def _fit_length(self, h, start, end):
-        """Bottom-state rows start..end-1, padded with zero vectors past the
-        last row (a target may outgrow the predicted length)."""
-        cur = h.shape[1]
-        if cur < end:
-            pad = tc.Tensor(np.zeros((h.shape[0], end - cur, h.shape[2])))
-            h = tc.concat([h, pad], axis=1)
-        if start == 0 and h.shape[1] == end:
+        """Bottom-state rows start..end-1. Each target position fuses with
+        the bottom state at that position, so none may lie past the last."""
+        if end > h.shape[1]:
+            raise CapacityError(f"target length {end} exceeds the {h.shape[1]} bottom states")
+        if start == 0 and end == h.shape[1]:
             return h
         return tc.slice_axis(h, 1, start, end)
 
@@ -473,7 +466,8 @@ class FSModel(ModelBase):
 
         With a ``DecodeCache``, ``tgt_in`` holds only the positions after
         the ``cache.length`` already decoded ones, as in ``ARModel.forward``;
-        ``h_bottom`` still covers the whole output."""
+        ``h_bottom`` still covers the whole output. A position past the rows
+        of ``h_bottom`` raises ``CapacityError``."""
         tgt_in = np.atleast_2d(np.asarray(tgt_in, dtype=np.int64))
         self.top_calls += 1
         start = 0 if cache is None else cache.length
@@ -486,11 +480,9 @@ class FSModel(ModelBase):
             cache.length = end
         return self._head(x)
 
-    def forward_train(self, src_ids, tgt_ids, out_len=None):
+    def forward_train(self, src_ids, tgt_ids):
         tgt_ids = np.atleast_2d(np.asarray(tgt_ids, dtype=np.int64))
-        if out_len is None:
-            out_len = tgt_ids.shape[1]
-        h, enc = self.bottom_states(src_ids, out_len)
+        h, enc = self.bottom_states(src_ids, tgt_ids.shape[1])
         return self.fuse_and_top(h, shift_right(tgt_ids), enc)
 
     def train_distributions(self, src_ids, tgt_ids):
@@ -506,11 +498,11 @@ def build_model(kind, config, seed=0):
     return MODEL_KINDS[kind](config, seed=seed)
 
 
-def shift_right(tgt_ids, bos=BOS):
+def shift_right(tgt_ids):
     """Prepend BOS and drop the last token: position t sees tokens < t."""
     tgt_ids = np.atleast_2d(np.asarray(tgt_ids, dtype=np.int64))
     out = np.empty_like(tgt_ids)
-    out[:, 0] = bos
+    out[:, 0] = BOS
     out[:, 1:] = tgt_ids[:, :-1]
     return out
 

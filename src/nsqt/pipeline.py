@@ -68,6 +68,8 @@ class DecodeConfig:
             raise ContractError(f"unknown decode mode {self.mode!r}")
         if self.beam < 1:
             raise ContractError(f"beam must be >= 1, got {self.beam}")
+        if self.beam > 1 and self.mode != "beam":
+            raise ContractError(f"mode {self.mode!r} decodes at beam 1, got beam {self.beam}")
 
 
 class Adam:
@@ -336,12 +338,12 @@ def _decode_raw(model, src, dec, table):
         return tokens, len(raw)
     if dec.mode == "nat_argmax":
         raise ContractError(f"nat_argmax undefined for model kind {model.kind!r}")
-    beam = 1 if dec.mode == "greedy" else dec.beam
     if model.kind == "fs":
         out_len = min(predict_length(len(src), table) + 1, model.config.max_len)
     else:
         out_len = model.config.max_len
-    tokens, steps = beam_decode(model, src_arr, out_len=out_len, beam=beam)
+    # greedy is beam 1: DecodeConfig rejects a beam above 1 in other modes
+    tokens, steps = beam_decode(model, src_arr, out_len=out_len, beam=dec.beam)
     return _strip(tokens), steps
 
 
@@ -360,12 +362,13 @@ def decode_corpus(model, corpus, dec, table=None):
     return [decode(model, src, dec, table) for src, _ in corpus.pairs]
 
 
-def distill_corpus(teacher, corpus, dec, table=None):
-    """Replace targets with the teacher's decodes; empty decodes keep the
-    original target (count logged)."""
+def distill_corpus(teacher, corpus, dec):
+    """Replace targets with the teacher's decodes (lengths predicted from the
+    corpus's own length table); empty decodes keep the original target
+    (count logged)."""
     from .data import ParallelCorpus
 
-    hyps = decode_corpus(teacher, corpus, dec, table)
+    hyps = decode_corpus(teacher, corpus, dec)
     pairs = [(tuple(src), tuple(hyp or tgt)) for (src, tgt), hyp in zip(corpus.pairs, hyps)]
     kept = sum(not hyp for hyp in hyps)
     if kept:

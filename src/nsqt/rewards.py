@@ -168,7 +168,6 @@ class RewardFn:
     """A named reward: GLEU for training, smoothed BLEU for evaluation."""
 
     kind: str = "GLEU"
-    max_n: int = MAX_N
 
     def __post_init__(self):
         if self.kind not in ("GLEU", "BLEU"):
@@ -176,14 +175,14 @@ class RewardFn:
 
     def __call__(self, hyp, ref):
         if self.kind == "GLEU":
-            return gleu(hyp, ref, self.max_n)
+            return gleu(hyp, ref)
         return bleu_sentence(hyp, ref)
 
     def batch(self, tokens, ref):
         """The reward of every row of an (R, T) token matrix: one value per
         row, bitwise equal to calling the reward on that row."""
         if self.kind == "GLEU":
-            return gleu_rows(tokens, ref, self.max_n)
+            return gleu_rows(tokens, ref)
         return np.array([bleu_sentence(row, ref) for row in np.asarray(tokens).tolist()])
 
 

@@ -2,7 +2,7 @@
 
 The primitive set is deliberately small: exactly what a small Transformer
 and the surrogate losses need (matmul, add/mul, relu, log, row softmax,
-layer norm, embedding gather, concat, entry gather, slice, sum, dropout),
+layer norm, embedding gather, entry gather, slice, sum, dropout),
 plus fused layers: ``linear``, multi-head ``attention``, ``layer_norm``
 over a residual sum, and the estimator's ``score_surrogate``.
 Broadcasting is the numpy kind but is only exercised for bias rows, batched
@@ -319,10 +319,11 @@ def softmax_rows(x):
     return Tensor(out_data, _parents=(x,), _backward=backward)
 
 
-def layer_norm(x, gain, bias, eps=1e-5, residual=None):
-    """Normalize the last axis, then scale and shift. With ``residual`` the
-    input is the residual connection's sum ``x + residual``, in one node
-    with the same numbers as ``layer_norm(add(x, residual), ...)``."""
+def layer_norm(x, gain, bias, residual=None):
+    """Normalize the last axis by ``sqrt(var + 1e-5)``, then scale and shift.
+    With ``residual`` the input is the residual connection's sum
+    ``x + residual``, in one node with the same numbers as
+    ``layer_norm(add(x, residual), ...)``."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     if residual is None:
         inputs, data = (x,), x.data
@@ -333,7 +334,7 @@ def layer_norm(x, gain, bias, eps=1e-5, residual=None):
     n = data.shape[-1]
     centered = data - data.sum(axis=-1, keepdims=True) / n
     var = np.square(centered).sum(axis=-1, keepdims=True) / n
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
     xhat = centered * inv_std
     out_data = gain.data * xhat + bias.data
 
@@ -367,18 +368,6 @@ def embedding(weight, ids):
     return Tensor(out_data, _parents=(weight,), _backward=backward)
 
 
-def concat(tensors, axis=0):
-    tensors = [as_tensor(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-
-    def backward(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            t._accumulate(piece)
-
-    return Tensor(out_data, _parents=tuple(tensors), _backward=backward)
-
-
 def take(x, indices):
     """Gather entries by a tuple of integer index arrays (fancy indexing)."""
     x = as_tensor(x)
@@ -409,15 +398,13 @@ def slice_axis(x, axis, start, stop):
     return Tensor(out_data, _parents=(x,), _backward=backward)
 
 
-def tsum(x, axis=None):
+def tsum(x):
+    """The sum of every entry, a scalar."""
     x = as_tensor(x)
-    out_data = x.data.sum(axis=axis)
+    out_data = x.data.sum()
 
     def backward(g):
-        if axis is None:
-            x._accumulate(np.broadcast_to(g, x.data.shape))
-        else:
-            x._accumulate(np.broadcast_to(np.expand_dims(g, axis), x.data.shape))
+        x._accumulate(np.broadcast_to(g, x.data.shape))
 
     return Tensor(out_data, _parents=(x,), _backward=backward)
 

@@ -143,7 +143,7 @@ def test_criterion_04_variance_reduction():
     t0 = time.time()
     # the estimator-bench sweep at seed 0: k in {0, 5}, V=10, T=3, n=20
     k0, k5 = est.total_variance_sweep(
-        (0, 5), 3, 10, 20, 5, 10_000, rewards.RewardFn("GLEU"), 0
+        (0, 5), 3, 10, est.EstimatorConfig(n=20), 5, 10_000, rewards.RewardFn("GLEU"), 0
     )
     pairs = list(zip(k0, k5))
     wins = sum(b <= a for a, b in pairs)

@@ -419,6 +419,34 @@ def test_distill_writes_corpus(tmp_path):
     src = (out / "distilled.src").read_text().splitlines()
     tgt = (out / "distilled.tgt").read_text().splitlines()
     assert len(src) == len(tgt) == 24
+    # the written corpus and vocabulary are enough to train a student on
+    student = tmp_path / "student"
+    code = run(
+        ["train-ce", "--out", student, "--model", "nat",
+         "--train_src", out / "distilled.src", "--train_tgt", out / "distilled.tgt",
+         "--vocab_file", out / "distilled.vocab"] + FAST
+    )
+    assert code == 0
+    assert (student / "model.nsqt").exists()
+
+
+@pytest.mark.parametrize(
+    "given, missing",
+    [
+        ({"train_src": "a.src", "vocab_file": "v.txt"}, "train_tgt"),
+        ({"train_src": "a.src", "train_tgt": "a.tgt"}, "vocab_file"),
+        ({"valid_src": "b.src", "vocab_file": "v.txt"}, "valid_tgt"),
+        ({"valid_src": "b.src", "valid_tgt": "b.tgt"}, "vocab_file"),
+    ],
+    ids=["train_tgt", "train_vocab", "valid_tgt", "valid_vocab"],
+)
+def test_file_corpus_without_its_companion_key_is_usage_error(tmp_path, capsys, given, missing):
+    args = ["train-ce", "--out", tmp_path / "run"] + FAST
+    for key, name in given.items():
+        args += [f"--{key}", tmp_path / name]
+    assert run(args) == 1
+    side = "train" if "train_src" in given else "valid"
+    assert capsys.readouterr().err == f"error: key {side}_src requires key {missing}\n"
 
 
 def test_estimator_bench_one_row_per_k(tmp_path):
@@ -461,6 +489,16 @@ def test_estimator_bench_bad_size_is_usage_error(tmp_path, capsys, flag, value, 
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (out / "variance.csv").exists()
+
+
+def test_estimator_bench_honours_residual_epsilon(tmp_path):
+    base = ["--bench_reps", "50", "--bench_instances", "1", "--k", "1"]
+    tables = []
+    for extra in ([], ["--residual_epsilon", "0.9"]):
+        out = tmp_path / f"bench{len(extra)}"
+        assert run(["estimator-bench", "--out", out] + base + extra) == 0
+        tables.append((out / "variance.csv").read_text())
+    assert tables[0] != tables[1]
 
 
 def test_estimator_bench_single_k_is_not_the_default_sweep(tmp_path):

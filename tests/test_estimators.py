@@ -35,9 +35,11 @@ def oracle_top_k_partition(row, k, residual_epsilon):
     return members, mass, None, False
 
 
-def oracle_reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
+def oracle_reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False, prefix=()):
     """One sentence: plan (t, y, stream, leftover mass or None) per
-    candidate, score, then build dprobs and the surrogate."""
+    candidate, score, then build dprobs and the surrogate. ``prefix`` holds
+    the leading indices (a batch index) of the sentence inside
+    ``dist.tensor``."""
     T, V = dist.T, dist.V
     ref = tuple(ref)
     pos_rngs = rng.spawn(T)
@@ -93,10 +95,10 @@ def oracle_reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=Fals
     if dist.tensor is not None:
         terms = []
         if prob_t:
-            idx = dist.prefix + (np.array(prob_t), np.array(prob_y))
+            idx = prefix + (np.array(prob_t), np.array(prob_y))
             terms.append(tc.tsum(tc.mul(tc.take(dist.tensor, idx), np.array(prob_w))))
         if log_t:
-            idx = dist.prefix + (np.array(log_t), np.array(log_y))
+            idx = prefix + (np.array(log_t), np.array(log_y))
             terms.append(tc.tsum(tc.mul(tc.log(tc.take(dist.tensor, idx)), np.array(log_w))))
         if terms:
             total = terms[0]
@@ -111,8 +113,8 @@ def oracle_batch_step(dist, config, reward, refs, rngs, exact_rewards=False):
     oracle call per sentence, surrogates added in sentence order."""
     dprobs, surrogate = [], None
     for b, (ref, rng) in enumerate(zip(refs, rngs)):
-        sentence = est.PositionDistributions(dist.probs[b], tensor=dist.tensor, prefix=(b,))
-        ge = oracle_reinforce_nat_step(sentence, config, reward, ref, rng, exact_rewards)
+        sentence = est.PositionDistributions(dist.probs[b], tensor=dist.tensor)
+        ge = oracle_reinforce_nat_step(sentence, config, reward, ref, rng, exact_rewards, (b,))
         dprobs.append(ge.dprobs)
         if ge.surrogate is not None:
             surrogate = ge.surrogate if surrogate is None else tc.add(surrogate, ge.surrogate)
@@ -451,7 +453,9 @@ class TestBatchedStats:
 
     def test_sweep_equals_per_stream_totals(self):
         reward = rewards.RewardFn("GLEU")
-        got = est.total_variance_sweep((0, 2), 3, 5, 2, 2, 12, reward, 8)
+        # the config's n and residual_epsilon reach every k; its k does not
+        config = est.EstimatorConfig(k=4, n=2, residual_epsilon=0.3)
+        got = est.total_variance_sweep((0, 2), 3, 5, config, 2, 12, reward, 8)
         want = []
         for k in (0, 2):
             totals = []
@@ -459,7 +463,7 @@ class TestBatchedStats:
                 rng = np.random.default_rng((8, i))
                 dist = est.random_distributions(3, 5, rng, concentration=3.0)
                 ref = tuple(int(x) for x in rng.integers(0, 5, size=3))
-                cfg = est.EstimatorConfig(k=k, n=2)
+                cfg = est.EstimatorConfig(k=k, n=2, residual_epsilon=0.3)
                 stats = self._per_stream(dist, cfg, reward, ref, 12, (8, i, k))
                 totals.append(stats.total_variance)
             want.append(totals)
@@ -647,7 +651,7 @@ class TestScoreSurrogate:
     """``tc.score_surrogate`` as the estimator calls it, its arguments
     recorded from one exact-reward step and then held constant."""
 
-    @pytest.mark.parametrize("layout", ["plain", "prefix", "batch"])
+    @pytest.mark.parametrize("layout", ["plain", "batch"])
     @pytest.mark.parametrize("k", [0, 2, 4])  # 4 = V: no residual samples
     def test_grad_check(self, k, layout, monkeypatch):
         rng = np.random.default_rng(k)
@@ -662,8 +666,7 @@ class TestScoreSurrogate:
             dist = est.PositionDistributions(probs.data, tensor=probs)
             refs, rngs = [(0,), (0,)], rng.spawn(2)
         else:
-            prefix = () if layout == "plain" else (1,)
-            dist = est.PositionDistributions(probs.data[prefix], tensor=probs, prefix=prefix)
+            dist = est.PositionDistributions(probs.data, tensor=probs)
             refs, rngs = (0,), rng
         cfg = est.EstimatorConfig(k=k, n=1)
         ge = est.reinforce_nat_step(dist, cfg, table, refs, rngs, exact_rewards=True)

@@ -166,8 +166,10 @@ class TestFSForward:
     def test_zero_w_severs_bottom_path(self):
         model = models.FSModel(CFG, seed=9)
         model.fuse_w.data = np.zeros_like(model.fuse_w.data)
-        a = model.forward_train(SRC, TGT, out_len=4).data
-        b = model.forward_train(SRC, TGT, out_len=6).data
+        tgt_in = models.shift_right(TGT)
+        a = model.forward_train(SRC, TGT).data
+        h, enc = model.bottom_states(SRC, 6)
+        b = model.fuse_and_top(h, tgt_in, enc).data
         assert np.allclose(a, b, atol=1e-12)
 
     def test_fusion_output_nonnegative_and_both_paths_live(self):
@@ -195,9 +197,13 @@ class TestFSForward:
         assert report.passed, report.worst
 
     def test_length_padding_and_truncation(self, fs):
-        short = fs.forward_train(SRC, TGT, out_len=2)
-        long = fs.forward_train(SRC, TGT, out_len=6)
-        assert short.shape == long.shape == (1, 4, CFG.vocab_size)
+        # a longer bottom is cut to the target; a shorter one is never padded
+        tgt_in = models.shift_right(TGT)
+        h, enc = fs.bottom_states(SRC, 6)
+        assert fs.fuse_and_top(h, tgt_in, enc).shape == (1, 4, CFG.vocab_size)
+        h, enc = fs.bottom_states(SRC, 2)
+        with pytest.raises(models.CapacityError, match="bottom states"):
+            fs.fuse_and_top(h, tgt_in, enc)
 
 
 class TestFSDecode:
@@ -221,7 +227,7 @@ class TestFSDecode:
         prefix = []
         for t in range(out_len):
             padded = np.array([prefix + [models.PAD] * (out_len - len(prefix))])
-            probs = model.forward_train(src, padded, out_len=out_len)
+            probs = model.forward_train(src, padded)
             tok = int(probs.data[0, t].argmax())
             if tok == models.EOS:
                 break
@@ -269,12 +275,12 @@ def rerun_prefix_decode(model, src, out_len, beam):
     return (best[:-1] if best and best[-1] == models.EOS else best), steps
 
 
-def _cached_rows(model, src, tgt_in, chunks=None, out_len=None):
+def _cached_rows(model, src, tgt_in, chunks=None):
     """Distributions for every position of ``tgt_in``, computed through one
     ``DecodeCache`` a chunk of positions at a time (one per call by default)."""
     cache = models.DecodeCache()
     if model.kind == "fs":
-        h, enc = model.bottom_states(src, out_len or tgt_in.shape[1])
+        h, enc = model.bottom_states(src, tgt_in.shape[1])
     else:
         enc = model.encode(src)
     bounds = chunks or [(t, t + 1) for t in range(tgt_in.shape[1])]
@@ -325,14 +331,15 @@ class TestDecodeCache:
         assert np.max(np.abs(chunked - full)) <= 1e-12
 
     def test_fs_steps_past_the_bottom_length(self, fs):
-        # positions beyond the predicted length fuse with zero bottom states
-        tgt_in = np.array([[models.BOS, 5, 6, 7, 8, 9]])
+        # every position fuses with its own bottom state: a step past the
+        # last one raises, and the cache keeps the positions decoded so far
+        cache = models.DecodeCache()
         with tc.no_grad():
-            full = _teacher_forced(fs, SRC, tgt_in, 3)
-            stepped = _cached_rows(fs, SRC, tgt_in, out_len=3)
-            chunked = _cached_rows(fs, SRC, tgt_in, chunks=[(0, 2), (2, 5), (5, 6)], out_len=3)
-        assert np.max(np.abs(stepped - full)) <= 1e-12
-        assert np.max(np.abs(chunked - full)) <= 1e-12
+            h, enc = fs.bottom_states(SRC, 3)
+            fs.fuse_and_top(h, np.array([[models.BOS, 5, 6]]), enc, cache=cache)
+            with pytest.raises(models.CapacityError, match="bottom states"):
+                fs.fuse_and_top(h, np.array([[7]]), enc, cache=cache)
+        assert cache.length == 3
 
     @pytest.mark.parametrize("kind", ["ar", "fs"])
     def test_reorder_follows_parent_rows(self, kind):
@@ -384,7 +391,8 @@ class ConcatCache(models.DecodeCache):
     def extend(self, slot, k, v):
         if slot in self.self_kv:
             k_old, v_old = self.self_kv[slot]
-            k, v = tc.concat([k_old, k], axis=-2), tc.concat([v_old, v], axis=-2)
+            k = tc.Tensor(np.concatenate([k_old.data, k.data], axis=-2))
+            v = tc.Tensor(np.concatenate([v_old.data, v.data], axis=-2))
         self.self_kv[slot] = (k, v)
         return k, v
 
@@ -408,7 +416,7 @@ class TestBufferCacheAgainstConcatOracle:
             cache, out, rows = cache_cls(), [], 3
             with tc.no_grad():
                 if kind == "fs":
-                    h, enc = model.bottom_states(SRC, 8)
+                    h, enc = model.bottom_states(SRC, 13)
                 else:
                     enc = model.encode(SRC)
                 step_rng = np.random.default_rng(11)

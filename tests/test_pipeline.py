@@ -94,9 +94,11 @@ def test_train_ce_reduces_loss():
     assert last < 0.5 * first
 
 
-def test_training_never_queries_length_table():
+def test_training_never_queries_length_table(monkeypatch):
     corpus = tiny_corpus()
     table = LengthTable({3: 3})
+    lookups = []
+    monkeypatch.setattr(pl, "predict_length", lambda *a: lookups.append(a))
     pl.train_ce(build_model("nat", TINY, seed=3), corpus, tiny_cfg(), table=table)
     ecfg = est.EstimatorConfig(k=2, n=2)
     pl.finetune_rl(
@@ -107,7 +109,7 @@ def test_training_never_queries_length_table():
         tiny_cfg(max_steps=3),
         table=table,
     )
-    assert table.lookups == 0
+    assert lookups == []
 
 
 @pytest.mark.parametrize("kind", ["ar", "fs"])
@@ -157,18 +159,19 @@ def test_constant_reward_gives_zero_parameter_gradient():
     srcs = np.array([[4, 5, 4]], dtype=np.int64)
     tgts = np.array([[5, 4, 5]], dtype=np.int64)
     probs = model.train_distributions(srcs, tgts)
-    dist = est.PositionDistributions(probs.data[0], tensor=probs, prefix=(0,))
+    dist = est.PositionDistributions(probs.data, tensor=probs)
 
     constant = lambda hyp, ref: 0.7
-    oracle = est.enumerate_expected_gradient(dist, constant, tuple(tgts[0]))
+    sentence = est.PositionDistributions(probs.data[0])
+    oracle = est.enumerate_expected_gradient(sentence, constant, tuple(tgts[0]))
     assert np.allclose(oracle.dprobs, -0.7, atol=1e-12)  # constant across all entries
 
     ge = est.reinforce_nat_step(
         dist,
         est.EstimatorConfig(k=cfg.vocab_size, n=1),
         constant,
-        tuple(tgts[0]),
-        np.random.default_rng(0),
+        [tuple(tgts[0])],
+        [np.random.default_rng(0)],
         exact_rewards=True,
     )
     model.zero_grad()
@@ -341,6 +344,13 @@ def test_mode_contract_errors():
         pl.decode(build_model("nat", TINY, seed=0), (4, 5, 6), pl.DecodeConfig(mode="greedy"), table)
     with pytest.raises(pl.ContractError):
         pl.decode(build_model("ar", TINY, seed=0), (4, 5, 6), pl.DecodeConfig(mode="nat_argmax"), table)
+
+
+@pytest.mark.parametrize("mode", ["greedy", "nat_argmax"])
+def test_decode_config_rejects_a_beam_it_would_ignore(mode):
+    with pytest.raises(pl.ContractError, match="beam 4"):
+        pl.DecodeConfig(mode=mode, beam=4)
+    assert pl.DecodeConfig(mode=mode, beam=1).beam == 1
 
 
 # ---------------------------------------------------------------------------

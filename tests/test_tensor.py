@@ -90,18 +90,17 @@ class TestPrimitiveGradients:
         assert report.passed, report.worst
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_concat_masked_fill_take(self, seed):
+    def test_masked_fill_take(self, seed):
         rng = np.random.default_rng(seed)
-        a, b = rand(rng, 2, 3), rand(rng, 2, 3)
+        a = rand(rng, 4, 3)
         mask = rng.random((4, 3)) > 0.5
 
         def f():
-            cat = tc.concat([a, b], axis=0)
-            filled = masked_fill(cat, mask, -2.0)
+            filled = masked_fill(a, mask, -2.0)
             picked = tc.take(filled, (np.array([0, 1, 3]), np.array([2, 0, 1])))
             return tc.tsum(tc.mul(picked, np.array([1.0, -0.5, 2.0])))
 
-        report = tc.grad_check(f, [a, b])
+        report = tc.grad_check(f, [a])
         assert report.passed, report.worst
 
 
@@ -296,7 +295,7 @@ class TestNoGrad:
         cfg = models.ModelConfig(d_model=8, d_hidden=16, vocab_size=10, max_len=12, p_dropout=0.1)
         srcs = np.array([[4, 5, 6, 7], [7, 6, 5, 4]])
         tgts = np.array([[5, 6, 7, 2], [6, 5, 4, 2]])
-        dec = pl.DecodeConfig(mode="nat_argmax" if kind == "nat" else "beam", beam=2)
+        dec = pl.DecodeConfig(mode="nat_argmax") if kind == "nat" else pl.DecodeConfig(mode="beam", beam=2)
         results = []
         for decode_first in (False, True):
             model = models.build_model(kind, cfg, seed=4)
@@ -329,11 +328,11 @@ def composed_linear(x, w, b):
 FUSED_LAYER_NORM = tc.layer_norm
 
 
-def composed_layer_norm(x, gain, bias, eps=1e-5, residual=None):
+def composed_layer_norm(x, gain, bias, residual=None):
     if residual is not None:
         x = tc.add(x, residual)
     # the plain layer norm, also while a test patches tc.layer_norm with this
-    return FUSED_LAYER_NORM(x, gain, bias, eps)
+    return FUSED_LAYER_NORM(x, gain, bias)
 
 
 def _swap_last_two_of_three(ndim):
