@@ -25,6 +25,7 @@ import struct
 
 import numpy as np
 
+from .errors import CheckpointError
 from .models import ModelConfig, build_model
 
 MAGIC = b"NSQT"
@@ -32,10 +33,6 @@ VERSION = 1
 # the ModelConfig fields of the header, in file order, and their layout
 CONFIG_FIELDS = ("d_model", "d_hidden", "n_layer", "n_head", "p_dropout", "vocab_size", "max_len")
 CONFIG_FORMAT = "<IIIIdII"
-
-
-class CheckpointError(RuntimeError):
-    pass
 
 
 class _Reader:

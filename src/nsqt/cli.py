@@ -6,7 +6,11 @@ lines, ``#`` comments), --seed N, --out DIR, plus ``--key value`` overrides
 that take precedence over the config file. Every command writes its resolved
 configuration to the output directory before doing any work.
 
-Exit codes: 0 success, 1 usage error, 2 runtime error. ``train-ce`` and
+Exit codes: 0 success; 1 for a ``ContractError``, a value or combination of
+values the user can fix (an unknown key, an out-of-range number, a model that
+does not fit the command), printed as ``error: <message>``; 2 for every other
+exception (an unreadable or empty corpus, a corrupt checkpoint, diverged
+training), printed as ``error: <Type>: <message>``. ``train-ce`` and
 ``finetune-rl`` write their own ``metrics.csv``, replacing one an earlier run
 left in the same directory.
 """
@@ -20,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint, data, estimators, pipeline, rewards
+from .errors import ContractError, FormatError
 from .models import ModelConfig, build_model
 
 
@@ -81,21 +86,17 @@ def _k_list(raw, key="k"):
     try:
         ks = [int(x) for x in str(raw).split(",") if x != ""]
     except ValueError as e:
-        raise UsageError(f"key {key}: {e}") from e
+        raise ContractError(f"key {key}: {e}") from e
     if not ks or any(k < 0 for k in ks):
-        raise UsageError(f"key {key}: expected non-negative integers, got {raw!r}")
+        raise ContractError(f"key {key}: expected non-negative integers, got {raw!r}")
     return ks
 
 
 def _k_single(raw):
     ks = _k_list(raw)
     if len(ks) != 1:
-        raise UsageError(f"this command takes a single k, got {raw!r}")
+        raise ContractError(f"this command takes a single k, got {raw!r}")
     return ks[0]
-
-
-class UsageError(ValueError):
-    pass
 
 
 def fmt(x):
@@ -116,13 +117,13 @@ def parse_config_file(path):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
-        raise UsageError(f"cannot read config file {path}: {e}") from e
+        raise ContractError(f"cannot read config file {path}: {e}") from e
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            raise ContractError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         entries[key] = value
     return entries
@@ -135,14 +136,14 @@ def _coerce(key, raw):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
-        raise UsageError(f"key {key}: expected a boolean, got {raw!r}")
+        raise ContractError(f"key {key}: expected a boolean, got {raw!r}")
     try:
         if isinstance(default, int):
             return int(raw)
         if isinstance(default, float):
             return float(raw)
     except ValueError as e:
-        raise UsageError(f"key {key}: {e}") from e
+        raise ContractError(f"key {key}: {e}") from e
     return raw
 
 
@@ -151,7 +152,7 @@ def resolve_config(file_entries, overrides, seed, command):
     for source in (file_entries, overrides):
         for key, raw in source.items():
             if key not in DEFAULTS:
-                raise UsageError(f"unknown config key {key!r}")
+                raise ContractError(f"unknown config key {key!r}")
             cfg[key] = _coerce(key, raw)
     cfg["seed"] = seed
     return cfg
@@ -186,7 +187,7 @@ def _load_corpora(cfg):
         if cfg[f"{side}_src"]:
             for key in (f"{side}_tgt", "vocab_file"):
                 if not cfg[key]:
-                    raise UsageError(f"key {side}_src requires key {key}")
+                    raise ContractError(f"key {side}_src requires key {key}")
     if cfg["train_src"]:
         vocab = data.Vocabulary.from_file(cfg["vocab_file"])
         train = data.load_parallel_corpus(
@@ -222,22 +223,37 @@ def _decode_config(cfg, kind):
     beam = cfg["beam"]
     if kind == "nat":
         if beam > 1:
-            raise UsageError(f"key beam: NAT models decode by argmax, got beam {beam}")
+            raise ContractError(f"key beam: NAT models decode by argmax, got beam {beam}")
         mode = "nat_argmax"
     else:
         mode = "greedy" if beam == 1 else "beam"
     return pipeline.DecodeConfig(mode=mode, beam=beam, dedup=cfg["dedup"])
 
 
-def _get_model(cfg):
+def _check_vocab(model, vocab):
+    """Token ids index the model's embedding rows, so a corpus vocabulary
+    larger than the model's would fail mid-run."""
+    if vocab.size > model.config.vocab_size:
+        raise ContractError(
+            f"key vocab_size: the model's vocab_size {model.config.vocab_size} "
+            f"is below the corpus vocabulary's {vocab.size} tokens"
+        )
+
+
+def _get_model(cfg, vocab):
+    """The model of init_checkpoint, or a new one built from the keys; either
+    must cover the corpus vocabulary ``vocab``."""
     if cfg["init_checkpoint"]:
-        return checkpoint.load_model(cfg["init_checkpoint"])
-    return build_model(cfg["model"], _model_config(cfg), seed=cfg["seed"])
+        model = checkpoint.load_model(cfg["init_checkpoint"])
+    else:
+        model = build_model(cfg["model"], _model_config(cfg), seed=cfg["seed"])
+    _check_vocab(model, vocab)
+    return model
 
 
 def cmd_train_ce(cfg, out_dir):
     train, valid = _load_corpora(cfg)
-    model = _get_model(cfg)
+    model = _get_model(cfg, train.vocab)
     rows = pipeline.train_ce(model, train, _train_config(cfg), valid=valid)
     write_metrics(out_dir / "metrics.csv", rows)
     checkpoint.save_model(model, out_dir / "model.nsqt", seed=cfg["seed"])
@@ -247,7 +263,7 @@ def cmd_train_ce(cfg, out_dir):
 
 def cmd_finetune_rl(cfg, out_dir):
     train, valid = _load_corpora(cfg)
-    model = _get_model(cfg)
+    model = _get_model(cfg, train.vocab)
     est_cfg = estimators.EstimatorConfig(
         k=_k_single(cfg["k"]),
         n=cfg["n"],
@@ -266,7 +282,7 @@ def cmd_finetune_rl(cfg, out_dir):
 def cmd_decode(cfg, out_dir):
     train, valid = _load_corpora(cfg)
     corpus = valid if valid is not None else train
-    model = _get_model(cfg)
+    model = _get_model(cfg, train.vocab)
     table = data.build_length_table(train)
     hyps = pipeline.decode_corpus(model, corpus, _decode_config(cfg, model.kind), table)
     with open(out_dir / "decodes.txt", "w", encoding="utf-8") as f:
@@ -278,7 +294,7 @@ def cmd_decode(cfg, out_dir):
 def cmd_evaluate(cfg, out_dir):
     train, valid = _load_corpora(cfg)
     corpus = valid if valid is not None else train
-    model = _get_model(cfg)
+    model = _get_model(cfg, train.vocab)
     table = data.build_length_table(train)
     report = pipeline.evaluate(model, corpus, _decode_config(cfg, model.kind), table)
     summary = [
@@ -301,8 +317,9 @@ def cmd_evaluate(cfg, out_dir):
 def cmd_distill(cfg, out_dir):
     train, _ = _load_corpora(cfg)
     if not cfg["teacher_checkpoint"]:
-        raise UsageError("distill requires teacher_checkpoint")
+        raise ContractError("distill requires teacher_checkpoint")
     teacher = checkpoint.load_model(cfg["teacher_checkpoint"])
+    _check_vocab(teacher, train.vocab)
     dec = _decode_config(cfg, teacher.kind)
     distilled = pipeline.distill_corpus(teacher, train, dec)
     data.save_corpus(
@@ -318,10 +335,10 @@ def cmd_estimator_bench(cfg, out_dir):
     lows = {"bench_instances": 1, "bench_len": 1, "bench_vocab": 1, "bench_reps": 2}
     for key, low in lows.items():
         if cfg[key] < low:
-            raise UsageError(f"key {key}: expected >= {low}, got {cfg[key]}")
+            raise ContractError(f"key {key}: expected >= {low}, got {cfg[key]}")
     V = cfg["bench_vocab"]
     if max(ks) > V:
-        raise UsageError(f"key k: expected values <= bench_vocab ({V}), got {max(ks)}")
+        raise ContractError(f"key k: expected values <= bench_vocab ({V}), got {max(ks)}")
     est_cfg = estimators.EstimatorConfig(n=cfg["n"], residual_epsilon=cfg["residual_epsilon"])
     totals = estimators.total_variance_sweep(
         ks, cfg["bench_len"], V, est_cfg, cfg["bench_instances"], cfg["bench_reps"],
@@ -337,9 +354,9 @@ def cmd_estimator_bench(cfg, out_dir):
 def cmd_topk_stats(cfg, out_dir):
     train, valid = _load_corpora(cfg)
     corpus = valid if valid is not None else train
-    model = _get_model(cfg)
+    model = _get_model(cfg, train.vocab)
     if model.kind != "nat":
-        raise UsageError("topk-stats requires a NAT model")
+        raise ContractError("topk-stats requires a NAT model")
     ks = _k_list(cfg["topk_k"], key="topk_k")
     values, summary = pipeline.topk_stats(model, corpus, ks)
     dump_rows = [(k, i, v) for k in ks for i, v in enumerate(values[k])]
@@ -352,10 +369,6 @@ def cmd_topk_stats(cfg, out_dir):
         fmt_full,
     )
     return 0
-
-
-class ReportError(RuntimeError):
-    pass
 
 
 def emit_report(run_dir, required=True):
@@ -378,7 +391,7 @@ def emit_report(run_dir, required=True):
         write_csv(run_dir / "report_curve.csv", ("step", "valid_gleu"), rows)
         written.append("report_curve.csv")
     elif required:
-        raise ReportError("missing inputs: metrics.csv")
+        raise FormatError("missing inputs: metrics.csv")
     for src_name, dst_name in (
         ("length_buckets.csv", "report_length_buckets.csv"),
         ("variance.csv", "report_variance_sweep.csv"),
@@ -410,11 +423,11 @@ COMMANDS = tuple(HANDLERS)
 
 def _parse_args(argv):
     if not argv:
-        raise UsageError(f"usage: nsqt COMMAND [--config PATH] [--seed N] "
+        raise ContractError(f"usage: nsqt COMMAND [--config PATH] [--seed N] "
                          f"[--out DIR] [--key value ...]; commands: {', '.join(COMMANDS)}")
     command, rest = argv[0], argv[1:]
     if command not in COMMANDS:
-        raise UsageError(
+        raise ContractError(
             f"unknown command {command!r}; expected one of: {', '.join(COMMANDS)}"
         )
     config_path, seed, out = None, 0, "run"
@@ -423,14 +436,14 @@ def _parse_args(argv):
     while i < len(rest):
         flag = rest[i]
         if not flag.startswith("--") or i + 1 >= len(rest):
-            raise UsageError(f"expected --key value pairs, got {flag!r}")
+            raise ContractError(f"expected --key value pairs, got {flag!r}")
         value = rest[i + 1]
         key = flag[2:]
         if key == "config":
             config_path = value
         elif key == "seed":
             if not value.isdecimal():
-                raise UsageError("--seed: expected a non-negative integer")
+                raise ContractError("--seed: expected a non-negative integer")
             seed = int(value)
         elif key == "out":
             out = value
@@ -445,14 +458,9 @@ def run_command(argv):
         command, config_path, seed, out_dir, overrides = _parse_args(argv)
         file_entries = parse_config_file(config_path) if config_path else {}
         cfg = resolve_config(file_entries, overrides, seed, command)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
         write_resolved_config(cfg, out_dir)
         return HANDLERS[command](cfg, out_dir)
-    except UsageError as e:
+    except ContractError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # noqa: BLE001 - CLI boundary

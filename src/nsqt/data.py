@@ -15,19 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ContractError, EmptyCorpusError, FormatError
 from .models import BOS, EOS, N_RESERVED, PAD, UNK, LengthTable
 
 log = logging.getLogger(__name__)
 
 RESERVED_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
-
-
-class FormatError(ValueError):
-    """Malformed corpus or vocabulary input."""
-
-
-class EmptyCorpusError(FormatError):
-    """A corpus without sentence pairs where sentences are needed."""
 
 
 @dataclass
@@ -53,7 +46,7 @@ class Vocabulary:
     def synthetic(cls, size):
         """Numeric placeholder tokens for generated tasks."""
         if size <= N_RESERVED:
-            raise FormatError(f"vocab size must exceed {N_RESERVED}, got {size}")
+            raise ContractError(f"vocab size must exceed {N_RESERVED}, got {size}")
         return cls(RESERVED_TOKENS + tuple(f"tok{i}" for i in range(N_RESERVED, size)))
 
     def save(self, path):
@@ -131,7 +124,7 @@ def gen_synthetic_task(kind, vocab_size, len_range, count, rng):
     legitimate adjacent repeats common: the repetition-prone task.
     """
     if kind not in SYNTHETIC_KINDS:
-        raise FormatError(f"unknown synthetic task {kind!r}")
+        raise ContractError(f"unknown synthetic task {kind!r}")
     vocab = Vocabulary.synthetic(vocab_size)
     lo, hi = len_range
     pairs = []

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as tc
-from .errors import CapacityError
+from .errors import CapacityError, ContractError
 
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
 N_RESERVED = 4
@@ -41,15 +41,15 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("d_model", "d_hidden", "n_head", "vocab_size", "max_len"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.p_dropout < 1.0:
-            raise ValueError(f"p_dropout must be in [0, 1), got {self.p_dropout}")
+            raise ContractError(f"p_dropout must be in [0, 1), got {self.p_dropout}")
         if self.d_model % self.n_head != 0:
-            raise ValueError(
+            raise ContractError(
                 f"d_model={self.d_model} not divisible by n_head={self.n_head}"
             )
         if self.n_layer < 2:
-            raise ValueError(f"n_layer must be >= 2, got {self.n_layer}")
+            raise ContractError(f"n_layer must be >= 2, got {self.n_layer}")
 
 
 def sinusoidal_encoding(length, d_model):
@@ -80,7 +80,7 @@ class ParamStore:
 
     def _register(self, name, data):
         if name in self.params:
-            raise ValueError(f"duplicate parameter {name}")
+            raise ContractError(f"duplicate parameter {name}")
         t = tc.Tensor(data, requires_grad=True)
         self.params[name] = t
         return t
@@ -227,7 +227,7 @@ def predict_length(src_len, table):
     """Predicted target length: exact key, else the value at the nearest key
     (ties toward the smaller key), else the source length itself."""
     if src_len < 1:
-        raise ValueError(f"src_len must be >= 1, got {src_len}")
+        raise ContractError(f"src_len must be >= 1, got {src_len}")
     if src_len in table.table:
         return table.table[src_len]
     if table.table:
@@ -322,7 +322,7 @@ class ModelBase:
         for name, tensor in self.store.params.items():
             data = np.asarray(state[name], dtype=np.float64)
             if data.shape != tensor.data.shape:
-                raise ValueError(f"shape mismatch for {name}")
+                raise ContractError(f"shape mismatch for {name}")
             tensor.data = data.copy()
 
     def zero_grad(self):
@@ -494,7 +494,7 @@ MODEL_KINDS = {"ar": ARModel, "nat": NATModel, "fs": FSModel}
 
 def build_model(kind, config, seed=0):
     if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
+        raise ContractError(f"unknown model kind {kind!r}")
     return MODEL_KINDS[kind](config, seed=seed)
 
 
@@ -529,7 +529,7 @@ def beam_decode(model, src_ids, out_len, beam=1):
     (terminating EOS stripped) and steps the number of decoder steps run.
     """
     if beam < 1:
-        raise ValueError(f"beam must be >= 1, got {beam}")
+        raise ContractError(f"beam must be >= 1, got {beam}")
     # the encoder (and FS bottom) pass runs once; each step computes only the
     # newest position of every live hypothesis against the cache
     cache = DecodeCache()
@@ -546,7 +546,7 @@ def beam_decode(model, src_ids, out_len, beam=1):
             return model.fuse_and_top(h, tgt_in, enc, cache=cache)
 
     else:
-        raise ValueError(f"incremental decoding undefined for {model.kind!r}")
+        raise ContractError(f"incremental decoding undefined for {model.kind!r}")
     live = [((), 0.0)]
     finished = []
     best_done = -math.inf

@@ -18,15 +18,11 @@ import numpy as np
 from . import estimators as est
 from . import rewards
 from . import tensor as tc
-from .data import EmptyCorpusError, build_length_table
-from .errors import ContractError
+from .data import build_length_table
+from .errors import ContractError, EmptyCorpusError, TrainingError
 from .models import EOS, PAD, LengthTable, beam_decode, predict_length
 
 log = logging.getLogger(__name__)
-
-
-class TrainingError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -389,16 +385,17 @@ class EvalReport:
     buckets: list  # (bucket_lo, count, mean_gleu, mean_sentence_bleu)
 
 
-def evaluate(model, corpus, dec, table=None):
+def evaluate(model, corpus, dec, table):
     """Aggregate decode quality and structural decoding cost over a corpus.
 
-    Decoder invocation counts stand in for wall-clock speed: the number of
-    decoder (or bottom/top) passes per sentence is recorded exactly. Length
-    buckets have width 10 on the reference length.
+    ``table`` predicts the NAT and FS output lengths; pass the training
+    corpus's table, since one built from the scored corpus would read the
+    references' own lengths. Decoder invocation counts stand in for
+    wall-clock speed: the number of decoder (or bottom/top) passes per
+    sentence is recorded exactly. Length buckets have width 10 on the
+    reference length.
     """
     _require_pairs(corpus, "evaluation")
-    if table is None:
-        table = build_length_table(corpus)
     hyps, refs, raw_lens = [], [], []
     counter_names = [n for n in vars(model) if n.endswith("_calls")]
     per_sentence = {n: [] for n in counter_names}

@@ -12,13 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ContractError
+
 MAX_N = 4
 
 
 def ngram_counts(tokens, max_n=MAX_N):
     """Multiset of all contiguous n-grams for n in 1..max_n."""
     if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
+        raise ContractError(f"max_n must be >= 1, got {max_n}")
     tokens = tuple(tokens)
     counts = Counter()
     for n in range(1, max_n + 1):
@@ -68,10 +70,10 @@ def gleu_rows(tokens, ref, max_n=MAX_N):
     token ids, so nothing can overflow and every input takes this one path.
     """
     if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
+        raise ContractError(f"max_n must be >= 1, got {max_n}")
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim != 2:
-        raise ValueError(f"expected an R x T token matrix, got shape {tokens.shape}")
+        raise ContractError(f"expected an R x T token matrix, got shape {tokens.shape}")
     ref = np.asarray(ref, dtype=np.int64).reshape(-1)
     (R, T), L = tokens.shape, ref.shape[0]
     total_hyp = sum(max(T - n + 1, 0) for n in range(1, max_n + 1))
@@ -171,7 +173,7 @@ class RewardFn:
 
     def __post_init__(self):
         if self.kind not in ("GLEU", "BLEU"):
-            raise ValueError(f"unknown reward kind {self.kind!r}")
+            raise ContractError(f"unknown reward kind {self.kind!r}")
 
     def __call__(self, hyp, ref):
         if self.kind == "GLEU":

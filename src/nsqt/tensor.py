@@ -23,15 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-
-class ShapeError(ValueError):
-    """Operand shapes violate an operation's contract."""
-
-
-class GraphError(RuntimeError):
-    """Backward invoked on something that is not a recorded scalar, or a
-    graph-free operation called while gradients are recorded."""
-
+from .errors import ContractError, GraphError
 
 # Read by every Tensor construction; switched off only by ``no_grad``.
 _grad_enabled = True
@@ -188,7 +180,7 @@ def mul(a, b):
 def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise ShapeError(
+        raise ContractError(
             f"matmul inner dimensions disagree: {a.shape} x {b.shape}"
         )
     out_data = a.data @ b.data
@@ -206,7 +198,7 @@ def linear(x, w, b):
     """``x @ w + b`` as one node; the same numbers as ``add(matmul(x, w), b)``."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
-        raise ShapeError(f"linear inner dimensions disagree: {x.shape} x {w.shape}")
+        raise ContractError(f"linear inner dimensions disagree: {x.shape} x {w.shape}")
     out_data = x.data @ w.data + b.data
 
     def backward(g):
@@ -252,9 +244,9 @@ def attention(q, k, v, n_head, scale, mask=None):
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if not q.shape[-1] == k.shape[-1] == v.shape[-1] or k.shape[-2] != v.shape[-2]:
-        raise ShapeError(f"attention shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}")
+        raise ContractError(f"attention shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}")
     if q.shape[-1] % n_head:
-        raise ShapeError(f"width {q.shape[-1]} not divisible by n_head={n_head}")
+        raise ContractError(f"width {q.shape[-1]} not divisible by n_head={n_head}")
     qh, kh, vh = (_to_heads(t.data, n_head) for t in (q, k, v))
     kt = np.swapaxes(kh, -1, -2)
     scores = (qh @ kt) * scale

@@ -216,7 +216,7 @@ def test_resolved_config_written_before_work(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# empty corpora
+# input the user cannot fix by a value: empty corpora, corrupt checkpoints
 
 
 def test_training_on_empty_file_corpus_exits_2(tmp_path):
@@ -254,13 +254,26 @@ def test_empty_validation_corpus_exits_2(tmp_path, capsys, command):
     assert not (tmp_path / "run" / "decodes.txt").exists()
 
 
+def test_truncated_checkpoint_exits_2(tmp_path, capsys):
+    ckpt = _tiny_checkpoint(tmp_path)
+    ckpt.write_bytes(ckpt.read_bytes()[:-8])
+    assert run(["evaluate", "--out", tmp_path / "run", "--init_checkpoint", ckpt] + FAST) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: CheckpointError: {ckpt}: truncated at byte ")
+    assert err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# values the user can fix: exit 1
+
+
 @pytest.mark.parametrize(
     "key, value", [("eval_every", "0"), ("batch_size", "0"), ("max_steps", "-5")]
 )
 def test_train_config_out_of_range_exits_2(tmp_path, capsys, key, value):
     out = tmp_path / "run"
-    assert run(["train-ce", "--out", out] + FAST + [f"--{key}", value]) == 2
-    assert capsys.readouterr().err == f"error: ContractError: {key} must be >= 1, got {value}\n"
+    assert run(["train-ce", "--out", out] + FAST + [f"--{key}", value]) == 1
+    assert capsys.readouterr().err == f"error: {key} must be >= 1, got {value}\n"
     assert not (out / "metrics.csv").exists()
 
 
@@ -274,10 +287,68 @@ def test_train_config_out_of_range_exits_2(tmp_path, capsys, key, value):
 )
 def test_optimiser_config_out_of_range_exits_2(tmp_path, capsys, key, value):
     out = tmp_path / "run"
-    assert run(["train-ce", "--out", out] + FAST + [f"--{key}", value]) == 2
+    assert run(["train-ce", "--out", out] + FAST + [f"--{key}", value]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: ContractError: {key} must be ") and err.count("\n") == 1
+    assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
     assert not (out / "metrics.csv").exists()
+
+
+# any other value or combination the user can fix is a ContractError too:
+# exit 1 with a one-line message and no run output
+@pytest.mark.parametrize(
+    "command, checkpoint, extra, message",
+    [
+        ("train-ce", None, ["--d_model", "0"], "d_model must be >= 1, got 0"),
+        ("train-ce", None, ["--model", "xyz"], "unknown model kind 'xyz'"),
+        ("train-ce", None, ["--task", "shuffle"], "unknown synthetic task 'shuffle'"),
+        ("train-ce", None, ["--vocab_size", "4"], "vocab size must exceed 4, got 4"),
+        ("estimator-bench", None, ["--n", "0"], "n must be positive, got 0"),
+        ("finetune-rl", "nat", ["--n", "0"], "n must be positive, got 0"),
+        (
+            "finetune-rl", "ar", [],
+            "sequence-level fine-tuning is defined for the factorized NAT output "
+            "only, got model kind 'ar'",
+        ),
+    ],
+    ids=[
+        "d_model_0", "unknown_model", "unknown_task", "vocab_size_4",
+        "estimator_bench_n_0", "finetune_rl_n_0", "finetune_rl_on_ar",
+    ],
+)
+def test_user_fixable_value_exits_1(tmp_path, capsys, command, checkpoint, extra, message):
+    out = tmp_path / "run"
+    args = [command, "--out", out] + FAST + extra
+    if checkpoint:
+        args += ["--init_checkpoint", _tiny_checkpoint(tmp_path, kind=checkpoint)]
+    assert run(args) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in out.iterdir()) == ["config.resolved.cfg"]
+
+
+@pytest.mark.parametrize("command", ["train-ce", "decode"])
+def test_corpus_vocabulary_larger_than_the_model_is_usage_error(tmp_path, capsys, command):
+    """A file vocabulary of 30 tokens (34 ids) at the default vocab_size 20,
+    or a checkpoint of vocab_size 10 on the default synthetic vocabulary of
+    20: rejected before any work instead of an IndexError mid-run."""
+    out = tmp_path / "run"
+    if command == "train-ce":
+        (tmp_path / "vocab.txt").write_text("".join(f"w{i}\n" for i in range(30)))
+        (tmp_path / "train.src").write_text("w0 w29\n")
+        (tmp_path / "train.tgt").write_text("w29 w0\n")
+        args = [
+            "--vocab_file", tmp_path / "vocab.txt",
+            "--train_src", tmp_path / "train.src", "--train_tgt", tmp_path / "train.tgt",
+        ]
+        model_v, corpus_v = 20, 34
+    else:
+        args = ["--init_checkpoint", _tiny_checkpoint(tmp_path), "--valid_pairs", "6"]
+        model_v, corpus_v = 10, 20
+    assert run([command, "--out", out] + args) == 1
+    assert capsys.readouterr().err == (
+        f"error: key vocab_size: the model's vocab_size {model_v} is below the "
+        f"corpus vocabulary's {corpus_v} tokens\n"
+    )
+    assert sorted(p.name for p in out.iterdir()) == ["config.resolved.cfg"]
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +396,7 @@ def test_finetune_rl_rejects_nan_residual_epsilon(tmp_path, capsys):
     assert run(
         ["finetune-rl", "--out", tmp_path / "rl", "--init_checkpoint", ckpt,
          "--residual_epsilon", "nan"] + FAST
-    ) == 2
+    ) == 1
     err = capsys.readouterr().err
     assert "residual_epsilon" in err and err.count("\n") == 1
 
@@ -337,15 +408,6 @@ def test_finetune_rl_rejects_k_list(tmp_path, capsys):
          "--k", "0,5"] + FAST
     ) == 1
     assert "single k" in capsys.readouterr().err
-
-
-def test_finetune_rl_on_ar_checkpoint_is_runtime_error(tmp_path, capsys):
-    ckpt = _tiny_checkpoint(tmp_path, kind="ar")
-    code = run(
-        ["finetune-rl", "--out", tmp_path / "rl", "--init_checkpoint", ckpt,
-         "--k", "2", "--n", "2", "--max_steps", "2"] + FAST[:14]
-    )
-    assert code == 2
 
 
 def test_decode_writes_one_line_per_sentence(tmp_path):
@@ -379,7 +441,7 @@ def test_beam_selects_the_decode_mode(tmp_path, monkeypatch, kind, beam, mode):
     seen = []
     evaluate = pl.evaluate
 
-    def spy(model, corpus, dec, table=None):
+    def spy(model, corpus, dec, table):
         seen.append((dec.mode, dec.beam))
         return evaluate(model, corpus, dec, table)
 
@@ -545,16 +607,17 @@ def test_topk_stats_k0_covers_no_mass(tmp_path):
     assert summary[0][1] == 0.0 and summary[1][1] > 0.0
 
 
+def test_topk_stats_requires_nat(tmp_path, capsys):
+    ckpt = _tiny_checkpoint(tmp_path, kind="ar")
+    assert run(["topk-stats", "--out", tmp_path / "t", "--init_checkpoint", ckpt] + FAST) == 1
+    assert capsys.readouterr().err == "error: topk-stats requires a NAT model\n"
+
+
 def test_topk_stats_malformed_k_is_usage_error(tmp_path, capsys):
     ckpt = _tiny_checkpoint(tmp_path)
     args = ["topk-stats", "--out", tmp_path / "t", "--init_checkpoint", ckpt] + FAST
     assert run(args + ["--topk_k", "1,x"]) == 1
     assert "topk_k" in capsys.readouterr().err
-
-
-def test_topk_stats_requires_nat(tmp_path):
-    ckpt = _tiny_checkpoint(tmp_path, kind="ar")
-    assert run(["topk-stats", "--out", tmp_path / "t", "--init_checkpoint", ckpt] + FAST) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +627,7 @@ def test_topk_stats_requires_nat(tmp_path):
 def test_emit_report_missing_metrics_exits_2(tmp_path, capsys):
     out = tmp_path / "empty"
     assert run(["emit-report", "--out", out]) == 2
-    assert "metrics.csv" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: FormatError: missing inputs: metrics.csv\n"
 
 
 def test_emit_report_idempotent(tmp_path):

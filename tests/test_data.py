@@ -15,6 +15,7 @@ from nsqt.data import (
     load_parallel_corpus,
     save_corpus,
 )
+from nsqt.errors import ContractError
 from nsqt.models import EOS, N_RESERVED, PAD, UNK, predict_length
 
 
@@ -174,7 +175,7 @@ def test_echo_runs_contains_adjacent_repeats():
 
 
 def test_unknown_task_rejected():
-    with pytest.raises(FormatError):
+    with pytest.raises(ContractError, match="shuffle"):
         gen_synthetic_task("shuffle", 9, (2, 4), 5, np.random.default_rng(0))
 
 

@@ -455,7 +455,8 @@ def test_evaluate_buckets_partition_sentences():
         d_model=16, d_hidden=32, n_layer=2, n_head=2, p_dropout=0.0, vocab_size=12, max_len=32
     )
     report = pl.evaluate(
-        build_model("nat", cfg, seed=1), corpus, pl.DecodeConfig(mode="nat_argmax")
+        build_model("nat", cfg, seed=1), corpus, pl.DecodeConfig(mode="nat_argmax"),
+        build_length_table(corpus),
     )
     assert sum(b[1] for b in report.buckets) == corpus.size
     los = [b[0] for b in report.buckets]
@@ -465,7 +466,8 @@ def test_evaluate_buckets_partition_sentences():
 def test_evaluate_mean_lengths():
     corpus = tiny_corpus(count=5)
     report = pl.evaluate(
-        build_model("nat", TINY, seed=1), corpus, pl.DecodeConfig(mode="nat_argmax")
+        build_model("nat", TINY, seed=1), corpus, pl.DecodeConfig(mode="nat_argmax"),
+        build_length_table(corpus),
     )
     expect = sum(len(t) for _, t in corpus.pairs) / corpus.size
     assert report.mean_ref_len == pytest.approx(expect)
@@ -527,10 +529,48 @@ def test_scoring_an_empty_corpus_raises(call):
 
 
 def test_error_classes_are_shared_across_modules():
-    from nsqt import errors, models
+    from nsqt import checkpoint, data, errors, models
 
     assert pl.ContractError is est.ContractError is errors.ContractError
     assert models.CapacityError is est.CapacityError is errors.CapacityError
+    assert pl.TrainingError is errors.TrainingError
+    assert checkpoint.CheckpointError is errors.CheckpointError
+    assert data.FormatError is errors.FormatError
+    assert tc.GraphError is errors.GraphError
     # an estimator precondition is caught by a pipeline-level handler
     with pytest.raises(pl.ContractError):
         est.EstimatorConfig(k=-1)
+
+
+def test_exception_classes_live_in_errors_only():
+    """Every exception class of the library is defined in nsqt.errors, which
+    defines exactly seven, and the library raises no bare ValueError,
+    RuntimeError or IndexError: the CLI's exit code follows the class."""
+    import ast
+    import importlib
+    import pkgutil
+    from pathlib import Path
+
+    import nsqt
+
+    homes = {}
+    for info in pkgutil.iter_modules(nsqt.__path__):
+        module = importlib.import_module(f"nsqt.{info.name}")
+        for obj in vars(module).values():
+            if isinstance(obj, type) and issubclass(obj, Exception):
+                if obj.__module__.startswith("nsqt"):
+                    homes[obj.__name__] = obj.__module__
+    assert set(homes.values()) == {"nsqt.errors"}, homes
+    assert set(homes) == {
+        "ContractError", "CapacityError", "FormatError", "EmptyCorpusError",
+        "CheckpointError", "TrainingError", "GraphError",
+    }
+    banned = ("ValueError", "RuntimeError", "IndexError")
+    bare = []
+    for path in sorted(Path(nsqt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in banned:
+                    bare.append(f"{path.name}:{node.lineno}")
+    assert bare == []
