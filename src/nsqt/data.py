@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .errors import ContractError, EmptyCorpusError, FormatError
-from .models import BOS, EOS, N_RESERVED, PAD, UNK, LengthTable
+from .models import N_RESERVED, UNK, LengthTable
 
 log = logging.getLogger(__name__)
 

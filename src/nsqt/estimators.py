@@ -139,7 +139,8 @@ def _sample_completions(probs, u):
     tokens = np.empty(u.shape, dtype=np.int64)
     for i in range(T):
         tokens[:, i] = np.searchsorted(cum[i], u[:, i], side="right")
-    np.clip(tokens, 0, V - 1, out=tokens)
+    # searchsorted never returns a negative index: only the top needs a clamp
+    np.minimum(tokens, V - 1, out=tokens)
     return tokens
 
 

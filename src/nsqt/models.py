@@ -137,8 +137,8 @@ class MultiHeadAttention:
 
     def attend(self, q_in, k, v, mask=None):
         """Attention of the queries from ``q_in`` over projected keys and values."""
-        ctx = tc.attention(self.wq(q_in), k, v, self.n_head, self.scale, mask=mask)
-        return self.wo(ctx)
+        wo = self.wo
+        return tc.attention(self.wq(q_in), k, v, self.n_head, self.scale, wo.w, wo.b, mask=mask)
 
 
 class FeedForward:
@@ -147,7 +147,8 @@ class FeedForward:
         self.outer = Linear(store, f"{name}.outer", d_hidden, d_model)
 
     def __call__(self, x):
-        return self.outer(tc.relu(self.inner(x)))
+        inner, outer = self.inner, self.outer
+        return tc.feed_forward(x, inner.w, inner.b, outer.w, outer.b)
 
 
 def causal_mask(T):
@@ -340,9 +341,11 @@ class ModelBase:
                 f"{what} length {length} exceeds max_len {self.config.max_len}"
             )
 
-    def _embed_tokens(self, ids):
+    def _embed_tokens(self, ids, start=0):
+        """Embeddings of a (B, T) id array times sqrt(d_model), plus the
+        positional encodings of positions start..start+T-1."""
         scale = math.sqrt(self.config.d_model)
-        return tc.mul(tc.embedding(self.embed, ids), scale)
+        return tc.token_embedding(self.embed, ids, scale, self.pe[start : start + ids.shape[1]])
 
     def _dropout(self, x):
         return tc.dropout(x, self.config.p_dropout, self.dropout_rng, self.training)
@@ -352,14 +355,13 @@ class ModelBase:
         src_ids = np.atleast_2d(np.asarray(src_ids, dtype=np.int64))
         self._check_len(src_ids.shape[1], "source")
         self.encoder_calls += 1
-        x = tc.add(self._embed_tokens(src_ids), self.pe[: src_ids.shape[1]])
-        x = self._dropout(x)
+        x = self._dropout(self._embed_tokens(src_ids))
         for layer in self.enc_layers:
             x = layer(x)
         return x
 
     def _head(self, x):
-        return tc.softmax_rows(self.out_proj(x))
+        return tc.linear_softmax(x, self.out_proj.w, self.out_proj.b)
 
     def _parallel_pass(self, src_ids, out_len, layers):
         """Uniform-copied source embeddings at ``out_len`` positions, run in
@@ -368,8 +370,7 @@ class ModelBase:
         self._check_len(out_len, "decoder")
         enc = self.encode(src_ids)
         copy_idx = uniform_copy_positions(src_ids.shape[1], out_len)
-        x = tc.add(self._embed_tokens(src_ids[:, copy_idx]), self.pe[:out_len])
-        x = self._dropout(x)
+        x = self._dropout(self._embed_tokens(src_ids[:, copy_idx]))
         pos_enc = tc.Tensor(self.pe[:out_len])
         for layer in layers:
             x = layer(x, enc, pos_enc)
@@ -399,8 +400,7 @@ class ARModel(ModelBase):
         if enc is None:
             enc = self.encode(src_ids)
         self.decoder_calls += 1
-        x = tc.add(self._embed_tokens(tgt_in), self.pe[start:end])
-        x = self._dropout(x)
+        x = self._dropout(self._embed_tokens(tgt_in, start))
         for slot, layer in enumerate(self.dec_layers):
             x = layer(x, enc, cache, slot)
         if cache is not None:
@@ -473,8 +473,7 @@ class FSModel(ModelBase):
         start = 0 if cache is None else cache.length
         end = start + tgt_in.shape[1]
         h = self._fit_length(h_bottom, start, end)
-        y = tc.add(self._embed_tokens(tgt_in), self.pe[start:end])
-        fused = tc.relu(tc.add(tc.matmul(h, self.fuse_w), tc.matmul(y, self.fuse_u)))
+        fused = tc.fuse_relu(h, self.fuse_w, self._embed_tokens(tgt_in, start), self.fuse_u)
         x = self.top_layer(fused, enc, cache)
         if cache is not None:
             cache.length = end
@@ -558,7 +557,7 @@ def beam_decode(model, src_ids, out_len, beam=1):
         logp = np.log(np.maximum(probs, 1e-300))
         candidates = []
         for parent, ((tokens, score), row) in enumerate(zip(live, logp)):
-            order = np.argsort(-row, kind="stable")[: beam + 1]
+            order = (-row).argsort(kind="stable")[: beam + 1]
             for tok in order:
                 candidates.append((tokens + (int(tok),), score + float(row[tok]), parent))
         candidates.sort(key=lambda c: (-c[1] / len(c[0]), c[0]))

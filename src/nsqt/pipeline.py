@@ -144,25 +144,24 @@ def _prep_target(kind, tgt):
 
 def _batches(corpus, kind, batch_size, rng):
     """One epoch of batches, bucketed by (source length, target length) so
-    every batch is rectangular without padding."""
+    every batch is rectangular without padding. The epoch's order is drawn
+    before the first batch is yielded; a batch's arrays are built only when
+    it is taken."""
     buckets = {}
     for src, tgt in corpus.pairs:
         t = _prep_target(kind, tgt)
         buckets.setdefault((len(src), len(t)), []).append((src, t))
-    batches = []
+    chunks = []
     for key in sorted(buckets):
         group = buckets[key]
         rng.shuffle(group)
-        for i in range(0, len(group), batch_size):
-            chunk = group[i : i + batch_size]
-            batches.append(
-                (
-                    np.array([p[0] for p in chunk], dtype=np.int64),
-                    np.array([p[1] for p in chunk], dtype=np.int64),
-                )
-            )
-    rng.shuffle(batches)
-    return batches
+        chunks.extend(group[i : i + batch_size] for i in range(0, len(group), batch_size))
+    rng.shuffle(chunks)
+    for chunk in chunks:
+        yield (
+            np.array([p[0] for p in chunk], dtype=np.int64),
+            np.array([p[1] for p in chunk], dtype=np.int64),
+        )
 
 
 def _require_pairs(corpus, role):

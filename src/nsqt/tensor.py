@@ -1,19 +1,32 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The primitive set is deliberately small: exactly what a small Transformer
-and the surrogate losses need (matmul, add/mul, relu, log, row softmax,
-layer norm, embedding gather, entry gather, slice, sum, dropout),
-plus fused layers: ``linear``, multi-head ``attention``, ``layer_norm``
-over a residual sum, and the estimator's ``score_surrogate``.
+The op set is deliberately small: exactly what a small Transformer and the
+surrogate losses need. Besides ``mul``, ``log``, entry gather (``take``),
+``slice_axis``, ``tsum`` and ``dropout``, each op is a fused layer that
+records one node:
+
+* ``linear``: ``x @ w + b``;
+* ``feed_forward``: linear, ReLU, linear;
+* ``attention``: multi-head scaled dot-product attention with its output
+  projection;
+* ``token_embedding``: an embedding gather times a constant plus positions;
+* ``linear_softmax``: the softmax head, linear then a row softmax;
+* ``fuse_relu``: the FS fusion ``relu(h @ w + y @ u)``;
+* ``layer_norm``, optionally over a residual sum;
+* ``score_surrogate``: the estimator's score-function surrogate.
+
 Broadcasting is the numpy kind but is only exercised for bias rows, batched
 matmul and attention over a shared 2-D query/key set.
 
 All math is float64. At this scale a step costs Python-level numpy calls
-more than arithmetic, so a fused layer records one node where the composed
-ops recorded several. Its numbers are bitwise those of the composed ops:
-the same numpy calls on arrays of the same memory layout, with parents in
-the order that makes ``backward`` accumulate shared gradients in the same
-order.
+more than arithmetic, so two rules keep the calls few. A chain of ops whose
+intermediates each have one consumer is one fused node. And every op calls
+numpy's C entry points, not its Python wrappers: ``np.add.reduce`` and
+``np.maximum.reduce`` rather than ``.sum``, ``np.sum`` or ``.max``, and the
+``.swapaxes`` method rather than ``np.swapaxes``. A fused node's numbers are
+bitwise those of the composed ops: the same numpy calls on arrays of the
+same memory layout, with parents in the order that makes ``backward``
+accumulate shared gradients in the same order.
 """
 
 from __future__ import annotations
@@ -144,24 +157,11 @@ def _unbroadcast(g, shape):
     if g.shape == shape:
         return g
     while g.ndim > len(shape):
-        g = g.sum(axis=0)
+        g = np.add.reduce(g, axis=0)
     for axis, extent in enumerate(shape):
         if extent == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
+            g = np.add.reduce(g, axis=axis, keepdims=True)
     return g.reshape(shape)
-
-
-def add(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data + b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
-
-    return Tensor(out_data, _parents=(a, b), _backward=backward)
 
 
 def mul(a, b):
@@ -177,94 +177,115 @@ def mul(a, b):
     return Tensor(out_data, _parents=(a, b), _backward=backward)
 
 
-def matmul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise ContractError(
-            f"matmul inner dimensions disagree: {a.shape} x {b.shape}"
-        )
-    out_data = a.data @ b.data
+def _check_inner(op, a_shape, w_shape):
+    if len(a_shape) < 2 or len(w_shape) != 2 or a_shape[-1] != w_shape[0]:
+        raise ContractError(f"{op} inner dimensions disagree: {a_shape} x {w_shape}")
 
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
-    return Tensor(out_data, _parents=(a, b), _backward=backward)
+def _weight_grads(g, x_data, w, b=None):
+    """Accumulate the gradients of the 2-D weight ``w`` and the bias ``b``
+    of ``x @ w (+ b)`` from the output gradient ``g``."""
+    if w.requires_grad:
+        w._accumulate(_unbroadcast(x_data.swapaxes(-1, -2) @ g, w.data.shape))
+    if b is not None and b.requires_grad:
+        b._accumulate(_unbroadcast(g, b.data.shape))
 
 
 def linear(x, w, b):
-    """``x @ w + b`` as one node; the same numbers as ``add(matmul(x, w), b)``."""
+    """``x @ w + b`` as one node."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
-        raise ContractError(f"linear inner dimensions disagree: {x.shape} x {w.shape}")
-    out_data = x.data @ w.data + b.data
+    x_data = x.data
+    _check_inner("linear", x_data.shape, w.data.shape)
+    out_data = x_data @ w.data + b.data
 
     def backward(g):
         if x.requires_grad:
             x._accumulate(g @ w.data.T)
-        if w.requires_grad:
-            w._accumulate(_unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+        _weight_grads(g, x_data, w, b)
 
     return Tensor(out_data, _parents=(x, w, b), _backward=backward)
 
 
+def feed_forward(x, w1, b1, w2, b2):
+    """``linear(relu(linear(x, w1, b1)), w2, b2)`` as one node; the ReLU's
+    subgradient at exactly 0 is 0."""
+    x, w1, b1, w2, b2 = as_tensor(x), as_tensor(w1), as_tensor(b1), as_tensor(w2), as_tensor(b2)
+    x_data = x.data
+    _check_inner("linear", x_data.shape, w1.data.shape)
+    hidden = x_data @ w1.data + b1.data
+    mask = hidden > 0.0
+    act = np.where(mask, hidden, 0.0)
+    _check_inner("linear", act.shape, w2.data.shape)
+    out_data = act @ w2.data + b2.data
+
+    def backward(g):
+        _weight_grads(g, act, w2, b2)
+        g_hidden = (g @ w2.data.T) * mask
+        if x.requires_grad:
+            x._accumulate(g_hidden @ w1.data.T)
+        _weight_grads(g_hidden, x_data, w1, b1)
+
+    return Tensor(out_data, _parents=(x, w1, b1, w2, b2), _backward=backward)
+
+
 def _to_heads(a, n_head):
     # (..., T, d) -> (..., h, T, d/h), a view
-    *lead, T, d = a.shape
-    return np.swapaxes(a.reshape(*lead, T, n_head, d // n_head), -3, -2)
+    return a.reshape(a.shape[:-1] + (n_head, -1)).swapaxes(-3, -2)
 
 
 def _from_heads(a):
     # (..., h, T, d/h) -> (..., T, d)
-    a = np.swapaxes(a, -3, -2)
-    return a.reshape(*a.shape[:-2], -1)
+    a = a.swapaxes(-3, -2)
+    return a.reshape(a.shape[:-2] + (-1,))
 
 
 def _softmax(x):
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def _softmax_grad(g, p):
-    return p * (g - (g * p).sum(axis=-1, keepdims=True))
+    return p * (g - np.add.reduce(g * p, axis=-1, keepdims=True))
 
 
-def attention(q, k, v, n_head, scale, mask=None):
-    """Multi-head scaled dot-product attention as one node.
+def attention(q, k, v, n_head, scale, wo, bo, mask=None):
+    """Multi-head scaled dot-product attention and its output projection
+    as one node.
 
     ``q`` is (..., T_q, d), ``k`` and ``v`` are (..., T_k, d), already
     projected; leading axes broadcast (a 2-D query/key set may serve a
     batch of values). Heads are the ``n_head`` equal slices of the last
     axis. ``mask`` (broadcast to the scores, (..., T_q, T_k)) marks the
-    keys a query may not see. Returns the merged heads, (..., T_q, d).
+    keys a query may not see. Returns ``heads @ wo + bo`` of the merged
+    heads, (..., T_q, d_out).
     """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    if not q.shape[-1] == k.shape[-1] == v.shape[-1] or k.shape[-2] != v.shape[-2]:
-        raise ContractError(f"attention shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}")
-    if q.shape[-1] % n_head:
-        raise ContractError(f"width {q.shape[-1]} not divisible by n_head={n_head}")
-    qh, kh, vh = (_to_heads(t.data, n_head) for t in (q, k, v))
-    kt = np.swapaxes(kh, -1, -2)
+    q, k, v, wo, bo = as_tensor(q), as_tensor(k), as_tensor(v), as_tensor(wo), as_tensor(bo)
+    q_shape, k_shape, v_shape = q.data.shape, k.data.shape, v.data.shape
+    if not q_shape[-1] == k_shape[-1] == v_shape[-1] or k_shape[-2] != v_shape[-2]:
+        raise ContractError(f"attention shapes disagree: q {q_shape}, k {k_shape}, v {v_shape}")
+    if q_shape[-1] % n_head:
+        raise ContractError(f"width {q_shape[-1]} not divisible by n_head={n_head}")
+    qh, kh, vh = _to_heads(q.data, n_head), _to_heads(k.data, n_head), _to_heads(v.data, n_head)
+    kt = kh.swapaxes(-1, -2)
     scores = (qh @ kt) * scale
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         scores = np.where(mask, -1e9, scores)
     probs = _softmax(scores)
-    out_data = _from_heads(probs @ vh)
+    heads = _from_heads(probs @ vh)
+    _check_inner("linear", heads.shape, wo.data.shape)
+    out_data = heads @ wo.data + bo.data
 
     def backward(g):
+        _weight_grads(g, heads, wo, bo)
         # the head-split gradient is contiguous, as the composed graph's was
-        g_ctx = np.ascontiguousarray(_to_heads(g, n_head))
+        g_ctx = np.ascontiguousarray(_to_heads(g @ wo.data.T, n_head))
         if v.requires_grad:
-            g_v = _unbroadcast(np.swapaxes(probs, -1, -2) @ g_ctx, vh.shape)
+            g_v = _unbroadcast(probs.swapaxes(-1, -2) @ g_ctx, vh.shape)
             v._accumulate(_from_heads(g_v))
         if not (q.requires_grad or k.requires_grad):
             return
-        g_probs = _unbroadcast(g_ctx @ np.swapaxes(vh, -1, -2), probs.shape)
+        g_probs = _unbroadcast(g_ctx @ vh.swapaxes(-1, -2), probs.shape)
         g_scores = _softmax_grad(g_probs, probs)
         if mask is not None:
             g_scores = np.where(mask, 0.0, g_scores)
@@ -272,22 +293,69 @@ def attention(q, k, v, n_head, scale, mask=None):
         if q.requires_grad:
             q._accumulate(_from_heads(_unbroadcast(g_scores @ kh, qh.shape)))
         if k.requires_grad:
-            g_kt = _unbroadcast(np.swapaxes(qh, -1, -2) @ g_scores, kt.shape)
-            k._accumulate(_from_heads(np.swapaxes(g_kt, -1, -2)))
+            g_kt = _unbroadcast(qh.swapaxes(-1, -2) @ g_scores, kt.shape)
+            k._accumulate(_from_heads(g_kt.swapaxes(-1, -2)))
 
-    return Tensor(out_data, _parents=(q, k, v), _backward=backward)
+    return Tensor(out_data, _parents=(q, k, v, wo, bo), _backward=backward)
 
 
-def relu(x):
-    x = as_tensor(x)
-    # subgradient at exactly 0 is 0
-    mask = x.data > 0.0
-    out_data = np.where(mask, x.data, 0.0)
+def token_embedding(weight, ids, scale, positions):
+    """``weight[ids] * scale + positions`` as one node: rows of ``weight``
+    gathered by an integer index array, times the constant ``scale``, plus
+    the constant array ``positions`` (broadcast over leading axes)."""
+    weight = as_tensor(weight)
+    ids = np.asarray(ids, dtype=np.int64)
+    out_data = weight.data[ids] * scale + positions
 
     def backward(g):
-        x._accumulate(g * mask)
+        if not weight.requires_grad:
+            return
+        dw = np.zeros_like(weight.data)
+        np.add.at(dw, ids.reshape(-1), (g * scale).reshape(-1, weight.data.shape[-1]))
+        weight._accumulate(dw)
 
-    return Tensor(out_data, _parents=(x,), _backward=backward)
+    return Tensor(out_data, _parents=(weight,), _backward=backward)
+
+
+def linear_softmax(x, w, b):
+    """The softmax head as one node: ``x @ w + b``, then a softmax along
+    the last axis with max-subtraction for stability."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    x_data = x.data
+    _check_inner("linear", x_data.shape, w.data.shape)
+    out_data = _softmax(x_data @ w.data + b.data)
+
+    def backward(g):
+        g_logits = _softmax_grad(g, out_data)
+        if x.requires_grad:
+            x._accumulate(g_logits @ w.data.T)
+        _weight_grads(g_logits, x_data, w, b)
+
+    return Tensor(out_data, _parents=(x, w, b), _backward=backward)
+
+
+def fuse_relu(h, w, y, u):
+    """``relu(h @ w + y @ u)`` as one node, for 2-D ``w`` and ``u``: the FS
+    decoder's fusion of bottom states ``h`` with target embeddings ``y``.
+    The ReLU's subgradient at exactly 0 is 0."""
+    h, w, y, u = as_tensor(h), as_tensor(w), as_tensor(y), as_tensor(u)
+    h_data, y_data = h.data, y.data
+    _check_inner("matmul", h_data.shape, w.data.shape)
+    _check_inner("matmul", y_data.shape, u.data.shape)
+    total = h_data @ w.data + y_data @ u.data
+    mask = total > 0.0
+    out_data = np.where(mask, total, 0.0)
+
+    def backward(g):
+        g = g * mask
+        if h.requires_grad:
+            h._accumulate(g @ w.data.T)
+        _weight_grads(g, h_data, w)
+        if y.requires_grad:
+            y._accumulate(g @ u.data.T)
+        _weight_grads(g, y_data, u)
+
+    return Tensor(out_data, _parents=(h, w, y, u), _backward=backward)
 
 
 def log(x):
@@ -296,17 +364,6 @@ def log(x):
 
     def backward(g):
         x._accumulate(g / x.data)
-
-    return Tensor(out_data, _parents=(x,), _backward=backward)
-
-
-def softmax_rows(x):
-    """Softmax along the last axis with max-subtraction for stability."""
-    x = as_tensor(x)
-    out_data = _softmax(x.data)
-
-    def backward(g):
-        x._accumulate(_softmax_grad(g, out_data))
 
     return Tensor(out_data, _parents=(x,), _backward=backward)
 
@@ -324,40 +381,24 @@ def layer_norm(x, gain, bias, residual=None):
         inputs, data = (x, residual), x.data + residual.data
     # the moments numpy's mean and var compute, without their Python layer
     n = data.shape[-1]
-    centered = data - data.sum(axis=-1, keepdims=True) / n
-    var = np.square(centered).sum(axis=-1, keepdims=True) / n
+    centered = data - np.add.reduce(data, axis=-1, keepdims=True) / n
+    var = np.add.reduce(np.square(centered), axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + 1e-5)
     xhat = centered * inv_std
     out_data = gain.data * xhat + bias.data
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
-        gain._accumulate(_unbroadcast((g * xhat).sum(axis=lead), gain.data.shape))
-        bias._accumulate(_unbroadcast(g.sum(axis=lead), bias.data.shape))
+        gain._accumulate(_unbroadcast(np.add.reduce(g * xhat, axis=lead), gain.data.shape))
+        bias._accumulate(_unbroadcast(np.add.reduce(g, axis=lead), bias.data.shape))
         dxhat = g * gain.data
-        m1 = dxhat.sum(axis=-1, keepdims=True) / n
-        m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
+        m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / n
+        m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n
         dx = inv_std * (dxhat - m1 - xhat * m2)
         for t in inputs:
             t._accumulate(_unbroadcast(dx, t.data.shape))
 
     return Tensor(out_data, _parents=(*inputs, gain, bias), _backward=backward)
-
-
-def embedding(weight, ids):
-    """Gather rows of ``weight`` by an integer index array."""
-    weight = as_tensor(weight)
-    ids = np.asarray(ids, dtype=np.int64)
-    out_data = weight.data[ids]
-
-    def backward(g):
-        if not weight.requires_grad:
-            return
-        dw = np.zeros_like(weight.data)
-        np.add.at(dw, ids.reshape(-1), g.reshape(-1, weight.data.shape[-1]))
-        weight._accumulate(dw)
-
-    return Tensor(out_data, _parents=(weight,), _backward=backward)
 
 
 def take(x, indices):
@@ -377,7 +418,7 @@ def take(x, indices):
 def slice_axis(x, axis, start, stop):
     """Contiguous slice along one axis."""
     x = as_tensor(x)
-    index = [slice(None)] * x.ndim
+    index = [slice(None)] * x.data.ndim
     index[axis] = slice(start, stop)
     index = tuple(index)
     out_data = x.data[index]
@@ -393,7 +434,7 @@ def slice_axis(x, axis, start, stop):
 def tsum(x):
     """The sum of every entry, a scalar."""
     x = as_tensor(x)
-    out_data = x.data.sum()
+    out_data = np.add.reduce(x.data, axis=None)
 
     def backward(g):
         x._accumulate(np.broadcast_to(g, x.data.shape))
@@ -412,8 +453,8 @@ def score_surrogate(x, index, weights, logged, segments):
     hold one value per entry. A part with no entries adds no term, and a
     segment with none adds no summand. The numbers are those of one
     ``take``, ``log``, ``mul``, ``tsum`` chain per part and segment joined
-    by ``add``: each sum is an ``np.sum`` over the part's entries in index
-    order, and the gradient at entry i is ``(g * -1) * w``, divided by
+    by ``add``: each sum is one ``np.add.reduce`` over the part's entries in
+    index order, and the gradient at entry i is ``(g * -1) * w``, divided by
     ``x[i]`` when it is logged.
     """
     x = as_tensor(x)
@@ -423,14 +464,14 @@ def score_surrogate(x, index, weights, logged, segments):
     picked = x.data[index]
     # each segment's plain entries, then its logged ones, in index order
     key = 2 * np.asarray(segments, dtype=np.int64) + logged
-    order = np.argsort(key, kind="stable")
+    order = key.argsort(kind="stable")
     terms = picked * weights
     terms[logged] = np.log(picked[logged]) * weights[logged]
     terms, key = terms[order], key[order]
     starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
     sums = {}
     for lo, hi, k in zip(starts, starts[1:] + [len(key)], key[starts].tolist()):
-        part = np.sum(terms[lo:hi])
+        part = np.add.reduce(terms[lo:hi], axis=None)
         sums[k // 2] = sums[k // 2] + part if k // 2 in sums else part
     # the first segment starts the total, as the add chain did: 0.0 + -0.0
     # would turn a negative zero positive

@@ -163,10 +163,13 @@ def test_criterion_05_gradient_integrity():
     prim_reports = []
     x = tc.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     w = tc.Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-    prim_reports.append(tc.grad_check(lambda: tc.tsum(tc.matmul(x, w)), [x, w]))
+    prim_reports.append(tc.grad_check(lambda: tc.tsum(tc.linear(x, w, np.zeros(4))), [x, w]))
     y = tc.Tensor(rng.normal(size=(2, 5)) + 0.1, requires_grad=True)
+    # the softmax of y itself: y @ I + 0 is exact
     prim_reports.append(
-        tc.grad_check(lambda: tc.tsum(tc.mul(tc.softmax_rows(y), y)), [y])
+        tc.grad_check(
+            lambda: tc.tsum(tc.mul(tc.linear_softmax(y, np.eye(5), np.zeros(5)), y)), [y]
+        )
     )
     z = tc.Tensor(rng.uniform(0.5, 2.0, size=(3, 3)), requires_grad=True)
     prim_reports.append(tc.grad_check(lambda: tc.tsum(tc.log(z)), [z]))

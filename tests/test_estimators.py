@@ -9,6 +9,7 @@ from nsqt import rewards
 from nsqt import tensor as tc
 from nsqt.data import gen_synthetic_task
 from nsqt.models import ModelConfig, build_model
+from test_tensor import add, softmax_rows
 
 
 def equality_reward(hyp, ref):
@@ -103,7 +104,7 @@ def oracle_reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=Fals
         if terms:
             total = terms[0]
             for extra in terms[1:]:
-                total = tc.add(total, extra)
+                total = add(total, extra)
             surrogate = tc.mul(total, -1.0)
     return est.GradientEstimate(dprobs, surrogate)
 
@@ -117,7 +118,7 @@ def oracle_batch_step(dist, config, reward, refs, rngs, exact_rewards=False):
         ge = oracle_reinforce_nat_step(sentence, config, reward, ref, rng, exact_rewards, (b,))
         dprobs.append(ge.dprobs)
         if ge.surrogate is not None:
-            surrogate = ge.surrogate if surrogate is None else tc.add(surrogate, ge.surrogate)
+            surrogate = ge.surrogate if surrogate is None else add(surrogate, ge.surrogate)
     return est.GradientEstimate(np.stack(dprobs), surrogate)
 
 
@@ -311,7 +312,7 @@ class TestReinforceNat:
     def test_surrogate_matches_manual_softmax_chain(self):
         rng = np.random.default_rng(21)
         logits = tc.Tensor(rng.standard_normal((3, 5)), requires_grad=True)
-        probs = tc.softmax_rows(logits)
+        probs = softmax_rows(logits)
         dist = est.PositionDistributions(probs.data, tensor=probs)
         ref = (1, 2, 3)
         got = est.reinforce_nat_step(
@@ -332,7 +333,7 @@ class TestBatchedRewards:
     def _step(self, reward, k=3, n=7):
         rng = np.random.default_rng(31)
         logits = tc.Tensor(rng.standard_normal((6, 9)), requires_grad=True)
-        probs = tc.softmax_rows(logits)
+        probs = softmax_rows(logits)
         dist = est.PositionDistributions(probs.data, tensor=probs)
         return est.reinforce_nat_step(
             dist, est.EstimatorConfig(k=k, n=n), reward, (1, 2, 3, 4, 2, 1), np.random.default_rng(8)
@@ -572,7 +573,7 @@ def _estimate(step, B, k, eps, reward, exact, seed=0):
     batch of softmax rows, as bytes."""
     rng = np.random.default_rng(seed)
     logits = tc.Tensor(2.5 * rng.standard_normal((B, 3, V_ORACLE)), requires_grad=True)
-    probs = tc.softmax_rows(logits)
+    probs = softmax_rows(logits)
     refs = rng.integers(0, V_ORACLE, size=(B, 3))
     dist = est.PositionDistributions(probs.data, tensor=probs)
     cfg = est.EstimatorConfig(k=k, n=9, residual_epsilon=eps)
@@ -605,7 +606,7 @@ class TestBatchedEstimatorOracle:
         def run(step):
             rng = np.random.default_rng(k)
             logits = tc.Tensor(rng.standard_normal((3, V_ORACLE)), requires_grad=True)
-            probs = tc.softmax_rows(logits)
+            probs = softmax_rows(logits)
             dist = est.PositionDistributions(probs.data, tensor=probs)
             ge = step(dist, est.EstimatorConfig(k=k, n=5), rewards.RewardFn("GLEU"), (1, 2, 3), rng)
             ge.surrogate.backward()
@@ -661,7 +662,7 @@ class TestScoreSurrogate:
         calls = []
         op = tc.score_surrogate
         monkeypatch.setattr(tc, "score_surrogate", lambda x, *a: calls.append(a) or op(x, *a))
-        probs = tc.softmax_rows(logits)
+        probs = softmax_rows(logits)
         if layout == "batch":
             dist = est.PositionDistributions(probs.data, tensor=probs)
             refs, rngs = [(0,), (0,)], rng.spawn(2)
@@ -672,7 +673,7 @@ class TestScoreSurrogate:
         ge = est.reinforce_nat_step(dist, cfg, table, refs, rngs, exact_rewards=True)
         (args,) = calls
         assert ge.surrogate.item() == op(probs, *args).item()
-        report = tc.grad_check(lambda: op(tc.softmax_rows(logits), *args), [logits])
+        report = tc.grad_check(lambda: op(softmax_rows(logits), *args), [logits])
         assert report.passed, report.worst
 
 

@@ -175,10 +175,8 @@ class TestFSForward:
     def test_fusion_output_nonnegative_and_both_paths_live(self):
         model = models.FSModel(CFG, seed=9)
         h, enc = model.bottom_states(SRC, 4)
-        y = tc.add(model._embed_tokens(models.shift_right(TGT)), model.pe[:4])
-        fused = tc.relu(
-            tc.add(tc.matmul(h, model.fuse_w), tc.matmul(y, model.fuse_u))
-        )
+        y = model._embed_tokens(models.shift_right(TGT))
+        fused = tc.fuse_relu(h, model.fuse_w, y, model.fuse_u)
         assert np.all(fused.data >= 0.0)
         model.zero_grad()
         tc.tsum(fused).backward()

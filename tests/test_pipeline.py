@@ -1,5 +1,6 @@
 """Training loops, decoding, evaluation, and distillation."""
 
+import inspect
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from nsqt import pipeline as pl
 from nsqt import rewards
 from nsqt import tensor as tc
 from nsqt.data import EmptyCorpusError, ParallelCorpus, build_length_table, gen_synthetic_task
-from nsqt.models import LengthTable, ModelConfig, NATModel, build_model
+from nsqt.models import EOS, LengthTable, ModelConfig, NATModel, build_model
 
 TINY = ModelConfig(
     d_model=16, d_hidden=32, n_layer=2, n_head=2, p_dropout=0.0, vocab_size=12, max_len=16
@@ -209,6 +210,43 @@ def test_finetune_rl_runs_without_dropout():
 
 # ---------------------------------------------------------------------------
 # Adam
+
+
+def eager_batches(corpus, kind, batch_size, rng):
+    """One epoch as ``_batches`` built it before it became a generator:
+    every batch converted before the first is used."""
+    buckets = {}
+    for src, tgt in corpus.pairs:
+        t = tuple(tgt) if kind == "nat" else tuple(tgt) + (EOS,)
+        buckets.setdefault((len(src), len(t)), []).append((src, t))
+    batches = []
+    for key in sorted(buckets):
+        group = buckets[key]
+        rng.shuffle(group)
+        for i in range(0, len(group), batch_size):
+            chunk = group[i : i + batch_size]
+            batches.append((np.array([p[0] for p in chunk]), np.array([p[1] for p in chunk])))
+    rng.shuffle(batches)
+    return batches
+
+
+@pytest.mark.parametrize("kind", ["nat", "ar"])
+def test_lazy_epoch_batches_equal_eager_reference(kind):
+    corpus = gen_synthetic_task("echo_runs", 12, (3, 5), 40, np.random.default_rng(7))
+    reference_rng = np.random.default_rng(3)
+    want = [b for _ in range(2) for b in eager_batches(corpus, kind, 3, reference_rng)]
+    # some bucket ends in a partial batch
+    assert any(len(src) < 3 for src, _ in want)
+    # a batch is converted when it is taken, not when the epoch is drawn
+    assert inspect.isgeneratorfunction(pl._batches)
+    rng = np.random.default_rng(3)
+    got = list(pl._step_generator(corpus, kind, 3, rng, len(want)))
+    assert len(got) == len(want)
+    for (src_g, tgt_g), (src_w, tgt_w) in zip(got, want):
+        assert src_g.dtype == tgt_g.dtype == np.int64
+        assert np.array_equal(src_g, src_w) and np.array_equal(tgt_g, tgt_w)
+    # both consumed the same draws
+    assert rng.random() == reference_rng.random()
 
 
 class ReferenceAdam:
@@ -574,3 +612,38 @@ def test_exception_classes_live_in_errors_only():
                 if isinstance(exc, ast.Name) and exc.id in banned:
                     bare.append(f"{path.name}:{node.lineno}")
     assert bare == []
+
+
+def test_imports_used_and_tensor_calls_numpy_entry_points():
+    """Every name a library module imports is used in that module, and
+    ``tensor.py`` calls numpy's C entry points (``np.add.reduce``, the
+    ``.swapaxes`` method), not the Python wrappers its hot ops once paid
+    for on every call."""
+    import ast
+    from pathlib import Path
+
+    import nsqt
+
+    unused, wrappers = [], []
+    for path in sorted(Path(nsqt.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+        if path.name != "tensor.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                attr, owner = node.func.attr, node.func.value
+                via_np = isinstance(owner, ast.Name) and owner.id == "np"
+                if attr in ("sum", "max") or (via_np and attr in ("swapaxes", "clip")):
+                    wrappers.append(f"{path.name}:{node.lineno} {ast.unparse(node.func)}")
+    assert unused == []
+    assert wrappers == []

@@ -25,7 +25,7 @@ class TestPrimitiveGradients:
     def test_matmul(self, seed):
         rng = np.random.default_rng(seed)
         a, b = rand(rng, 3, 4), rand(rng, 4, 2)
-        report = tc.grad_check(lambda: readout(np.random.default_rng(99), tc.matmul(a, b)), [a, b])
+        report = tc.grad_check(lambda: readout(np.random.default_rng(99), matmul(a, b)), [a, b])
         assert report.passed, report.worst
 
     @pytest.mark.parametrize("seed", range(10))
@@ -33,7 +33,7 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(seed)
         a, b = rand(rng, 2, 5), rand(rng, 2, 5)
         report = tc.grad_check(
-            lambda: readout(np.random.default_rng(7), tc.mul(tc.add(a, b), b)), [a, b]
+            lambda: readout(np.random.default_rng(7), tc.mul(add(a, b), b)), [a, b]
         )
         assert report.passed, report.worst
 
@@ -43,7 +43,7 @@ class TestPrimitiveGradients:
         x = rand(rng, 4, 3)
         # keep entries away from the kink
         x.data[np.abs(x.data) < 1e-2] += 0.1
-        report = tc.grad_check(lambda: readout(np.random.default_rng(3), tc.relu(x)), [x])
+        report = tc.grad_check(lambda: readout(np.random.default_rng(3), relu(x)), [x])
         assert report.passed, report.worst
 
     @pytest.mark.parametrize("seed", range(10))
@@ -51,7 +51,7 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(seed)
         x = rand(rng, 3, 5)
         report = tc.grad_check(
-            lambda: readout(np.random.default_rng(11), tc.softmax_rows(x)), [x]
+            lambda: readout(np.random.default_rng(11), softmax_rows(x)), [x]
         )
         assert report.passed, report.worst
 
@@ -70,7 +70,7 @@ class TestPrimitiveGradients:
         w = rand(rng, 7, 4)
         ids = rng.integers(0, 7, size=(2, 3))
         report = tc.grad_check(
-            lambda: readout(np.random.default_rng(2), tc.embedding(w, ids)), [w]
+            lambda: readout(np.random.default_rng(2), embedding(w, ids)), [w]
         )
         assert report.passed, report.worst
 
@@ -108,34 +108,34 @@ class TestPrimitiveGradients:
 class TestMatmul:
     def test_identity(self):
         eye = tc.Tensor(np.eye(2))
-        out = tc.matmul(eye, eye)
+        out = matmul(eye, eye)
         assert np.array_equal(out.data, np.eye(2))
 
     def test_identity_right(self):
         a = tc.Tensor([[1.0, 2.0], [3.0, 4.0]])
-        out = tc.matmul(a, tc.Tensor(np.eye(2)))
+        out = matmul(a, tc.Tensor(np.eye(2)))
         assert np.array_equal(out.data, a.data)
 
     def test_shape_mismatch_names_both_shapes(self):
         a = tc.Tensor(np.zeros((2, 3)))
         b = tc.Tensor(np.zeros((2, 3)))
         with pytest.raises(ContractError, match=r"\(2, 3\).*\(2, 3\)"):
-            tc.matmul(a, b)
+            matmul(a, b)
 
 
 class TestSoftmax:
     def test_uniform_row(self):
-        out = tc.softmax_rows(tc.Tensor([[0.0, 0.0, 0.0, 0.0]]))
+        out = softmax_rows(tc.Tensor([[0.0, 0.0, 0.0, 0.0]]))
         assert np.allclose(out.data, 0.25, atol=1e-15)
 
     def test_large_logits_stable(self):
-        out = tc.softmax_rows(tc.Tensor([[1000.0, 0.0]]))
+        out = softmax_rows(tc.Tensor([[1000.0, 0.0]]))
         assert np.all(np.isfinite(out.data))
         assert out.data[0, 0] == pytest.approx(1.0)
 
     def test_row_123(self):
         # independent high-precision evaluation of exp/sum
-        out = tc.softmax_rows(tc.Tensor([[1.0, 2.0, 3.0]]))
+        out = softmax_rows(tc.Tensor([[1.0, 2.0, 3.0]]))
         expected = [0.09003057317038046, 0.24472847105479767, 0.6652409557748219]
         assert np.allclose(out.data[0], expected, atol=1e-15)
 
@@ -148,7 +148,7 @@ class TestSoftmax:
         ).filter(lambda rows: len({len(r) for r in rows}) == 1)
     )
     def test_rows_sum_to_one(self, rows):
-        out = tc.softmax_rows(tc.Tensor(rows))
+        out = softmax_rows(tc.Tensor(rows))
         assert np.max(np.abs(out.data.sum(axis=-1) - 1.0)) <= 1e-12
 
 
@@ -160,17 +160,17 @@ class TestBackward:
 
     def test_relu_subgradient(self):
         x = tc.Tensor([-1.0, 2.0], requires_grad=True)
-        tc.tsum(tc.relu(x)).backward()
+        tc.tsum(relu(x)).backward()
         assert np.array_equal(x.grad, [0.0, 1.0])
 
     def test_non_scalar_raises(self):
         x = tc.Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(tc.GraphError):
-            tc.add(x, x).backward()
+            add(x, x).backward()
 
     def test_two_consumers_accumulate(self):
         x = tc.Tensor([1.0, 2.0], requires_grad=True)
-        loss = tc.add(tc.tsum(tc.mul(x, 3.0)), tc.tsum(tc.mul(x, x)))
+        loss = add(tc.tsum(tc.mul(x, 3.0)), tc.tsum(tc.mul(x, x)))
         loss.backward()
         assert np.allclose(x.grad, 3.0 + 2.0 * x.data)
 
@@ -190,8 +190,8 @@ class TestBackward:
         x = tc.Tensor(rng.standard_normal((3, 4)))
 
         def f():
-            h = tc.relu(tc.add(tc.matmul(x, w1), b1))
-            return tc.tsum(tc.matmul(h, w2))
+            h = relu(add(matmul(x, w1), b1))
+            return tc.tsum(matmul(h, w2))
 
         report = tc.grad_check(f, [w1, b1, w2])
         assert report.max_rel_error <= 1e-5
@@ -212,7 +212,7 @@ class TestGradCheck:
 
     def test_kink_reported_as_failure(self):
         x = tc.Tensor([0.0], requires_grad=True)
-        report = tc.grad_check(lambda: tc.tsum(tc.relu(x)), [x], tol=1e-6)
+        report = tc.grad_check(lambda: tc.tsum(relu(x)), [x], tol=1e-6)
         assert not report.passed
 
     def test_nondeterministic_rejected(self):
@@ -240,13 +240,14 @@ class TestNoGrad:
     def test_ops_record_no_parents(self):
         rng = np.random.default_rng(0)
         a, b = rand(rng, 3, 4), rand(rng, 4, 2)
+        c = rand(rng, 2)
         with tc.no_grad():
-            out = tc.softmax_rows(tc.matmul(a, b))
+            out = tc.linear_softmax(a, b, c)
         assert out._parents == () and out._backward_fn is None
         assert not out.requires_grad
         assert a.requires_grad and b.requires_grad
         # values are those of the recorded computation
-        assert np.array_equal(out.data, tc.softmax_rows(tc.matmul(a, b)).data)
+        assert np.array_equal(out.data, tc.linear_softmax(a, b, c).data)
 
     def test_leaf_created_inside_keeps_its_flag(self):
         with tc.no_grad():
@@ -282,7 +283,7 @@ class TestNoGrad:
     def test_flag_restored_after_exception(self):
         with pytest.raises(ContractError):
             with tc.no_grad():
-                tc.matmul(tc.Tensor(np.ones((2, 3))), tc.Tensor(np.ones((2, 3))))
+                tc.linear(tc.Tensor(np.ones((2, 3))), tc.Tensor(np.ones((2, 3))), np.zeros(3))
         assert tc.is_grad_enabled()
         x = tc.Tensor([1.0], requires_grad=True)
         tc.tsum(tc.mul(x, 3.0)).backward()
@@ -318,12 +319,96 @@ class TestNoGrad:
 
 # ---------------------------------------------------------------------------
 # fused layers, checked against finite differences and against the composed
-# ops they replace (the oracle below is the graph the models used to record:
-# matmul + add, head reshapes and transposes, residual add before layer norm)
+# ops they replace (the oracles below are the graph the models used to
+# record: one node per matmul, add, relu, gather, scale and softmax, head
+# reshapes and transposes, residual add before layer norm)
+
+
+# primitives only the oracles record, one node per op
+
+
+def add(a, b):
+    a, b = tc.as_tensor(a), tc.as_tensor(b)
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(tc._unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(tc._unbroadcast(g, b.data.shape))
+
+    return tc.Tensor(a.data + b.data, _parents=(a, b), _backward=backward)
+
+
+def matmul(a, b):
+    a, b = tc.as_tensor(a), tc.as_tensor(b)
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+        raise ContractError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(tc._unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        if b.requires_grad:
+            b._accumulate(tc._unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+
+    return tc.Tensor(a.data @ b.data, _parents=(a, b), _backward=backward)
+
+
+def relu(x):
+    x = tc.as_tensor(x)
+    # subgradient at exactly 0 is 0
+    mask = x.data > 0.0
+
+    def backward(g):
+        x._accumulate(g * mask)
+
+    return tc.Tensor(np.where(mask, x.data, 0.0), _parents=(x,), _backward=backward)
+
+
+def softmax_rows(x):
+    """Softmax along the last axis with max-subtraction for stability."""
+    x = tc.as_tensor(x)
+    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+    out_data = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        x._accumulate(out_data * (g - (g * out_data).sum(axis=-1, keepdims=True)))
+
+    return tc.Tensor(out_data, _parents=(x,), _backward=backward)
+
+
+def embedding(weight, ids):
+    """Gather rows of ``weight`` by an integer index array."""
+    weight = tc.as_tensor(weight)
+    ids = np.asarray(ids, dtype=np.int64)
+
+    def backward(g):
+        if not weight.requires_grad:
+            return
+        dw = np.zeros_like(weight.data)
+        np.add.at(dw, ids.reshape(-1), g.reshape(-1, weight.data.shape[-1]))
+        weight._accumulate(dw)
+
+    return tc.Tensor(weight.data[ids], _parents=(weight,), _backward=backward)
 
 
 def composed_linear(x, w, b):
-    return tc.add(tc.matmul(x, w), b)
+    return add(matmul(x, w), b)
+
+
+def composed_feed_forward(x, w1, b1, w2, b2):
+    return composed_linear(relu(composed_linear(x, w1, b1)), w2, b2)
+
+
+def composed_token_embedding(weight, ids, scale, positions):
+    return add(tc.mul(embedding(weight, ids), scale), positions)
+
+
+def composed_linear_softmax(x, w, b):
+    return softmax_rows(composed_linear(x, w, b))
+
+
+def composed_fuse_relu(h, w, y, u):
+    return relu(add(matmul(h, w), matmul(y, u)))
 
 
 FUSED_LAYER_NORM = tc.layer_norm
@@ -331,7 +416,7 @@ FUSED_LAYER_NORM = tc.layer_norm
 
 def composed_layer_norm(x, gain, bias, residual=None):
     if residual is not None:
-        x = tc.add(x, residual)
+        x = add(x, residual)
     # the plain layer norm, also while a test patches tc.layer_norm with this
     return FUSED_LAYER_NORM(x, gain, bias)
 
@@ -376,7 +461,7 @@ def masked_fill(x, mask, value):
     return tc.Tensor(np.where(mask, float(value), x.data), _parents=(x,), _backward=backward)
 
 
-def composed_attention(q, k, v, n_head, scale, mask=None):
+def composed_attention(q, k, v, n_head, scale, wo, bo, mask=None):
     def split(x):
         *lead, T, d = x.shape
         x = reshape(x, (*lead, T, n_head, d // n_head))
@@ -385,13 +470,13 @@ def composed_attention(q, k, v, n_head, scale, mask=None):
     q, k, v = split(q), split(k), split(v)
     k_axes = list(range(k.ndim))
     k_axes[-1], k_axes[-2] = k_axes[-2], k_axes[-1]
-    scores = tc.mul(tc.matmul(q, transpose(k, k_axes)), scale)
+    scores = tc.mul(matmul(q, transpose(k, k_axes)), scale)
     if mask is not None:
         scores = masked_fill(scores, mask, -1e9)
-    ctx = tc.matmul(tc.softmax_rows(scores), v)
+    ctx = matmul(softmax_rows(scores), v)
     ctx = transpose(ctx, _swap_last_two_of_three(ctx.ndim))
     *lead, T, h, dh = ctx.shape
-    return reshape(ctx, (*lead, T, h * dh))
+    return composed_linear(reshape(ctx, (*lead, T, h * dh)), wo, bo)
 
 
 # (q/k input shape, v input shape, causal mask): self-attention, causal
@@ -417,6 +502,35 @@ def _attention_inputs(rng, case):
     return q, k, v, mask
 
 
+# each fused node but attention and layer norm: (fused op, composed oracle,
+# inputs). ``inputs(rng)`` returns the tensor arguments, which get gradients,
+# and the constant arguments after them; activations are (B, T, d).
+def _feed_forward_inputs(rng):
+    return [rand(rng, 2, 3, 4), rand(rng, 4, 6), rand(rng, 6), rand(rng, 6, 4), rand(rng, 4)], ()
+
+
+def _token_embedding_inputs(rng):
+    ids = rng.integers(0, 7, size=(2, 3))
+    ids[1, 2] = ids[0, 0]  # a repeated row accumulates twice
+    return [rand(rng, 7, 4)], (ids, 2.0**0.5, rng.standard_normal((3, 4)))
+
+
+def _linear_softmax_inputs(rng):
+    return [rand(rng, 2, 3, 4), rand(rng, 4, 5), rand(rng, 5)], ()
+
+
+def _fuse_relu_inputs(rng):
+    return [rand(rng, 2, 3, 4), rand(rng, 4, 4), rand(rng, 2, 3, 4), rand(rng, 4, 4)], ()
+
+
+FUSED_NODES = {
+    "feed_forward": (tc.feed_forward, composed_feed_forward, _feed_forward_inputs),
+    "token_embedding": (tc.token_embedding, composed_token_embedding, _token_embedding_inputs),
+    "linear_softmax": (tc.linear_softmax, composed_linear_softmax, _linear_softmax_inputs),
+    "fuse_relu": (tc.fuse_relu, composed_fuse_relu, _fuse_relu_inputs),
+}
+
+
 class TestFusedGradients:
     @pytest.mark.parametrize("seed", range(5))
     def test_linear(self, seed):
@@ -424,6 +538,16 @@ class TestFusedGradients:
         x, w, b = rand(rng, 2, 3, 4), rand(rng, 4, 5), rand(rng, 5)
         report = tc.grad_check(
             lambda: readout(np.random.default_rng(6), tc.linear(x, w, b)), [x, w, b]
+        )
+        assert report.passed, report.worst
+
+    @pytest.mark.parametrize("node", sorted(FUSED_NODES))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fused_node(self, node, seed):
+        op, _, inputs = FUSED_NODES[node]
+        tensors, consts = inputs(np.random.default_rng(seed))
+        report = tc.grad_check(
+            lambda: readout(np.random.default_rng(6), op(*tensors, *consts)), tensors
         )
         assert report.passed, report.worst
 
@@ -442,28 +566,41 @@ class TestFusedGradients:
     def test_attention(self, case, seed):
         rng = np.random.default_rng(seed)
         q, k, v, mask = _attention_inputs(rng, case)
+        wo, bo = rand(rng, 4, 3), rand(rng, 3)
         report = tc.grad_check(
-            lambda: readout(np.random.default_rng(9), tc.attention(q, k, v, 2, 0.7, mask=mask)),
-            [q, k, v],
+            lambda: readout(
+                np.random.default_rng(9), tc.attention(q, k, v, 2, 0.7, wo, bo, mask=mask)
+            ),
+            [q, k, v, wo, bo],
         )
         assert report.passed, report.worst
 
     def test_causal_mask_hides_later_values(self):
         rng = np.random.default_rng(0)
         q, k, v, mask = _attention_inputs(rng, "causal")
-        out = tc.attention(q, k, v, 2, 0.7, mask=mask)
+        out = tc.attention(q, k, v, 2, 0.7, rand(rng, 4, 4), rand(rng, 4), mask=mask)
         tc.tsum(tc.take(out, (np.array([0]), np.array([0])))).backward()
         # the first query sees only the first key and value
         assert not v.grad[0, 1:].any() and not k.grad[0, 1:].any()
 
     def test_shape_errors(self):
         x = tc.Tensor(np.zeros((2, 3, 4)))
-        with pytest.raises(ContractError):
-            tc.linear(x, tc.Tensor(np.zeros((5, 2))), tc.Tensor(np.zeros(2)))
-        with pytest.raises(ContractError):
-            tc.attention(x, x, tc.Tensor(np.zeros((2, 5, 4))), 2, 1.0)
-        with pytest.raises(ContractError):
-            tc.attention(x, x, x, 3, 1.0)
+        w, b = tc.Tensor(np.zeros((4, 4))), tc.Tensor(np.zeros(4))
+        bad_w = tc.Tensor(np.zeros((5, 2)))
+        with pytest.raises(ContractError, match="linear inner dimensions"):
+            tc.linear(x, bad_w, tc.Tensor(np.zeros(2)))
+        with pytest.raises(ContractError, match="attention shapes"):
+            tc.attention(x, x, tc.Tensor(np.zeros((2, 5, 4))), 2, 1.0, w, b)
+        with pytest.raises(ContractError, match="n_head=3"):
+            tc.attention(x, x, x, 3, 1.0, w, b)
+        with pytest.raises(ContractError, match="linear inner dimensions"):
+            tc.attention(x, x, x, 2, 1.0, bad_w, b)
+        with pytest.raises(ContractError, match="linear inner dimensions"):
+            tc.feed_forward(x, w, b, bad_w, b)
+        with pytest.raises(ContractError, match="linear inner dimensions"):
+            tc.linear_softmax(x, bad_w, b)
+        with pytest.raises(ContractError, match=r"matmul inner dimensions disagree: \(2, 3, 4\) x \(5, 2\)"):
+            tc.fuse_relu(x, bad_w, x, w)
 
 
 def _grads_of(tensors):
@@ -489,6 +626,23 @@ class TestFusedMatchComposed:
             out = op(x, w, b)
             readout(np.random.default_rng(1), out).backward()
             results.append((out.data.copy(), _grads_of([x, w, b])))
+        (out_f, grads_f), (out_c, grads_c) = results
+        assert out_f.tobytes() == out_c.tobytes()
+        _assert_bitwise(grads_f, grads_c)
+
+    @pytest.mark.parametrize("node", sorted(FUSED_NODES))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fused_node(self, node, seed):
+        """Every input and weight gradient; the input of each is itself the
+        output of a recorded node, as in a model."""
+        fused, composed, inputs = FUSED_NODES[node]
+        results = []
+        for op in (fused, composed):
+            tensors, consts = inputs(np.random.default_rng(seed))
+            scaled = [tc.mul(t, 1.5) for t in tensors]
+            out = op(*scaled, *consts)
+            readout(np.random.default_rng(1), out).backward()
+            results.append((out.data.copy(), _grads_of(tensors)))
         (out_f, grads_f), (out_c, grads_c) = results
         assert out_f.tobytes() == out_c.tobytes()
         _assert_bitwise(grads_f, grads_c)
@@ -522,7 +676,7 @@ class TestFusedMatchComposed:
             weights = [(rand(rng, d, d), rand(rng, d)) for _ in range(4)]
             mask = np.triu(np.ones((qk_shape[-2],) * 2, dtype=bool), k=1) if causal else None
             q, k, v = (linear(t, *wb) for t, wb in zip((q_in, k_in, v_in), weights))
-            out = linear(attention(q, k, v, n_head, 0.6, mask=mask), *weights[3])
+            out = attention(q, k, v, n_head, 0.6, *weights[3], mask=mask)
             readout(np.random.default_rng(2), out).backward()
             leaves = [q_in, k_in, v_in] + [t for wb in weights for t in wb]
             results.append((out.data.copy(), _grads_of(leaves)))
@@ -559,6 +713,8 @@ class TestFusedMatchComposed:
         monkeypatch.setattr(tc, "linear", composed_linear)
         monkeypatch.setattr(tc, "attention", composed_attention)
         monkeypatch.setattr(tc, "layer_norm", composed_layer_norm)
+        for node, (_, composed_op, _) in FUSED_NODES.items():
+            monkeypatch.setattr(tc, node, composed_op)
         composed = run()
         for (loss_f, grads_f), (loss_c, grads_c) in zip(fused[0], composed[0]):
             assert loss_f == loss_c
