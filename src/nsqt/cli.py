@@ -38,13 +38,11 @@ _TRAIN_KEYS = tuple(f.name for f in fields(pipeline.TrainConfig) if f.name != "r
 
 # every key has a documented default; values double as type witnesses. Keys
 # named after a field of the library's config dataclasses take its default,
-# except vocab_size, max_len and k, which the CLI sets here
+# except k, which the CLI sets here
 DEFAULTS = {
-    # model
+    # model; vocab_size is also the synthetic tasks' vocabulary
     "model": "nat",  # ar | nat | fs
     **_field_defaults(ModelConfig, _MODEL_KEYS),
-    "vocab_size": 20,  # also the synthetic tasks' vocabulary
-    "max_len": 32,
     # synthetic data (used when train_src is empty)
     "task": "copy",  # copy | reverse | sort | echo_runs
     "len_min": 4,
@@ -60,8 +58,8 @@ DEFAULTS = {
     "vocab_file": "",
     # training
     **_field_defaults(pipeline.TrainConfig, _TRAIN_KEYS),
-    # estimator; k is a comma list for the sweep commands, a single int
-    # elsewhere; estimator-bench defaults to 0,1,5,10 (COMMAND_DEFAULTS)
+    # estimator; k is a comma list for estimator-bench and topk-stats, a
+    # single int elsewhere; both list commands default it in COMMAND_DEFAULTS
     "k": "5",
     **_field_defaults(estimators.EstimatorConfig, ("n", "residual_epsilon")),
     # decoding; the mode follows from the model kind and beam (_decode_config)
@@ -74,21 +72,19 @@ DEFAULTS = {
     "bench_len": 3,
     "bench_reps": 2000,
     "bench_instances": 5,
-    # topk-stats
-    "topk_k": "1,5,10",
 }
 
 # defaults that differ for one command; the resolved config records them
-COMMAND_DEFAULTS = {"estimator-bench": {"k": "0,1,5,10"}}
+COMMAND_DEFAULTS = {"estimator-bench": {"k": "0,1,5,10"}, "topk-stats": {"k": "1,5,10"}}
 
 
-def _k_list(raw, key="k"):
+def _k_list(raw):
     try:
         ks = [int(x) for x in str(raw).split(",") if x != ""]
     except ValueError as e:
-        raise ContractError(f"key {key}: {e}") from e
+        raise ContractError(f"key k: {e}") from e
     if not ks or any(k < 0 for k in ks):
-        raise ContractError(f"key {key}: expected non-negative integers, got {raw!r}")
+        raise ContractError(f"key k: expected non-negative integers, got {raw!r}")
     return ks
 
 
@@ -178,6 +174,14 @@ def write_metrics(path, rows):
     write_csv(path, ("step", "split", "metric", "value"), rows)
 
 
+def _require_at_least(cfg, lows):
+    """A usage error naming the first key of ``lows`` whose value is below
+    its lower bound."""
+    for key, low in lows.items():
+        if cfg[key] < low:
+            raise ContractError(f"key {key}: expected >= {low}, got {cfg[key]}")
+
+
 def _model_config(cfg):
     return ModelConfig(**{key: cfg[key] for key in _MODEL_KEYS})
 
@@ -199,6 +203,7 @@ def _load_corpora(cfg):
                 cfg["valid_src"], cfg["valid_tgt"], vocab, cfg["max_len"]
             )
         return train, valid
+    _require_at_least(cfg, {"len_min": 1, "len_max": cfg["len_min"], "data_seed": 0})
     rng = np.random.default_rng(cfg["data_seed"])
     len_range = (cfg["len_min"], cfg["len_max"])
     train = data.gen_synthetic_task(
@@ -332,10 +337,7 @@ def cmd_distill(cfg, out_dir):
 def cmd_estimator_bench(cfg, out_dir):
     """Total-variance sweep over k on random instances with a GLEU reward."""
     ks = _k_list(cfg["k"])
-    lows = {"bench_instances": 1, "bench_len": 1, "bench_vocab": 1, "bench_reps": 2}
-    for key, low in lows.items():
-        if cfg[key] < low:
-            raise ContractError(f"key {key}: expected >= {low}, got {cfg[key]}")
+    _require_at_least(cfg, {"bench_instances": 1, "bench_len": 1, "bench_vocab": 1, "bench_reps": 2})
     V = cfg["bench_vocab"]
     if max(ks) > V:
         raise ContractError(f"key k: expected values <= bench_vocab ({V}), got {max(ks)}")
@@ -357,7 +359,7 @@ def cmd_topk_stats(cfg, out_dir):
     model = _get_model(cfg, train.vocab)
     if model.kind != "nat":
         raise ContractError("topk-stats requires a NAT model")
-    ks = _k_list(cfg["topk_k"], key="topk_k")
+    ks = _k_list(cfg["k"])
     values, summary = pipeline.topk_stats(model, corpus, ks)
     dump_rows = [(k, i, v) for k in ks for i, v in enumerate(values[k])]
     # full precision so recomputing the means from the dump is exact

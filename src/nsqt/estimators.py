@@ -288,8 +288,6 @@ def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
             f"expected {B} references and {B} streams, got {len(refs)} and {len(rngs)}"
         )
     k = config.k
-    if k > V:
-        raise ContractError(f"k={k} exceeds vocabulary size {V}")
     part = top_k_partition(probs, k, config.residual_epsilon)
     streams = _StreamTree(rngs, T, k + 1)
 

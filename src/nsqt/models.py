@@ -35,8 +35,8 @@ class ModelConfig:
     n_layer: int = 2
     n_head: int = 2
     p_dropout: float = 0.0
-    vocab_size: int = 24
-    max_len: int = 64
+    vocab_size: int = 20
+    max_len: int = 32
 
     def __post_init__(self):
         for name in ("d_model", "d_hidden", "n_head", "vocab_size", "max_len"):

@@ -20,7 +20,7 @@ from . import rewards
 from . import tensor as tc
 from .data import build_length_table
 from .errors import ContractError, EmptyCorpusError, TrainingError
-from .models import EOS, PAD, LengthTable, beam_decode, predict_length
+from .models import EOS, PAD, beam_decode, predict_length
 
 log = logging.getLogger(__name__)
 
@@ -76,8 +76,7 @@ class Adam:
     computes every parameter's change with a handful of in-place vector
     operations on preallocated buffers (fresh temporaries of this size cost
     more in page faults than in arithmetic), then writes each parameter
-    back. A parameter whose ``grad`` is None is skipped: its moments and
-    data stay as they are.
+    back. Every parameter must carry a gradient.
     """
 
     def __init__(self, params, cfg):
@@ -97,32 +96,23 @@ class Adam:
 
     def step(self):
         """One update; raises ``TrainingError`` before changing any moment
-        or parameter when a gradient entry is not finite."""
-        active = [i for i, p in enumerate(self.params) if p.grad is not None]
-        if not active:
-            self.step_count += 1
-            return
-        off = self.offsets
-        n = int(sum(off[i + 1] - off[i] for i in active))
-        g = np.concatenate(
-            [self.params[i].grad.reshape(-1) for i in active], out=self._g[:n]
-        )
+        or parameter when a parameter has no gradient or a gradient entry is
+        not finite."""
+        for i, p in enumerate(self.params):
+            if p.grad is None:
+                raise TrainingError(f"parameter {i} has no gradient at step {self.step_count + 1}")
+        g = np.concatenate([p.grad.reshape(-1) for p in self.params], out=self._g)
         if not np.isfinite(g).all():
             raise TrainingError(f"non-finite gradient at step {self.step_count + 1}")
         self.step_count += 1
         lr = self.rate(self.step_count)
         b1, b2, eps = self.cfg.adam_beta1, self.cfg.adam_beta2, self.cfg.adam_eps
-        if len(active) == len(self.params):
-            sel = slice(None)  # views: the moments update in place
-        else:
-            sel = np.concatenate([np.arange(off[i], off[i + 1]) for i in active])
-        m, v, t, u = self.m[sel], self.v[sel], self._t[:n], self._u[:n]
+        m, v, t, u = self.m, self.v, self._t, self._u
         m *= b1
         m += np.multiply(1 - b1, g, out=t)
         v *= b2
         np.multiply(1 - b2, g, out=t)
         v += np.multiply(t, g, out=t)
-        self.m[sel], self.v[sel] = m, v
         # update = lr * mhat / (sqrt(vhat) + eps)
         np.divide(v, 1 - b2**self.step_count, out=t)
         np.sqrt(t, out=t)
@@ -130,11 +120,8 @@ class Adam:
         np.divide(m, 1 - b1**self.step_count, out=u)
         u *= lr
         u /= t
-        start = 0
-        for i in active:
-            p = self.params[i]
-            p.data -= u[start : start + p.data.size].reshape(p.data.shape)
-            start += p.data.size
+        for p, lo, hi in zip(self.params, self.offsets[:-1], self.offsets[1:]):
+            p.data -= u[lo:hi].reshape(p.data.shape)
 
 
 def _prep_target(kind, tgt):
@@ -199,7 +186,7 @@ def mean_validation_gleu(model, corpus, dec, table):
     return total / corpus.size
 
 
-def _train(model, corpus, cfg, valid, table, batch_loss):
+def _train(model, corpus, cfg, valid, batch_loss):
     """The training loop of ``train_ce`` and ``finetune_rl``.
 
     ``batch_loss(srcs, tgts, step)`` returns (metric name, loss tensor,
@@ -208,14 +195,14 @@ def _train(model, corpus, cfg, valid, table, batch_loss):
     Validation GLEU (NAT argmax or greedy decoding, dropout off) runs every
     ``eval_every`` steps when a validation corpus is given, and training
     stops once ``patience`` validations in a row have not beaten the best
-    score.
+    score. NAT and FS validation decodes predict lengths from the training
+    corpus's length table.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     opt = Adam(model.parameters(), cfg)
     if valid is not None:
         _require_pairs(valid, "validation")
-        if table is None:
-            table = build_length_table(corpus)
+        table = build_length_table(corpus)
     dec = DecodeConfig(mode="nat_argmax" if model.kind == "nat" else "greedy")
     best, since_best = -1.0, 0
     rows = []
@@ -246,7 +233,7 @@ def _train(model, corpus, cfg, valid, table, batch_loss):
     return rows
 
 
-def train_ce(model, corpus, cfg, valid=None, table=None):
+def train_ce(model, corpus, cfg, valid=None):
     """Token-level cross-entropy training with Adam and warmup.
 
     Returns metric log rows (step, split, metric, value); validation and the
@@ -260,14 +247,14 @@ def train_ce(model, corpus, cfg, valid=None, table=None):
 
     try:
         model.training = True
-        return _train(model, corpus, cfg, valid, table, nll)
+        return _train(model, corpus, cfg, valid, nll)
     finally:
         # also after a TrainingError: a later caller must not train or
         # decode with dropout it did not ask for
         model.training = False
 
 
-def finetune_rl(model, corpus, est_cfg, reward, cfg, valid=None, table=None):
+def finetune_rl(model, corpus, est_cfg, reward, cfg, valid=None):
     """Sequence-level fine-tuning of a parallel decoder with the top-k
     traversal estimator; the reference is the corpus target (distilled when a
     distilled corpus is supplied).
@@ -294,7 +281,7 @@ def finetune_rl(model, corpus, est_cfg, reward, cfg, valid=None, table=None):
             dnorm += float(np.abs(d).sum())
         return "surrogate", tc.mul(ge.surrogate, 1.0 / B), [("dprobs_l1", dnorm / B)]
 
-    return _train(model, corpus, cfg, valid, table, surrogate)
+    return _train(model, corpus, cfg, valid, surrogate)
 
 
 def dedup_consecutive(tokens):
@@ -320,7 +307,6 @@ def _decode_raw(model, src, dec, table):
     decoder steps run for AR and FS."""
     src = tuple(int(t) for t in src)
     src_arr = np.array([src], dtype=np.int64)
-    table = table if table is not None else LengthTable()
     if model.kind == "nat":
         if dec.mode != "nat_argmax":
             raise ContractError(f"mode {dec.mode!r} undefined for NAT models")
@@ -342,7 +328,7 @@ def _decode_raw(model, src, dec, table):
     return _strip(tokens), steps
 
 
-def decode(model, src, dec, table=None):
+def decode(model, src, dec, table):
     """Decode one source sentence to a clean token sequence (trailing pad and
     end markers stripped; consecutive duplicates removed for NAT when
     ``dec.dedup``)."""

@@ -33,8 +33,8 @@ def _clipped_matches(hyp_counts, ref_counts):
     return sum(min(c, ref_counts[g]) for g, c in hyp_counts.items() if g in ref_counts)
 
 
-def gleu(hyp, ref, max_n=MAX_N):
-    """Pooled GLEU: min of clipped n-gram precision and recall over n=1..max_n.
+def gleu(hyp, ref):
+    """Pooled GLEU: min of clipped n-gram precision and recall over n=1..MAX_N.
 
     Identical sequences score 1; if either side has no n-grams and the
     sequences differ, the score is 0.
@@ -42,8 +42,8 @@ def gleu(hyp, ref, max_n=MAX_N):
     hyp, ref = tuple(hyp), tuple(ref)
     if hyp == ref:
         return 1.0
-    hyp_counts = ngram_counts(hyp, max_n)
-    ref_counts = ngram_counts(ref, max_n)
+    hyp_counts = ngram_counts(hyp)
+    ref_counts = ngram_counts(ref)
     total_hyp = sum(hyp_counts.values())
     total_ref = sum(ref_counts.values())
     if total_hyp == 0 or total_ref == 0:
@@ -52,36 +52,34 @@ def gleu(hyp, ref, max_n=MAX_N):
     return min(matched / total_hyp, matched / total_ref)
 
 
-def gleu_rows(tokens, ref, max_n=MAX_N):
+def gleu_rows(tokens, ref):
     """``gleu(row, ref)`` for every row of an (R, T) token matrix, as a
     float64 vector, bitwise equal to the scalar calls.
 
     Prefix-slot counting. Tokens are renumbered densely over the reference
     vocabulary: ids 1..m, and 0 for a token absent from the reference. Slot
     0 is a sink, slots 1..m are the reference unigrams, and each distinct
-    reference n-gram of order 2..max_n gets the next slot. A table built
+    reference n-gram of order 2..MAX_N gets the next slot. A table built
     from the reference maps (prefix slot, last id) to the n-gram's slot, so
     each hypothesis n-gram's slot is one lookup from its order-(n-1)
     prefix's, and every n-gram the reference lacks lands in the sink, whose
     reference count is 0. One ``bincount`` counts all orders' slots per
     row; clipping the counts by the reference counts and summing gives the
     matched n-grams as exact integers. For a length-L reference the table
-    has at most (min(max_n, L) * L + 1) x (L + 1) entries, whatever the
+    has at most (min(MAX_N, L) * L + 1) x (L + 1) entries, whatever the
     token ids, so nothing can overflow and every input takes this one path.
     """
-    if max_n < 1:
-        raise ContractError(f"max_n must be >= 1, got {max_n}")
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim != 2:
         raise ContractError(f"expected an R x T token matrix, got shape {tokens.shape}")
     ref = np.asarray(ref, dtype=np.int64).reshape(-1)
     (R, T), L = tokens.shape, ref.shape[0]
-    total_hyp = sum(max(T - n + 1, 0) for n in range(1, max_n + 1))
-    total_ref = sum(max(L - n + 1, 0) for n in range(1, max_n + 1))
+    total_hyp = sum(max(T - n + 1, 0) for n in range(1, MAX_N + 1))
+    total_ref = sum(max(L - n + 1, 0) for n in range(1, MAX_N + 1))
     if not (total_hyp and total_ref):
         # gleu: equal sequences score 1, and here only two empty ones can be
         return np.full(R, float(T == L == 0))
-    top = min(max_n, T, L)
+    top = min(MAX_N, T, L)
     vocab, ref_ids = np.unique(ref, return_inverse=True)
     width = len(vocab) + 1
     ref_ids = (ref_ids + 1).tolist()

@@ -32,7 +32,7 @@ accumulate shared gradients in the same order.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -513,7 +513,6 @@ class GradCheckReport:
     tol: float
     passed: bool
     worst: GradCheckEntry | None = None
-    entries: list = field(default_factory=list, repr=False)
 
 
 def _rel_error(a, n):
@@ -557,7 +556,6 @@ def grad_check(f, params, step=1e-5, tol=1e-5):
             a = float(analytic[pi].reshape(-1)[i])
             err = _rel_error(a, numeric)
             entry = GradCheckEntry(pi, i, a, numeric, err)
-            report.entries.append(entry)
             if err >= report.max_rel_error:
                 report.max_rel_error = err
                 report.worst = entry

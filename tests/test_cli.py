@@ -150,7 +150,6 @@ residual_epsilon = 1e-06
 seed = 0
 task = copy
 teacher_checkpoint =
-topk_k = 1,5,10
 train_pairs = 2000
 train_src =
 train_tgt =
@@ -168,8 +167,9 @@ def test_default_resolved_config_is_pinned(tmp_path, command):
     cfg = cli.resolve_config({}, {}, 0, command)
     cli.write_resolved_config(cfg, tmp_path)
     want = DEFAULT_RESOLVED
-    if command == "estimator-bench":
-        want = want.replace("\nk = 5\n", "\nk = 0,1,5,10\n")
+    k_list = {"estimator-bench": "0,1,5,10", "topk-stats": "1,5,10"}.get(command)
+    if k_list:
+        want = want.replace("\nk = 5\n", f"\nk = {k_list}\n")
     assert (tmp_path / "config.resolved.cfg").read_text().replace(" \n", "\n") == want
 
 
@@ -511,6 +511,22 @@ def test_file_corpus_without_its_companion_key_is_usage_error(tmp_path, capsys, 
     assert capsys.readouterr().err == f"error: key {side}_src requires key {missing}\n"
 
 
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        (["--len_min", "5", "--len_max", "3"], "key len_max: expected >= 5, got 3"),
+        (["--len_min", "0"], "key len_min: expected >= 1, got 0"),
+        (["--data_seed", "-1"], "key data_seed: expected >= 0, got -1"),
+    ],
+    ids=["len_max_below_len_min", "len_min_0", "data_seed_negative"],
+)
+def test_out_of_range_synthetic_data_key_is_usage_error(tmp_path, capsys, extra, message):
+    out = tmp_path / "run"
+    assert run(["train-ce", "--out", out] + FAST + extra) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "metrics.csv").exists()
+
+
 def test_estimator_bench_one_row_per_k(tmp_path):
     out = tmp_path / "bench"
     code = run(
@@ -579,7 +595,7 @@ def test_topk_stats_means_reproducible_from_dump(tmp_path):
     out = tmp_path / "topk"
     code = run(
         ["topk-stats", "--out", out, "--init_checkpoint", ckpt,
-         "--topk_k", "1,3,10"] + FAST
+         "--k", "1,3,10"] + FAST
     )
     assert code == 0
     dump = {}
@@ -616,8 +632,8 @@ def test_topk_stats_requires_nat(tmp_path, capsys):
 def test_topk_stats_malformed_k_is_usage_error(tmp_path, capsys):
     ckpt = _tiny_checkpoint(tmp_path)
     args = ["topk-stats", "--out", tmp_path / "t", "--init_checkpoint", ckpt] + FAST
-    assert run(args + ["--topk_k", "1,x"]) == 1
-    assert "topk_k" in capsys.readouterr().err
+    assert run(args + ["--k", "1,x"]) == 1
+    assert capsys.readouterr().err.startswith("error: key k: ")
 
 
 # ---------------------------------------------------------------------------

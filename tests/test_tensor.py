@@ -303,7 +303,7 @@ class TestNoGrad:
             model = models.build_model(kind, cfg, seed=4)
             opt = pl.Adam(model.parameters(), pl.TrainConfig(warmup=1))
             if decode_first:
-                pl.decode(model, [4, 5, 6], dec)
+                pl.decode(model, [4, 5, 6], dec, models.LengthTable({3: 4}))
             model.training = True
             model.zero_grad()
             loss = pl._nll_loss(model, srcs, tgts)
