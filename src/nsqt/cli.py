@@ -203,7 +203,8 @@ def _load_corpora(cfg):
                 cfg["valid_src"], cfg["valid_tgt"], vocab, cfg["max_len"]
             )
         return train, valid
-    _require_at_least(cfg, {"len_min": 1, "len_max": cfg["len_min"], "data_seed": 0})
+    lows = {"len_min": 1, "len_max": cfg["len_min"], "data_seed": 0}
+    _require_at_least(cfg, {**lows, "train_pairs": 0, "valid_pairs": 0})
     rng = np.random.default_rng(cfg["data_seed"])
     len_range = (cfg["len_min"], cfg["len_max"])
     train = data.gen_synthetic_task(
@@ -245,6 +246,28 @@ def _check_vocab(model, vocab):
         )
 
 
+def _check_lengths(cfg, model, train, valid):
+    """Training and validation would fail mid-run on a sentence longer than
+    the model's positions. Sources and training targets must fit max_len,
+    AR and FS targets with their EOS; validation decodes only its sources,
+    at lengths the training targets set. Synthetic corpora are as long as
+    len_max makes them; file corpora were loaded at most max_len long, which
+    a checkpoint's own max_len may undercut."""
+    eos = 0 if model.kind == "nat" else 1
+    needs = {"training": (max(len(src), len(tgt) + eos) for src, tgt in train.pairs)}
+    if valid is not None:
+        needs["validation"] = (len(src) for src, _ in valid.pairs)
+    for name, lengths in needs.items():
+        need = max(lengths, default=0)
+        if need > model.config.max_len:
+            key = "max_len" if cfg["train_src"] else "len_max"
+            with_eos = " (targets with EOS)" if eos and name == "training" else ""
+            raise ContractError(
+                f"key {key}: the {name} corpus needs {need} positions{with_eos}, "
+                f"above the model's max_len {model.config.max_len}"
+            )
+
+
 def _get_model(cfg, vocab):
     """The model of init_checkpoint, or a new one built from the keys; either
     must cover the corpus vocabulary ``vocab``."""
@@ -259,6 +282,7 @@ def _get_model(cfg, vocab):
 def cmd_train_ce(cfg, out_dir):
     train, valid = _load_corpora(cfg)
     model = _get_model(cfg, train.vocab)
+    _check_lengths(cfg, model, train, valid)
     rows = pipeline.train_ce(model, train, _train_config(cfg), valid=valid)
     write_metrics(out_dir / "metrics.csv", rows)
     checkpoint.save_model(model, out_dir / "model.nsqt", seed=cfg["seed"])
@@ -269,6 +293,7 @@ def cmd_train_ce(cfg, out_dir):
 def cmd_finetune_rl(cfg, out_dir):
     train, valid = _load_corpora(cfg)
     model = _get_model(cfg, train.vocab)
+    _check_lengths(cfg, model, train, valid)
     est_cfg = estimators.EstimatorConfig(
         k=_k_single(cfg["k"]),
         n=cfg["n"],

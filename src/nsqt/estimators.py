@@ -31,6 +31,8 @@ from . import tensor as tc
 from .errors import CapacityError, ContractError
 
 ENUM_LIMIT = 10**7
+# odd multiplier of the row hash that keys sampled completions
+_ROW_HASH_MULT = 0x9E3779B97F4A7C15
 
 
 @dataclass
@@ -173,27 +175,50 @@ def estimate_reward_at(dist, t, y, n, reward, ref, rng):
         raise ContractError(f"n must be positive, got {n}")
     tokens = _sample_completions(dist.probs, rng.random((n, dist.T)))
     tokens[:, t] = y
-    return float(_mean_rewards(tokens, n, reward, tuple(ref))[0])
+    return float(_mean_rewards(tokens, n, reward, [tuple(ref)], np.zeros(n, dtype=np.int64))[0])
 
 
-def _mean_rewards(tokens, n, reward, ref):
+def _mean_rewards(tokens, n, reward, refs, which):
     """The mean reward of each consecutive block of n rows of ``tokens``,
-    summed left to right. A reward with a ``batch(tokens, ref)`` method
-    scores all rows in one call; otherwise it is called once per row. Both
-    give the same numbers."""
+    row i scored against ``refs[which[i]]`` and each block summed left to
+    right.
+
+    Rewards are pure, so each distinct (row, reference) pair is scored once
+    and every row takes its pair's score. Rows are keyed by a wrapping
+    uint64 polynomial hash of their tokens and reference index, and every
+    row is compared with its key's representative; should two different
+    pairs share a key, every row is scored. A reward with a
+    ``batch(tokens, refs, which)`` method scores the distinct rows in one
+    call; otherwise it is called once per distinct row. Both give the same
+    numbers."""
+    weights = np.cumprod(np.full(tokens.shape[1] + 1, _ROW_HASH_MULT, dtype=np.uint64))
+    keys = tokens.view(np.uint64) @ weights[:-1] + which.astype(np.uint64) * weights[-1]
+    keys, inverse = np.unique(keys, return_inverse=True)
+    rep = np.empty(len(keys), dtype=np.int64)  # one row of each key
+    rep[inverse] = np.arange(len(tokens))
+    rows, row_refs = np.take(tokens, rep, axis=0), which[rep]
+    if not (
+        np.array_equal(np.take(rows, inverse, axis=0), tokens)
+        and np.array_equal(row_refs[inverse], which)
+    ):
+        inverse = np.arange(len(tokens))
+        rows, row_refs = tokens, which
     batch = getattr(reward, "batch", None)
     if batch is None:
-        scores = np.array([reward(tuple(row), ref) for row in tokens.tolist()], dtype=np.float64)
+        scores = np.array(
+            [reward(tuple(row), refs[i]) for row, i in zip(rows.tolist(), row_refs.tolist())],
+            dtype=np.float64,
+        )
     else:
-        scores = np.asarray(batch(tokens, ref), dtype=np.float64)
-        if scores.shape != (len(tokens),):
+        scores = np.asarray(batch(rows, refs, row_refs), dtype=np.float64)
+        if scores.shape != (len(rows),):
             raise ContractError(
-                f"reward.batch returned shape {scores.shape}, expected ({len(tokens)},)"
+                f"reward.batch returned shape {scores.shape}, expected ({len(rows)},)"
             )
         if not np.all((scores >= 0.0) & (scores <= 1.0)):
             raise ContractError("reward.batch returned values outside [0, 1]")
     # cumsum adds in row order, as a Python loop over the rows would
-    return np.cumsum(scores.reshape(-1, n), axis=1)[:, -1] / n
+    return np.cumsum(scores[inverse].reshape(-1, n), axis=1)[:, -1] / n
 
 
 def enumerate_gradient_direct(dist, reward, ref):
@@ -274,9 +299,12 @@ def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
     second call with the same stream repeats the estimate, so give each
     call a fresh stream (for instance one of ``rng.spawn(n)``).
 
-    A reward with a ``batch(tokens, ref)`` method scores all of a
-    sentence's sampled completions in one call; otherwise it is called once
-    per completion. Both give the same numbers.
+    Rewards must be pure. The step scores each distinct (completion,
+    reference) pair once, over all sentences, and every sampled completion
+    takes its pair's score, so the numbers are those of scoring every
+    completion. A reward with a ``batch(tokens, refs, which)`` method scores
+    the distinct completions of the whole step in one call; otherwise it is
+    called once per distinct completion. Both give the same numbers.
     """
     batched = dist.probs.ndim == 3
     probs = dist.probs if batched else dist.probs[None]
@@ -321,11 +349,13 @@ def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
         u = np.empty((len(cb), n, T))
         for c, words in enumerate(streams.candidate_words[cb, ct, cj].tolist()):
             streams.seeded(words).random(out=u[c])
-        values = np.empty(len(cb))
+        tokens = np.empty((len(cb) * n, T), dtype=np.int64)
         for b, lo, hi in zip(range(B), starts, ends):
-            sampled = _sample_completions(probs[b], u[lo:hi].reshape(-1, T))
-            sampled[np.arange(len(sampled)), np.repeat(ct[lo:hi], n)] = np.repeat(cy[lo:hi], n)
-            values[lo:hi] = _mean_rewards(sampled, n, reward, refs[b])
+            tokens[lo * n : hi * n] = _sample_completions(probs[b], u[lo:hi].reshape(-1, T))
+        tokens[np.arange(len(tokens)), np.repeat(ct, n)] = np.repeat(cy, n)
+        distinct = {}  # reference -> its index among the distinct references
+        ref_of = np.array([distinct.setdefault(r, len(distinct)) for r in refs], dtype=np.int64)
+        values = _mean_rewards(tokens, n, reward, list(distinct), np.repeat(ref_of[cb], n))
 
     sampled = cj == k
     weights = values.copy()

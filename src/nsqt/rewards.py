@@ -15,6 +15,8 @@ import numpy as np
 from .errors import ContractError
 
 MAX_N = 4
+# rows per block of gleu_rows' counting
+_ROW_BLOCK = 1024
 
 
 def ngram_counts(tokens, max_n=MAX_N):
@@ -52,68 +54,130 @@ def gleu(hyp, ref):
     return min(matched / total_hyp, matched / total_ref)
 
 
-def gleu_rows(tokens, ref):
-    """``gleu(row, ref)`` for every row of an (R, T) token matrix, as a
-    float64 vector, bitwise equal to the scalar calls.
+def gleu_rows(tokens, refs, which):
+    """``gleu(tokens[i], refs[which[i]])`` for every row i of an (R, T) token
+    matrix, as a float64 vector, bitwise equal to the scalar calls.
 
-    Prefix-slot counting. Tokens are renumbered densely over the reference
-    vocabulary: ids 1..m, and 0 for a token absent from the reference. Slot
-    0 is a sink, slots 1..m are the reference unigrams, and each distinct
-    reference n-gram of order 2..MAX_N gets the next slot. A table built
-    from the reference maps (prefix slot, last id) to the n-gram's slot, so
-    each hypothesis n-gram's slot is one lookup from its order-(n-1)
-    prefix's, and every n-gram the reference lacks lands in the sink, whose
-    reference count is 0. One ``bincount`` counts all orders' slots per
-    row; clipping the counts by the reference counts and summing gives the
-    matched n-grams as exact integers. For a length-L reference the table
-    has at most (min(MAX_N, L) * L + 1) x (L + 1) entries, whatever the
-    token ids, so nothing can overflow and every input takes this one path.
+    Prefix-slot counting against each row's own reference. Reference g's
+    n-gram at position i, of order n = 1..MAX_N, gets the slot of its first
+    occurrence among that reference's order-n n-grams: slot 0 is a sink,
+    slots 1..L are the unigrams, and each order's L - n + 1 occurrence
+    slots follow. A token's id in reference g is its unigram slot, 0 when
+    the reference lacks it. A table maps (reference, prefix slot, last id)
+    to the n-gram's slot, so each hypothesis n-gram's slot is one lookup
+    from its order-(n-1) prefix's, and every n-gram the reference lacks
+    lands in the sink, whose reference count is 0. The slots and tables of
+    all references are built in one vectorised pass per reference length.
+    One ``bincount`` counts all orders' slots per row; clipping the counts
+    by the row's reference counts and summing gives the matched n-grams as
+    exact integers.
+
+    Token ids find their reference ids through a table indexed by the
+    token's residue mod P, where P is the smallest prime at least the
+    number of distinct reference tokens at which those tokens have distinct
+    residues; a token counts as found only where it equals the reference
+    token of its residue. Any int64 ids take this one path: a difference of
+    two ids has at most 15 prime factors, so P stays near the vocabulary
+    size. For references of length at most L the tables have about
+    len(refs) * (MAX_N * L + 1) * (L + 1) entries, so nothing can overflow.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim != 2:
         raise ContractError(f"expected an R x T token matrix, got shape {tokens.shape}")
-    ref = np.asarray(ref, dtype=np.int64).reshape(-1)
-    (R, T), L = tokens.shape, ref.shape[0]
-    total_hyp = sum(max(T - n + 1, 0) for n in range(1, MAX_N + 1))
-    total_ref = sum(max(L - n + 1, 0) for n in range(1, MAX_N + 1))
-    if not (total_hyp and total_ref):
+    R, T = tokens.shape
+    which = np.asarray(which, dtype=np.int64)
+    if which.shape != (R,):
+        raise ContractError(f"expected {R} reference indices, got shape {which.shape}")
+    if R and not 0 <= which.min() <= which.max() < len(refs):
+        raise ContractError(f"reference indices must lie in [0, {len(refs)})")
+    refs = [np.asarray(ref, dtype=np.int64).reshape(-1) for ref in refs]
+    lengths = np.array([len(ref) for ref in refs], dtype=np.int64)
+    orders = np.arange(MAX_N)
+    total_hyp = int(np.maximum(T - orders, 0).sum())
+    per_order = np.maximum(lengths[:, None] - orders, 0)  # n-grams of order orders + 1
+    total_ref = per_order.sum(axis=1)
+    if total_hyp == 0:
         # gleu: equal sequences score 1, and here only two empty ones can be
-        return np.full(R, float(T == L == 0))
-    top = min(MAX_N, T, L)
-    vocab, ref_ids = np.unique(ref, return_inverse=True)
-    width = len(vocab) + 1
-    ref_ids = (ref_ids + 1).tolist()
-    slot_of = {}  # prefix slot * width + last id -> slot, over orders 2..top
-    ref_slots = prefix = ref_ids
-    for n in range(2, top + 1):
-        prefix = [
-            slot_of.setdefault(p * width + tok, width + len(slot_of))
-            for p, tok in zip(prefix, ref_ids[n - 1 :])
-        ]
-        ref_slots = ref_slots + prefix
-    n_slots = width + len(slot_of)
-    table = np.zeros(n_slots * width, dtype=np.int64)
-    table[list(slot_of)] = list(slot_of.values())
-    ref_counts = np.bincount(ref_slots, minlength=n_slots).astype(np.float64)
+        return (total_ref[which] == 0).astype(np.float64)
 
-    # ids = j + 1 where a token equals vocab[j], else 0: searchsorted gives
-    # the number of vocab entries <= the token, and the shifted vocab holds
-    # the largest of them at that index
-    ids = np.searchsorted(vocab, tokens, side="right")
-    ids *= np.concatenate((vocab[:1], vocab))[ids] == tokens
-    slots = [ids]
-    for n in range(2, top + 1):
-        key = slots[-1][:, :-1] * width
-        key += ids[:, n - 1 :]
-        slots.append(table[key])
-    slots = np.concatenate(slots, axis=1)
-    slots += np.arange(0, R * n_slots, n_slots)[:, None]  # row r counts in its own block
-    counts = np.bincount(slots.ravel(), minlength=R * n_slots).reshape(R, n_slots)
-    # integer-valued doubles far below 2**53: the matrix product sums exactly
-    matched = np.minimum(counts, ref_counts) @ np.ones(n_slots)
-    # A row equal to the reference matches all its n-grams, so it scores
-    # matched / total = 1.0 exactly, as gleu's early return does.
-    return np.minimum(matched / total_hyp, matched / total_ref)
+    vocab = np.unique(np.concatenate([np.empty(0, dtype=np.int64), *refs]))
+    P = _residue_prime(vocab)
+    at = np.zeros(P, dtype=np.int64)  # the reference token of each residue
+    at[vocab % P] = vocab
+    G, W = len(refs), int(lengths.max(initial=0)) + 1
+    # slots per reference: the sink, then one per n-gram of each order n <= T
+    S = 1 + int((per_order * (orders < T)).sum(axis=1).max(initial=0))
+    ids_of = np.zeros(G * P, dtype=np.int64)  # (reference, residue) -> id
+    # (reference g, prefix slot, id) -> g * S + slot: the table of reference
+    # g starts at g * S * W, and a slot g * S + s indexes its prefix s; an
+    # n-gram the reference lacks maps to its sink g * S
+    table = np.repeat(np.arange(0, G * S, S), S * W)
+    ref_slots = []
+    for L in np.unique(lengths[lengths > 0]).tolist():
+        members = np.flatnonzero(lengths == L)
+        grams = np.array([refs[g] for g in members.tolist()])
+        offset = members[:, None] * S
+        ids = _first_occurrence(grams) + 1
+        ids_of[members[:, None] * P + grams % P] = ids
+        slots = prev = ids + offset
+        base = 1 + L
+        for n in range(2, min(MAX_N, T, L) + 1):
+            index = prev[:, : L - n + 1] * W + ids[:, n - 1 :]
+            prev = offset + base + _first_occurrence(index)
+            table[index] = prev
+            slots = np.concatenate((slots, prev), axis=1)
+            base += L - n + 1
+        ref_slots.append(slots.ravel())
+    ref_counts = np.bincount(
+        np.concatenate([np.empty(0, dtype=np.int64), *ref_slots]), minlength=G * S
+    ).reshape(G, S)
+
+    total_ref = np.maximum(total_ref, 1)
+    scores = np.empty(R)
+    # position-major blocks of rows: every order's slots are one contiguous
+    # run, and the per-slot count matrices stay in cache
+    tokens = tokens.T.copy()
+    for lo in range(0, R, _ROW_BLOCK):
+        block, refs_of = tokens[:, lo : lo + _ROW_BLOCK], which[lo : lo + _ROW_BLOCK]
+        rows = len(refs_of)
+        residues = block % P
+        ids = ids_of[refs_of * P + residues]
+        ids *= at[residues] == block
+        slots = np.empty((total_hyp, rows), dtype=np.int64)
+        prev = np.add(ids, refs_of * S, out=slots[:T])
+        at_row = T
+        for n in range(2, min(MAX_N, T, W - 1) + 1):
+            key = prev[:-1] * W
+            key += ids[n - 1 :]
+            prev = np.take(table, key, out=slots[at_row : at_row + T - n + 1])
+            at_row += T - n + 1
+        # orders above the longest reference's all land in the sink
+        slots[at_row:] = refs_of * S
+        # row r counts slot g * S + s of its reference g at r * S + s
+        slots += (np.arange(rows) - refs_of) * S
+        counts = np.bincount(slots.ravel(), minlength=rows * S).reshape(rows, S)
+        matched = np.minimum(counts, np.take(ref_counts, refs_of, axis=0), out=counts).sum(axis=1)
+        # A row equal to its reference matches all its n-grams, so it scores
+        # matched / total = 1.0 exactly, as gleu's early return does. An
+        # empty reference has no slots, so its rows match nothing and score 0.
+        np.minimum(matched / total_hyp, matched / total_ref[refs_of], out=scores[lo : lo + rows])
+    return scores
+
+
+def _first_occurrence(keys):
+    """Per row of ``keys``, the column of each entry's first equal entry."""
+    return (keys[:, :, None] == keys[:, None, :]).argmax(axis=2)
+
+
+def _residue_prime(vocab):
+    """The smallest prime P >= len(vocab) at which the ids in ``vocab`` have
+    distinct residues mod P."""
+    p = max(len(vocab), 2)
+    while True:
+        prime = all(p % d for d in range(2, math.isqrt(p) + 1))
+        if prime and len(np.unique(vocab % p)) == len(vocab):
+            return p
+        p += 1
 
 
 def _order_matches(hyp, ref, n):
@@ -178,12 +242,14 @@ class RewardFn:
             return gleu(hyp, ref)
         return bleu_sentence(hyp, ref)
 
-    def batch(self, tokens, ref):
-        """The reward of every row of an (R, T) token matrix: one value per
-        row, bitwise equal to calling the reward on that row."""
+    def batch(self, tokens, refs, which):
+        """The reward of every row i of an (R, T) token matrix against
+        ``refs[which[i]]``: one value per row, bitwise equal to calling the
+        reward on that row and reference."""
         if self.kind == "GLEU":
-            return gleu_rows(tokens, ref)
-        return np.array([bleu_sentence(row, ref) for row in np.asarray(tokens).tolist()])
+            return gleu_rows(tokens, refs, which)
+        rows = zip(np.asarray(tokens).tolist(), np.asarray(which).tolist(), strict=True)
+        return np.array([bleu_sentence(row, refs[i]) for row, i in rows], dtype=np.float64)
 
 
 def memoize_reward(reward):

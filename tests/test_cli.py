@@ -517,14 +517,84 @@ def test_file_corpus_without_its_companion_key_is_usage_error(tmp_path, capsys, 
         (["--len_min", "5", "--len_max", "3"], "key len_max: expected >= 5, got 3"),
         (["--len_min", "0"], "key len_min: expected >= 1, got 0"),
         (["--data_seed", "-1"], "key data_seed: expected >= 0, got -1"),
+        (["--train_pairs", "-1"], "key train_pairs: expected >= 0, got -1"),
+        (["--valid_pairs", "-3"], "key valid_pairs: expected >= 0, got -3"),
     ],
-    ids=["len_max_below_len_min", "len_min_0", "data_seed_negative"],
+    ids=[
+        "len_max_below_len_min", "len_min_0", "data_seed_negative",
+        "train_pairs_negative", "valid_pairs_negative",
+    ],
 )
 def test_out_of_range_synthetic_data_key_is_usage_error(tmp_path, capsys, extra, message):
     out = tmp_path / "run"
     assert run(["train-ce", "--out", out] + FAST + extra) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command,kind,extra,message",
+    [
+        ("train-ce", "nat", ["--len_min", "17", "--len_max", "20"], "needs 20 positions"),
+        # echo_runs doubles tokens: sources of 14 give targets longer than 16
+        (
+            "finetune-rl", "nat", ["--task", "echo_runs", "--len_min", "14", "--len_max", "14"],
+            "needs 21 positions,",
+        ),
+        # the EOS makes a target of 16 one position too long
+        (
+            "train-ce", "ar", ["--len_min", "16", "--len_max", "16"],
+            "needs 17 positions (targets with EOS)",
+        ),
+    ],
+    ids=["nat", "nat_echo_runs", "ar_eos"],
+)
+def test_corpus_longer_than_max_len_is_usage_error(tmp_path, capsys, command, kind, extra, message):
+    out = tmp_path / "run"
+    assert run([command, "--out", out, "--model", kind] + FAST + extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: key len_max: the training corpus ") and message in err
+    assert err.endswith(", above the model's max_len 16\n") and err.count("\n") == 1
+    assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "kind,train_tgt,valid_src,message",
+    [
+        # the loader keeps sources of max_len 32; the checkpoint has 16
+        ("nat", "b a", "a " * 20, "the validation corpus needs 20 positions,"),
+        # the loader keeps a target of max_len 16; its EOS makes it 17
+        ("ar", "b " * 16, "a b", "the training corpus needs 17 positions (targets with EOS),"),
+    ],
+    ids=["validation_source", "ar_eos"],
+)
+def test_file_corpus_longer_than_max_len_is_usage_error(
+    tmp_path, capsys, kind, train_tgt, valid_src, message
+):
+    for name, text in [("vocab.txt", "a\nb\n"), ("train.src", "a b"), ("train.tgt", train_tgt),
+                       ("valid.src", valid_src), ("valid.tgt", "a b")]:
+        (tmp_path / name).write_text(text + "\n")
+    out = tmp_path / "run"
+    args = [
+        "train-ce", "--out", out, "--max_steps", "2", "--eval_every", "1",
+        "--vocab_file", tmp_path / "vocab.txt",
+        "--train_src", tmp_path / "train.src", "--train_tgt", tmp_path / "train.tgt",
+        "--valid_src", tmp_path / "valid.src", "--valid_tgt", tmp_path / "valid.tgt",
+    ]
+    if kind == "nat":
+        args += ["--init_checkpoint", _tiny_checkpoint(tmp_path)]
+    else:
+        args += ["--model", "ar", "--max_len", "16", "--d_model", "16", "--d_hidden", "32"]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: key max_len: {message} above the model's max_len 16\n"
+    assert not (out / "metrics.csv").exists()
+
+
+def test_corpus_at_max_len_trains(tmp_path):
+    # a NAT target of max_len tokens fits; an AR one would not
+    extra = ["--len_min", "16", "--len_max", "16"]
+    assert run(["train-ce", "--out", tmp_path / "run"] + FAST + extra) == 0
 
 
 def test_estimator_bench_one_row_per_k(tmp_path):

@@ -70,7 +70,8 @@ def oracle_reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=Fals
         if batch is None:
             scores = [reward(tuple(row), ref) for row in tokens]
         else:
-            scores = np.asarray(batch(tokens, ref), dtype=np.float64).tolist()
+            which = np.zeros(len(tokens), dtype=np.int64)
+            scores = np.asarray(batch(tokens, [ref], which), dtype=np.float64).tolist()
         values = []
         for i in range(0, len(scores), n):
             total = 0.0  # left to right, as Python 3.11's sum adds floats
@@ -326,9 +327,88 @@ class TestReinforceNat:
         assert np.max(np.abs(logits.grad - manual)) <= 1e-8
 
 
+@st.composite
+def scoring_cases(draw):
+    """Blocks of n rows over a tiny alphabet, so rows repeat, each block
+    scored against one of a few ragged references that may repeat."""
+    T, n, blocks = draw(st.integers(0, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    # small, negative or wide ids
+    tok = st.sampled_from(draw(st.sampled_from([(0, 1, 2, 3), (-2, 0, 1, 3), (0, 1, 2**40)])))
+    refs = draw(st.lists(st.lists(tok, max_size=6).map(tuple), min_size=1, max_size=4))
+    rows = draw(st.lists(st.lists(tok, min_size=T, max_size=T), min_size=blocks * n, max_size=blocks * n))
+    block_refs = draw(st.lists(st.integers(0, len(refs) - 1), min_size=blocks, max_size=blocks))
+    return np.array(rows, dtype=np.int64).reshape(blocks * n, T), n, refs, np.repeat(block_refs, n)
+
+
 class TestBatchedRewards:
     """A reward's ``batch`` method must change nothing but speed: the scalar
     reward is the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=scoring_cases(), batched=st.booleans(), collide=st.booleans())
+    def test_distinct_scoring_equals_every_row(self, case, batched, collide):
+        tokens, n, refs, which = case
+        want = []
+        for lo in range(0, len(tokens), n):
+            total = 0.0  # left to right, as Python 3.11's sum adds floats
+            for row, i in zip(tokens[lo : lo + n].tolist(), which[lo : lo + n].tolist()):
+                total += rewards.gleu(tuple(row), refs[i])
+            want.append(total / n)
+        fn = rewards.RewardFn("GLEU") if batched else (lambda h, r: rewards.gleu(h, r))
+        with pytest.MonkeyPatch.context() as mp:
+            if collide:  # every row gets the same key
+                mp.setattr(est, "_ROW_HASH_MULT", 0)
+            got = est._mean_rewards(tokens, n, fn, refs, which)
+        assert got.tolist() == want
+
+    @staticmethod
+    def _recorder(calls):
+        def reward(hyp, ref):
+            calls.append((tuple(hyp), tuple(ref)))
+            return rewards.gleu(hyp, ref)
+
+        return reward
+
+    def test_each_distinct_pair_scored_once(self):
+        # peaked rows and repeated references: the oracle calls the reward
+        # once per sampled row, the estimator once per distinct pair
+        dist = est.PositionDistributions(
+            np.random.default_rng(5).dirichlet(np.full(6, 0.1), size=(8, 4))
+        )
+        refs = [(1, 2, 3), (0, 0), (1, 2, 3), (4,), (0, 0), (1, 2, 3), (5, 5, 5, 5), (4,)]
+        cfg = est.EstimatorConfig(k=2, n=10)
+        every, distinct = [], []
+        # fresh streams for each: the oracle's Generator.spawn advances them
+        want = oracle_batch_step(
+            dist, cfg, self._recorder(every), refs, np.random.default_rng(6).spawn(8)
+        )
+        got = est.reinforce_nat_step(
+            dist, cfg, self._recorder(distinct), refs, np.random.default_rng(6).spawn(8)
+        )
+        assert np.array_equal(got.dprobs, want.dprobs)
+        assert sorted(distinct) == sorted(set(every))
+        assert len(distinct) < len(every) / 2
+
+    def test_stats_chunk_scores_each_distinct_pair_once(self):
+        # every repetition of a chunk shares the reference
+        calls = []
+        dist = est.random_distributions(3, 4, np.random.default_rng(3), concentration=0.3)
+        est.reinforce_nat_stats(
+            dist, est.EstimatorConfig(k=1, n=5), self._recorder(calls), (1, 2, 3), 40, np.random.default_rng(4)
+        )
+        assert len(calls) == len(set(calls)) < 40 * 3 * 2 * 5 / 4
+
+    def test_hash_collision_scores_every_row(self, monkeypatch):
+        calls = []
+        tokens = np.array([[1, -2], [1, -2], [-2, 1], [1, -2]])
+        which = np.zeros(4, dtype=np.int64)
+        want = [1.0, (rewards.gleu((-2, 1), (1, -2)) + 1.0) / 2]
+        got = est._mean_rewards(tokens, 2, self._recorder(calls), [(1, -2)], which)
+        assert got.tolist() == want and len(calls) == 2
+        monkeypatch.setattr(est, "_ROW_HASH_MULT", 0)
+        calls.clear()
+        got = est._mean_rewards(tokens, 2, self._recorder(calls), [(1, -2)], which)
+        assert got.tolist() == want and len(calls) == 4
 
     def _step(self, reward, k=3, n=7):
         rng = np.random.default_rng(31)
@@ -366,7 +446,7 @@ class TestBatchedRewards:
         def __call__(self, hyp, ref):
             return rewards.gleu(hyp, ref)
 
-        def batch(self, tokens, ref):
+        def batch(self, tokens, refs, which):
             return self.result(tokens)
 
     @pytest.mark.parametrize(
@@ -568,11 +648,16 @@ class TestStreams:
 V_ORACLE = 7
 
 
-def _estimate(step, B, k, eps, reward, exact, seed=0):
+def _estimate(step, B, k, eps, reward, exact, seed=0, peaked=False):
     """dprobs, surrogate value and logits gradient of ``step`` on a B x 3 x V
-    batch of softmax rows, as bytes."""
+    batch of softmax rows, as bytes. Peaked rows are Dirichlet(0.1), so most
+    sampled completions repeat."""
     rng = np.random.default_rng(seed)
-    logits = tc.Tensor(2.5 * rng.standard_normal((B, 3, V_ORACLE)), requires_grad=True)
+    if peaked:
+        rows = rng.dirichlet(np.full(V_ORACLE, 0.1), size=(B, 3))
+        logits = tc.Tensor(np.log(np.maximum(rows, 1e-12)), requires_grad=True)
+    else:
+        logits = tc.Tensor(2.5 * rng.standard_normal((B, 3, V_ORACLE)), requires_grad=True)
     probs = softmax_rows(logits)
     refs = rng.integers(0, V_ORACLE, size=(B, 3))
     dist = est.PositionDistributions(probs.data, tensor=probs)
@@ -591,14 +676,20 @@ REWARDS = {
 
 
 class TestBatchedEstimatorOracle:
-    @pytest.mark.parametrize("reward", sorted(REWARDS))
+    # the reward's test ID alone for softmax rows, "<reward>-peaked" for
+    # peaked rows, where most sampled completions repeat
+    @pytest.mark.parametrize(
+        "reward,peaked",
+        [pytest.param(r, False, id=r) for r in sorted(REWARDS)]
+        + [pytest.param(r, True, id=f"{r}-peaked") for r in sorted(REWARDS)],
+    )
     @pytest.mark.parametrize("eps", [1e-6, 0.5])
     @pytest.mark.parametrize("k", [0, 1, 5, V_ORACLE])
     @pytest.mark.parametrize("B", [1, 2, 16])
-    def test_batch_equals_sentence_oracle(self, B, k, eps, reward):
+    def test_batch_equals_sentence_oracle(self, B, k, eps, reward, peaked):
         fn, exact = REWARDS[reward]
-        got = _estimate(est.reinforce_nat_step, B, k, eps, fn, exact, seed=B * 10 + k)
-        want = _estimate(oracle_batch_step, B, k, eps, fn, exact, seed=B * 10 + k)
+        got = _estimate(est.reinforce_nat_step, B, k, eps, fn, exact, B * 10 + k, peaked)
+        want = _estimate(oracle_batch_step, B, k, eps, fn, exact, B * 10 + k, peaked)
         assert got == want
 
     @pytest.mark.parametrize("k", [0, 2, V_ORACLE])

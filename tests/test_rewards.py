@@ -68,51 +68,65 @@ class TestGleu:
 
 @st.composite
 def batch_cases(draw):
-    """An (R, T) token matrix and a reference of any length (empty
-    included). Token ids come from a small alphabet of ids up to 10^6, so
-    n-grams repeat. Some rows may equal the reference."""
-    alphabet = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=12, unique=True))
+    """An (R, T) token matrix, one to four references of any length (empty
+    included, equal ones possible) and each row's reference index. Token
+    ids come from a small alphabet of ids in [-10^6, 10^6], so n-grams
+    repeat. Some rows may equal their reference."""
+    alphabet = draw(st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=12, unique=True))
     tok = st.sampled_from(alphabet)
-    ref = draw(st.lists(tok, min_size=0, max_size=40))
-    width = len(ref) if draw(st.booleans()) else draw(st.integers(0, 40))
+    width = draw(st.integers(0, 40))
+    ref_len = st.one_of(st.just(width), st.integers(0, 40))
+    refs = draw(st.lists(ref_len.flatmap(lambda n: st.lists(tok, min_size=n, max_size=n)), min_size=1, max_size=4))
+    refs = [tuple(ref) for ref in refs]
     rows = draw(st.lists(st.lists(tok, min_size=width, max_size=width), min_size=1, max_size=8))
-    if len(ref) == width:
-        rows = [list(ref) if draw(st.booleans()) else row for row in rows]
-    return np.array(rows, dtype=np.int64).reshape(len(rows), width), tuple(ref)
+    which = draw(st.lists(st.integers(0, len(refs) - 1), min_size=len(rows), max_size=len(rows)))
+    rows = [
+        list(refs[i]) if len(refs[i]) == width and draw(st.booleans()) else row
+        for row, i in zip(rows, which)
+    ]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), width), refs, np.array(which)
 
 
 class TestGleuRows:
     @settings(max_examples=400, deadline=None)
     @given(batch_cases())
     def test_bitwise_equal_to_scalar(self, case):
-        tokens, ref = case
-        got = rewards.gleu_rows(tokens, ref)
-        want = [rewards.gleu(tuple(row), ref) for row in tokens]
+        tokens, refs, which = case
+        got = rewards.gleu_rows(tokens, refs, which)
+        want = [rewards.gleu(tuple(row), refs[i]) for row, i in zip(tokens, which)]
         assert got.shape == (len(tokens),)
         assert got.tolist() == want
 
     def test_tokens_outside_reference_vocabulary(self):
         tokens = np.array([[7, 1, 2], [1, 2, 900], [0, 0, 0]])
         ref = (1, 2, 3, 1)
-        assert rewards.gleu_rows(tokens, ref).tolist() == [rewards.gleu(r, ref) for r in tokens.tolist()]
+        got = rewards.gleu_rows(tokens, [ref], [0, 0, 0])
+        assert got.tolist() == [rewards.gleu(r, ref) for r in tokens.tolist()]
 
     def test_wide_reference_vocabulary(self):
         ref = tuple(range(0, 40 * 10**15, 10**15))
         tokens = np.array([ref, ref[::-1], ref[:20] + ref[:20]])
-        got = rewards.gleu_rows(tokens, ref)
+        got = rewards.gleu_rows(tokens, [ref], [0, 0, 0])
         assert got.tolist() == [1.0] + [rewards.gleu(row, ref) for row in tokens.tolist()[1:]]
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            rewards.gleu_rows(np.zeros(3, dtype=np.int64), (1,))
+            rewards.gleu_rows(np.zeros(3, dtype=np.int64), [(1,)], [0, 0, 0])
+        with pytest.raises(ValueError):
+            rewards.gleu_rows(np.zeros((3, 2), dtype=np.int64), [(1,)], [0, 0])
+        for which in ([0, 1, 0], [0, -1, 0]):
+            with pytest.raises(ValueError, match="reference indices"):
+                rewards.gleu_rows(np.zeros((3, 2), dtype=np.int64), [(1,)], which)
 
     @pytest.mark.parametrize("kind", ["GLEU", "BLEU"])
     def test_reward_fn_batch_matches_call(self, kind):
         fn = rewards.RewardFn(kind)
         rng = np.random.default_rng(0)
         tokens = rng.integers(0, 6, size=(30, 5))
-        ref = (1, 2, 3, 2, 5)
-        assert fn.batch(tokens, ref).tolist() == [fn(tuple(row), ref) for row in tokens]
+        refs = [(1, 2, 3, 2, 5), (4, 4), (1, 2, 3, 2, 5), ()]
+        which = rng.integers(0, len(refs), size=30)
+        want = [fn(tuple(row), refs[i]) for row, i in zip(tokens, which)]
+        assert fn.batch(tokens, refs, which).tolist() == want
 
 
 class TestBleuSentence:
