@@ -250,22 +250,39 @@ def _check_lengths(cfg, model, train, valid):
     """Training and validation would fail mid-run on a sentence longer than
     the model's positions. Sources and training targets must fit max_len,
     AR and FS targets with their EOS; validation decodes only its sources,
-    at lengths the training targets set. Synthetic corpora are as long as
-    len_max makes them; file corpora were loaded at most max_len long, which
-    a checkpoint's own max_len may undercut."""
+    at lengths the training targets set."""
     eos = 0 if model.kind == "nat" else 1
-    needs = {"training": (max(len(src), len(tgt) + eos) for src, tgt in train.pairs)}
+    _check_fits(
+        cfg, model, "training", (max(len(src), len(tgt) + eos) for src, tgt in train.pairs),
+        " (targets with EOS)" if eos else "",
+    )
     if valid is not None:
-        needs["validation"] = (len(src) for src, _ in valid.pairs)
-    for name, lengths in needs.items():
-        need = max(lengths, default=0)
-        if need > model.config.max_len:
-            key = "max_len" if cfg["train_src"] else "len_max"
-            with_eos = " (targets with EOS)" if eos and name == "training" else ""
-            raise ContractError(
-                f"key {key}: the {name} corpus needs {need} positions{with_eos}, "
-                f"above the model's max_len {model.config.max_len}"
-            )
+        _check_sources(cfg, model, valid, "validation")
+
+
+def _check_sources(cfg, model, corpus, name):
+    """Decoding reads every source of the corpus ``name`` whole."""
+    _check_fits(cfg, model, name, (len(src) for src, _ in corpus.pairs), "")
+
+
+def _check_fits(cfg, model, name, lengths, note):
+    """A usage error when the corpus ``name`` needs more positions than the
+    model has; ``lengths`` holds each pair's need. Synthetic corpora are as
+    long as len_max makes them; file corpora were loaded at most max_len
+    long, which a checkpoint's own max_len may undercut."""
+    need = max(lengths, default=0)
+    if need > model.config.max_len:
+        key = "max_len" if cfg["train_src"] else "len_max"
+        raise ContractError(
+            f"key {key}: the {name} corpus needs {need} positions{note}, "
+            f"above the model's max_len {model.config.max_len}"
+        )
+
+
+def _evaluated(train, valid):
+    """The corpus the evaluation commands read and its name: the validation
+    corpus when there is one."""
+    return (valid, "validation") if valid is not None else (train, "training")
 
 
 def _get_model(cfg, vocab):
@@ -311,8 +328,9 @@ def cmd_finetune_rl(cfg, out_dir):
 
 def cmd_decode(cfg, out_dir):
     train, valid = _load_corpora(cfg)
-    corpus = valid if valid is not None else train
+    corpus, name = _evaluated(train, valid)
     model = _get_model(cfg, train.vocab)
+    _check_sources(cfg, model, corpus, name)
     table = data.build_length_table(train)
     hyps = pipeline.decode_corpus(model, corpus, _decode_config(cfg, model.kind), table)
     with open(out_dir / "decodes.txt", "w", encoding="utf-8") as f:
@@ -323,8 +341,9 @@ def cmd_decode(cfg, out_dir):
 
 def cmd_evaluate(cfg, out_dir):
     train, valid = _load_corpora(cfg)
-    corpus = valid if valid is not None else train
+    corpus, name = _evaluated(train, valid)
     model = _get_model(cfg, train.vocab)
+    _check_sources(cfg, model, corpus, name)
     table = data.build_length_table(train)
     report = pipeline.evaluate(model, corpus, _decode_config(cfg, model.kind), table)
     summary = [
@@ -350,6 +369,7 @@ def cmd_distill(cfg, out_dir):
         raise ContractError("distill requires teacher_checkpoint")
     teacher = checkpoint.load_model(cfg["teacher_checkpoint"])
     _check_vocab(teacher, train.vocab)
+    _check_sources(cfg, teacher, train, "training")
     dec = _decode_config(cfg, teacher.kind)
     distilled = pipeline.distill_corpus(teacher, train, dec)
     data.save_corpus(
@@ -380,10 +400,13 @@ def cmd_estimator_bench(cfg, out_dir):
 
 def cmd_topk_stats(cfg, out_dir):
     train, valid = _load_corpora(cfg)
-    corpus = valid if valid is not None else train
+    corpus, name = _evaluated(train, valid)
     model = _get_model(cfg, train.vocab)
     if model.kind != "nat":
         raise ContractError("topk-stats requires a NAT model")
+    # NAT runs at each target's length
+    lengths = (max(len(src), len(tgt)) for src, tgt in corpus.pairs)
+    _check_fits(cfg, model, name, lengths, "")
     ks = _k_list(cfg["k"])
     values, summary = pipeline.topk_stats(model, corpus, ks)
     dump_rows = [(k, i, v) for k in ks for i, v in enumerate(values[k])]

@@ -17,12 +17,21 @@ stream had spawned), and candidate j of that position the child stream j of
 the position stream. The streams are bitwise those of ``Generator.spawn``;
 they are derived from the seed sequence's words by numpy's documented
 SeedSequence mixing and PCG64 seeding instead of building a Generator per
-stream.
+stream, and drawn from one reused PCG64 per thread.
+
+A ``reinforce_nat_step`` call on a small instance costs Python-level numpy
+calls more than arithmetic, so its per-call path keeps ``tensor.py``'s
+rule: every op calls numpy's C entry points, not its Python wrappers. That
+means ufunc methods such as ``np.add.reduce`` and ``np.add.accumulate``
+rather than ``np.sum`` or ``np.cumsum``, and array methods such as
+``.argsort``, ``.searchsorted``, ``.nonzero`` and ``.repeat`` rather than
+their ``np.`` functions. The numbers are bitwise those of the wrappers.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -119,28 +128,36 @@ def top_k_partition(probs, k, residual_epsilon=1e-6):
     lies outside the members.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    if k > probs.shape[-1]:
-        raise ContractError(f"k={k} exceeds vocabulary size {probs.shape[-1]}")
-    order = np.argsort(-probs, axis=-1, kind="stable")
-    members = np.sort(order[..., :k], axis=-1)
-    mass = np.take_along_axis(probs, members, axis=-1).sum(axis=-1)
-    residual = probs.copy()
-    np.put_along_axis(residual, members, 0.0, axis=-1)
-    total = residual.sum(axis=-1)
+    lead, V = probs.shape[:-1], probs.shape[-1]
+    if k > V:
+        raise ContractError(f"k={k} exceeds vocabulary size {V}")
+    residual = probs.reshape(-1, V).copy()
+    members = (-residual).argsort(kind="stable")[:, :k]
+    members.sort()
+    index = (np.arange(len(residual))[:, None], members)
+    mass = np.add.reduce(residual[index], axis=-1)
+    residual[index] = 0.0
+    total = np.add.reduce(residual, axis=-1)
     has = (1.0 - mass >= residual_epsilon) & (total > 0.0)
-    residual /= np.where(has, total, 1.0)[..., None]
+    total[~has] = 1.0
+    residual /= total[:, None]
     residual[~has] = 0.0
-    return TopKPartition(members, mass, residual, has)
+    return TopKPartition(
+        members.reshape(lead + (k,)),
+        mass.reshape(lead),
+        residual.reshape(probs.shape),
+        has.reshape(lead),
+    )
 
 
 def _sample_completions(probs, u):
     """Full sequences from an (N, T) matrix of uniforms: token t of each
     sequence inverts row t's CDF at the uniform in column t."""
     T, V = probs.shape
-    cum = np.cumsum(probs, axis=1)
+    cum = np.add.accumulate(probs, axis=1)
     tokens = np.empty(u.shape, dtype=np.int64)
     for i in range(T):
-        tokens[:, i] = np.searchsorted(cum[i], u[:, i], side="right")
+        tokens[:, i] = cum[i].searchsorted(u[:, i], side="right")
     # searchsorted never returns a negative index: only the top needs a clamp
     np.minimum(tokens, V - 1, out=tokens)
     return tokens
@@ -191,15 +208,25 @@ def _mean_rewards(tokens, n, reward, refs, which):
     ``batch(tokens, refs, which)`` method scores the distinct rows in one
     call; otherwise it is called once per distinct row. Both give the same
     numbers."""
-    weights = np.cumprod(np.full(tokens.shape[1] + 1, _ROW_HASH_MULT, dtype=np.uint64))
+    weights = np.multiply.accumulate(
+        np.array([_ROW_HASH_MULT] * (tokens.shape[1] + 1), dtype=np.uint64)
+    )
     keys = tokens.view(np.uint64) @ weights[:-1] + which.astype(np.uint64) * weights[-1]
-    keys, inverse = np.unique(keys, return_inverse=True)
-    rep = np.empty(len(keys), dtype=np.int64)  # one row of each key
-    rep[inverse] = np.arange(len(tokens))
-    rows, row_refs = np.take(tokens, rep, axis=0), which[rep]
+    # the distinct keys in sorted order, as np.unique finds them: one row of
+    # each and every row's index among them
+    order = keys.argsort()
+    ordered = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.add.accumulate(first, dtype=np.intp) - 1
+    rep = order[first]
+    # take gathers whole rows in half the time of an index
+    rows, row_refs = tokens.take(rep, axis=0), which[rep]
     if not (
-        np.array_equal(np.take(rows, inverse, axis=0), tokens)
-        and np.array_equal(row_refs[inverse], which)
+        np.logical_and.reduce(rows.take(inverse, axis=0) == tokens, axis=None)
+        and np.logical_and.reduce(row_refs[inverse] == which)
     ):
         inverse = np.arange(len(tokens))
         rows, row_refs = tokens, which
@@ -215,10 +242,10 @@ def _mean_rewards(tokens, n, reward, refs, which):
             raise ContractError(
                 f"reward.batch returned shape {scores.shape}, expected ({len(rows)},)"
             )
-        if not np.all((scores >= 0.0) & (scores <= 1.0)):
+        if not np.logical_and.reduce((scores >= 0.0) & (scores <= 1.0)):
             raise ContractError("reward.batch returned values outside [0, 1]")
-    # cumsum adds in row order, as a Python loop over the rows would
-    return np.cumsum(scores[inverse].reshape(-1, n), axis=1)[:, -1] / n
+    # accumulate adds in row order, as a Python loop over the rows would
+    return np.add.accumulate(scores[inverse].reshape(-1, n), axis=1)[:, -1] / n
 
 
 def enumerate_gradient_direct(dist, reward, ref):
@@ -322,20 +349,20 @@ def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
     # the residual sample of each position, from the position's own stream;
     # counting the CDF entries <= u is searchsorted(side="right")
     u = np.zeros((B, T))
-    for b, t in zip(*np.nonzero(part.has_residual)):
+    for b, t in zip(*part.has_residual.nonzero()):
         u[b, t] = streams.seeded(streams.position_words[b, t].tolist()).random()
-    cum = np.cumsum(part.residual, axis=-1)
-    drawn = np.minimum(np.count_nonzero(cum <= u[..., None], axis=-1), V - 1)
+    cum = np.add.accumulate(part.residual, axis=-1)
+    drawn = np.minimum(np.add.reduce(cum <= u[..., None], axis=-1), V - 1)
 
     # the plan: candidates (b, t, j, y) in sentence, position, candidate
     # order; j < k are the members, j = k the residual sample
     candidates = np.concatenate([part.members, drawn[..., None]], axis=-1)
-    planned = np.concatenate(
-        [np.ones(part.members.shape, dtype=bool), part.has_residual[..., None]], axis=-1
-    )
-    cb, ct, cj = np.nonzero(planned)
+    planned = np.empty(candidates.shape, dtype=bool)
+    planned[..., :k] = True
+    planned[..., k] = part.has_residual
+    cb, ct, cj = planned.nonzero()
     cy = candidates[cb, ct, cj]
-    ends = np.cumsum(planned.reshape(B, -1).sum(axis=1)).tolist()
+    ends = np.add.accumulate(np.add.reduce(planned.reshape(B, -1), axis=1)).tolist()
     starts = [0] + ends[:-1]
 
     if exact_rewards:
@@ -352,10 +379,10 @@ def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
         tokens = np.empty((len(cb) * n, T), dtype=np.int64)
         for b, lo, hi in zip(range(B), starts, ends):
             tokens[lo * n : hi * n] = _sample_completions(probs[b], u[lo:hi].reshape(-1, T))
-        tokens[np.arange(len(tokens)), np.repeat(ct, n)] = np.repeat(cy, n)
+        tokens[np.arange(len(tokens)), ct.repeat(n)] = cy.repeat(n)
         distinct = {}  # reference -> its index among the distinct references
         ref_of = np.array([distinct.setdefault(r, len(distinct)) for r in refs], dtype=np.int64)
-        values = _mean_rewards(tokens, n, reward, list(distinct), np.repeat(ref_of[cb], n))
+        values = _mean_rewards(tokens, n, reward, list(distinct), ref_of[cb].repeat(n))
 
     sampled = cj == k
     weights = values.copy()
@@ -381,6 +408,8 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _POOL_SIZE = 4
+# each thread's one reused Generator, created on first use
+_thread = threading.local()
 # MULT_A^0..8: the hash constants of the next 8 hashmix calls, times the current one
 _MULT_A_POWERS = np.array([pow(_MULT_A, i, 1 << 32) for i in range(9)], dtype=np.uint32)
 # generate_state's hash constant before and after each of the 8 words of 4 uint64
@@ -421,8 +450,9 @@ class _StreamTree:
     mixing of all words but its last one or two, so numpy mixes that prefix
     once per sentence and the remaining words are mixed here, vectorized
     over every child. ``generate_state(4, uint64)`` of a pool, turned into a
-    PCG64 state by PCG64's seeding step, is set on one reused ``PCG64``
-    before drawing.
+    PCG64 state by PCG64's seeding step, is set on the calling thread's one
+    ``PCG64`` before drawing. Every draw sets the full state first, so
+    nothing carries over from one draw, or one call, to the next.
     """
 
     def __init__(self, rngs, T, K):
@@ -442,7 +472,7 @@ class _StreamTree:
             # mixing w words makes 4 w hashmix calls
             consts[b] = _INIT_A * pow(_MULT_A, 4 * len(words), 1 << 32) & _MASK32
             first[b] = seq.n_children_spawned
-        if int(first.max()) + T > _MASK32:
+        if int(np.maximum.reduce(first, axis=None)) + T > _MASK32:
             raise ContractError("a sentence stream has spawned too many children")
         hc = consts * _MULT_A_POWERS
         index = (first + np.arange(T)).astype(np.uint32)[..., None]
@@ -452,8 +482,10 @@ class _StreamTree:
         # generate_state(4, uint64) of position (b, t) and of candidate (b, t, j)
         self.position_words = _generate_state(pos)
         self.candidate_words = _generate_state(cand)
-        self.bitgen = np.random.PCG64(0)
-        self.gen = np.random.Generator(self.bitgen)
+        self.gen = getattr(_thread, "gen", None)
+        if self.gen is None:
+            self.gen = _thread.gen = np.random.Generator(np.random.PCG64(0))
+        self.bitgen = self.gen.bit_generator
         self.state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
 
     def seeded(self, words):

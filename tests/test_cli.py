@@ -591,6 +591,39 @@ def test_file_corpus_longer_than_max_len_is_usage_error(
     assert not (out / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command,corpus,output",
+    [("decode", "validation", "decodes.txt"), ("evaluate", "validation", "eval.csv"),
+     ("distill", "training", "distilled.src"), ("topk-stats", "validation", "topk_values.csv")],
+)
+def test_source_longer_than_checkpoint_max_len_is_usage_error(
+    tmp_path, capsys, command, corpus, output
+):
+    out = tmp_path / "run"
+    ckpt = "--teacher_checkpoint" if command == "distill" else "--init_checkpoint"
+    args = [command, "--out", out, ckpt, _tiny_checkpoint(tmp_path)] + FAST
+    assert run(args + ["--len_min", "20", "--len_max", "20"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: key len_max: the {corpus} corpus needs 20 positions, "
+        f"above the model's max_len 16\n"
+    )
+    assert not (out / output).exists()
+
+
+def test_topk_stats_target_longer_than_max_len_is_usage_error(tmp_path, capsys):
+    # echo_runs doubles tokens: sources of 14 fit, their targets do not
+    ckpt = _tiny_checkpoint(tmp_path)
+    args = ["topk-stats", "--out", tmp_path / "run", "--init_checkpoint", ckpt]
+    args += FAST + ["--task", "echo_runs", "--len_min", "14", "--len_max", "14"]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    need = int(re.fullmatch(
+        r"error: key len_max: the validation corpus needs (\d+) positions, "
+        r"above the model's max_len 16\n", err,
+    ).group(1))
+    assert need > 16
+
+
 def test_corpus_at_max_len_trains(tmp_path):
     # a NAT target of max_len tokens fits; an AR one would not
     extra = ["--len_min", "16", "--len_max", "16"]

@@ -1,3 +1,8 @@
+import bisect
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +41,18 @@ def oracle_top_k_partition(row, k, residual_epsilon):
     return members, mass, None, False
 
 
+def oracle_sample(probs, u):
+    """Token t of each row of uniforms ``u`` inverts row t of ``probs`` one
+    entry at a time: the count of cumulative sums at or below the uniform,
+    clamped to the last token."""
+    cums = [list(itertools.accumulate(row)) for row in probs.tolist()]
+    V = len(cums[0])
+    return [
+        [min(bisect.bisect_right(cums[t], x), V - 1) for t, x in enumerate(row)]
+        for row in u.tolist()
+    ]
+
+
 def oracle_reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False, prefix=()):
     """One sentence: plan (t, y, stream, leftover mass or None) per
     candidate, score, then build dprobs and the surrogate. ``prefix`` holds
@@ -53,16 +70,15 @@ def oracle_reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=Fals
         for j, y in enumerate(members):
             plan.append((t, int(y), cand_rngs[j], None))
         if has:
-            cum = np.cumsum(residual)
-            y = int(np.searchsorted(cum, pos_rngs[t].random(), side="right"))
-            plan.append((t, min(y, V - 1), cand_rngs[config.k], 1.0 - mass))
+            ((y,),) = oracle_sample(residual[None], np.array([[pos_rngs[t].random()]]))
+            plan.append((t, y, cand_rngs[config.k], 1.0 - mass))
 
     if exact_rewards:
         values = [est.exact_reward_at(dist, t, y, reward, ref) for t, y, _, _ in plan]
     else:
         n = config.n
         u = np.concatenate([stream.random((n, T)) for _, _, stream, _ in plan])
-        tokens = est._sample_completions(dist.probs, u)
+        tokens = np.array(oracle_sample(dist.probs, u), dtype=np.int64).reshape(len(u), T)
         tokens[np.arange(len(tokens)), np.repeat([p[0] for p in plan], n)] = np.repeat(
             [p[1] for p in plan], n
         )
@@ -133,7 +149,48 @@ class TestPositionDistributions:
             est.PositionDistributions(np.array([[1.2, -0.2]]))
 
 
+@st.composite
+def partition_cases(draw):
+    """A 2-D or 3-D stack of rows, k in [0, V] and a residual_epsilon. Small
+    integer weights make ties and zero entries; "edge" puts the cutoff at
+    exactly one row's leftover mass, where it is still sampled, and "above"
+    one float higher, where it no longer is."""
+    lead = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    V = draw(st.integers(1, 7))
+    size = int(np.prod(lead)) * V
+    if draw(st.booleans()):
+        weights = np.array(draw(st.lists(st.integers(0, 3), min_size=size, max_size=size)), float)
+    else:
+        weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
+    rows = weights.reshape(-1, V)
+    rows[rows.sum(axis=1) == 0.0] = 1.0
+    probs = (rows / rows.sum(axis=1, keepdims=True)).reshape(lead + (V,))
+    k = draw(st.integers(0, V))
+    cutoff = draw(st.sampled_from(["edge", "above", 0.0, 1e-6, 0.5, 1.0]))
+    if cutoff in ("edge", "above"):
+        row = probs.reshape(-1, V)[draw(st.integers(0, len(rows) - 1))]
+        eps = 1.0 - oracle_top_k_partition(row, k, 0.0)[1]
+        return probs, k, eps if cutoff == "edge" else float(np.nextafter(eps, 2.0))
+    return probs, k, cutoff
+
+
 class TestTopKPartition:
+    @settings(max_examples=300, deadline=None)
+    @given(case=partition_cases())
+    def test_equals_row_oracle_bitwise(self, case):
+        probs, k, eps = case
+        lead, V = probs.shape[:-1], probs.shape[-1]
+        part = est.top_k_partition(probs, k, eps)
+        assert part.members.shape == lead + (k,) and part.residual.shape == probs.shape
+        assert part.mass.shape == part.has_residual.shape == lead
+        for idx in np.ndindex(lead):
+            members, mass, residual, has = oracle_top_k_partition(probs[idx], k, eps)
+            assert part.members[idx].tolist() == members.tolist()
+            assert part.mass[idx].tobytes() == np.float64(mass).tobytes()
+            assert bool(part.has_residual[idx]) == has
+            want = residual if has else np.zeros(V)
+            assert part.residual[idx].tobytes() == want.tobytes()
+
     def test_mass_monotone_and_full(self):
         rng = np.random.default_rng(0)
         row = rng.dirichlet(np.ones(8))
@@ -155,6 +212,21 @@ class TestTopKPartition:
     def test_k_too_large(self):
         with pytest.raises(est.ContractError):
             est.top_k_partition(np.array([1.0]), 2)
+
+
+class TestSampleCompletions:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), T=st.integers(1, 4), V=st.integers(1, 6), N=st.integers(1, 5))
+    def test_equals_entry_oracle(self, data, T, V, N):
+        # rows summing below 1 leave uniforms past the last cumulative sum,
+        # which the clamp maps to the last token
+        def matrix(entries, rows, cols):
+            cells = data.draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+            return np.array(cells).reshape(rows, cols)
+
+        probs = matrix(st.floats(0.0, 0.4), T, V)
+        u = matrix(st.floats(0.0, 1.0, exclude_max=True), N, T)
+        assert est._sample_completions(probs, u).tolist() == oracle_sample(probs, u)
 
 
 class TestExactRewardAt:
@@ -637,10 +709,51 @@ class TestStreams:
         dist = est.random_distributions(3, 4, np.random.default_rng(1))
         cfg = est.EstimatorConfig(k=1, n=3)
         stream = np.random.default_rng(2).spawn(1)[0]
+        state = stream.bit_generator.state
         first = est.reinforce_nat_step(dist, cfg, rewards.RewardFn("GLEU"), (0, 1, 2), stream)
         assert stream.bit_generator.seed_seq.n_children_spawned == 0
+        assert stream.bit_generator.state == state
         again = est.reinforce_nat_step(dist, cfg, rewards.RewardFn("GLEU"), (0, 1, 2), stream)
         assert np.array_equal(first.dprobs, again.dprobs)
+        assert stream.bit_generator.state == state
+
+    def test_threads_equal_serial_calls(self):
+        # every thread reuses its own generator: with the interpreter
+        # switching threads every microsecond, two threads' calls interleave
+        # mid-call and must still give the serial numbers
+        cfg = est.EstimatorConfig(k=2, n=4)
+        cases = []
+        for seed in (3, 4):
+            rng = np.random.default_rng(seed)
+            dist = est.random_distributions(3, 6, rng, concentration=0.5)
+            cases.append((dist, tuple(int(x) for x in rng.integers(0, 6, size=3)), seed))
+
+        def run(dist, ref, seed):
+            reward = rewards.RewardFn("GLEU")
+            return [
+                est.reinforce_nat_step(dist, cfg, reward, ref, stream).dprobs.tobytes()
+                for stream in np.random.default_rng(seed).spawn(150)
+            ]
+
+        want = [run(*case) for case in cases]
+        got = [None, None]
+        start = threading.Barrier(2)
+
+        def worker(i):
+            start.wait()
+            got[i] = run(*cases[i])
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
 
 
 # -- the batched estimator against the per-sentence oracle, bitwise
