@@ -11,13 +11,11 @@ Convention: ``dprobs[t][y]`` estimates d(loss)/d(p[t][y]) where the loss is
 the negative expected reward, so the exact value is -r(y_t = y), the
 expected reward with position t clamped to token y.
 
-Random streams: ``reinforce_nat_step`` gives position t of a sentence the
-child stream ``c + t`` of the sentence's stream (c being the children that
-stream had spawned), and candidate j of that position the child stream j of
-the position stream. The streams are bitwise those of ``Generator.spawn``;
-they are derived from the seed sequence's words by numpy's documented
-SeedSequence mixing and PCG64 seeding instead of building a Generator per
-stream, and drawn from one reused PCG64 per thread.
+Random streams: ``reinforce_nat_step`` draws every uniform of a sentence
+from that sentence's own stream in a fixed layout: the T residual uniforms,
+then, for Monte Carlo rewards, one block holding the n x T completion
+uniforms of every candidate slot of every position. A sentence's numbers therefore
+depend only on its stream, not on its batch or the order of execution.
 
 A ``reinforce_nat_step`` call on a small instance costs Python-level numpy
 calls more than arithmetic, so its per-call path keeps ``tensor.py``'s
@@ -31,7 +29,6 @@ their ``np.`` functions. The numbers are bitwise those of the wrappers.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -319,12 +316,15 @@ def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
     added in sentence order. Sentences are independent: each one's numbers
     are those of a call with that sentence alone.
 
-    The streams are derived from each sentence stream's seed sequence (see
-    the module docstring), which must be numpy's ``SeedSequence`` with its
-    default pool size behind a ``PCG64``. The call reads that seed sequence
-    but does not advance its spawn counter, unlike ``Generator.spawn``: a
-    second call with the same stream repeats the estimate, so give each
-    call a fresh stream (for instance one of ``rng.spawn(n)``).
+    Each sentence draws from its own stream, which may be any
+    ``numpy.random.Generator`` but must be a different object from every
+    other sentence's. It draws ``random(T)``, the residual uniforms
+    (position t inverts entry t only if it has a residual), then, unless
+    ``exact_rewards``, ``random((T, k + 1, n, T))``: slot ``[t, j]`` holds
+    the n x T completion uniforms of candidate j at position t, where j < k
+    are the members in increasing id order and j = k is the residual
+    sample. A slot whose residual sample is not planned is drawn and left
+    unused. The call advances its streams by these draws.
 
     Rewards must be pure. The step scores each distinct (completion,
     reference) pair once, over all sentences, and every sampled completion
@@ -342,17 +342,23 @@ def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
         raise ContractError(
             f"expected {B} references and {B} streams, got {len(refs)} and {len(rngs)}"
         )
-    k = config.k
+    if len({id(g) for g in rngs}) != B:
+        raise ContractError("each sentence needs its own stream, got one Generator for two sentences")
+    k, n = config.k, config.n
     part = top_k_partition(probs, k, config.residual_epsilon)
-    streams = _StreamTree(rngs, T, k + 1)
 
-    # the residual sample of each position, from the position's own stream;
-    # counting the CDF entries <= u is searchsorted(side="right")
-    u = np.zeros((B, T))
-    for b, t in zip(*part.has_residual.nonzero()):
-        u[b, t] = streams.seeded(streams.position_words[b, t].tolist()).random()
+    # every uniform in the documented layout, straight into its place
+    u_res = np.empty((B, T))
+    u = None if exact_rewards else np.empty((B, T, k + 1, n, T))
+    for b, g in enumerate(rngs):
+        g.random(out=u_res[b])
+        if u is not None:
+            g.random(out=u[b])
+
+    # the residual sample of each position; counting the CDF entries <= u
+    # is searchsorted(side="right")
     cum = np.add.accumulate(part.residual, axis=-1)
-    drawn = np.minimum(np.add.reduce(cum <= u[..., None], axis=-1), V - 1)
+    drawn = np.minimum(np.add.reduce(cum <= u_res[..., None], axis=-1), V - 1)
 
     # the plan: candidates (b, t, j, y) in sentence, position, candidate
     # order; j < k are the members, j = k the residual sample
@@ -372,13 +378,12 @@ def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
             for b, t, y in zip(cb.tolist(), ct.tolist(), cy.tolist())
         ])
     else:
-        n = config.n
-        u = np.empty((len(cb), n, T))
-        for c, words in enumerate(streams.candidate_words[cb, ct, cj].tolist()):
-            streams.seeded(words).random(out=u[c])
+        every = np.logical_and.reduce(planned.reshape(B, -1), axis=1).tolist()
         tokens = np.empty((len(cb) * n, T), dtype=np.int64)
         for b, lo, hi in zip(range(B), starts, ends):
-            tokens[lo * n : hi * n] = _sample_completions(probs[b], u[lo:hi].reshape(-1, T))
+            # a sentence with every slot planned samples from its block in place
+            slots = u[b] if every[b] else u[b][planned[b]]
+            tokens[lo * n : hi * n] = _sample_completions(probs[b], slots.reshape(-1, T))
         tokens[np.arange(len(tokens)), ct.repeat(n)] = cy.repeat(n)
         distinct = {}  # reference -> its index among the distinct references
         ref_of = np.array([distinct.setdefault(r, len(distinct)) for r in refs], dtype=np.int64)
@@ -397,127 +402,6 @@ def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
         index = (cb, ct, cy) if batched else (ct, cy)
         surrogate = tc.score_surrogate(dist.tensor, index, weights, sampled, cb)
     return GradientEstimate(dprobs if batched else dprobs[0], surrogate)
-
-
-# numpy's SeedSequence mixing and PCG64 seeding constants
-# (numpy/random/bit_generator.pyx, numpy/random/src/pcg64/pcg64.h)
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_POOL_SIZE = 4
-# each thread's one reused Generator, created on first use
-_thread = threading.local()
-# MULT_A^0..8: the hash constants of the next 8 hashmix calls, times the current one
-_MULT_A_POWERS = np.array([pow(_MULT_A, i, 1 << 32) for i in range(9)], dtype=np.uint32)
-# generate_state's hash constant before and after each of the 8 words of 4 uint64
-_GEN_CONSTS = np.array(
-    [[_INIT_B * pow(_MULT_B, i + d, 1 << 32) & _MASK32 for i in range(8)] for d in (0, 1)],
-    dtype=np.uint32,
-)
-
-
-def _uint32_words(x):
-    """SeedSequence's coercion of an int or a nested sequence of ints into
-    little-endian uint32 words."""
-    if isinstance(x, (int, np.integer)):
-        x = int(x)
-        words = [x & _MASK32]
-        while x > _MASK32:
-            x >>= 32
-            words.append(x & _MASK32)
-        return words
-    return [w for v in x for w in _uint32_words(v)]
-
-
-def _hashmix(value, before, after):
-    v = (value ^ before) * after
-    return v ^ (v >> np.uint32(16))
-
-
-def _mix(x, y):
-    r = _MIX_L * x - _MIX_R * y
-    return r ^ (r >> np.uint32(16))
-
-
-class _StreamTree:
-    """The position and candidate streams of one ``reinforce_nat_step``.
-
-    A child stream's SeedSequence pool is its parent's entropy words plus
-    the child's spawn index, mixed. Every child of a sentence shares the
-    mixing of all words but its last one or two, so numpy mixes that prefix
-    once per sentence and the remaining words are mixed here, vectorized
-    over every child. ``generate_state(4, uint64)`` of a pool, turned into a
-    PCG64 state by PCG64's seeding step, is set on the calling thread's one
-    ``PCG64`` before drawing. Every draw sets the full state first, so
-    nothing carries over from one draw, or one call, to the next.
-    """
-
-    def __init__(self, rngs, T, K):
-        B = len(rngs)
-        pools = np.empty((B, _POOL_SIZE), dtype=np.uint32)
-        consts = np.empty((B, 1), dtype=np.uint32)
-        first = np.empty((B, 1), dtype=np.int64)
-        for b, rng in enumerate(rngs):
-            seq = _seed_sequence(rng)
-            # SeedSequence pads the run entropy to the pool size when a
-            # spawn key follows, as it always does for a child; a
-            # SeedSequence of these words alone (no spawn key, so no
-            # padding) mixes exactly the children's shared prefix
-            words = _uint32_words(seq.entropy)
-            words += [0] * (_POOL_SIZE - len(words)) + _uint32_words(seq.spawn_key)
-            pools[b] = np.random.SeedSequence(np.array(words, dtype=np.uint32)).pool
-            # mixing w words makes 4 w hashmix calls
-            consts[b] = _INIT_A * pow(_MULT_A, 4 * len(words), 1 << 32) & _MASK32
-            first[b] = seq.n_children_spawned
-        if int(np.maximum.reduce(first, axis=None)) + T > _MASK32:
-            raise ContractError("a sentence stream has spawned too many children")
-        hc = consts * _MULT_A_POWERS
-        index = (first + np.arange(T)).astype(np.uint32)[..., None]
-        pos = _mix(pools[:, None], _hashmix(index, hc[:, None, 0:4], hc[:, None, 1:5]))
-        j = np.arange(K, dtype=np.uint32)[:, None]
-        cand = _mix(pos[:, :, None], _hashmix(j, hc[:, None, 4:8], hc[:, None, 5:9])[:, None])
-        # generate_state(4, uint64) of position (b, t) and of candidate (b, t, j)
-        self.position_words = _generate_state(pos)
-        self.candidate_words = _generate_state(cand)
-        self.gen = getattr(_thread, "gen", None)
-        if self.gen is None:
-            self.gen = _thread.gen = np.random.Generator(np.random.PCG64(0))
-        self.bitgen = self.gen.bit_generator
-        self.state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-
-    def seeded(self, words):
-        """The reused generator set to the PCG64 state of the given
-        ``generate_state(4, uint64)`` words."""
-        s_hi, s_lo, i_hi, i_lo = words
-        inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
-        self.state["state"] = {"state": state, "inc": inc}
-        self.bitgen.state = self.state
-        return self.gen
-
-
-def _seed_sequence(rng):
-    bitgen = getattr(rng, "bit_generator", None)
-    seq = getattr(bitgen, "seed_seq", None)
-    if not isinstance(bitgen, np.random.PCG64) or not isinstance(seq, np.random.SeedSequence):
-        raise ContractError(
-            f"estimator streams must be PCG64 generators seeded by a SeedSequence, "
-            f"got {type(bitgen).__name__}"
-        )
-    if seq.pool_size != _POOL_SIZE:
-        raise ContractError(
-            f"estimator streams need a SeedSequence pool_size of {_POOL_SIZE}, got {seq.pool_size}"
-        )
-    return seq
-
-
-def _generate_state(pools):
-    """SeedSequence.generate_state(4, np.uint64) of each pool in the last axis."""
-    v = _hashmix(np.concatenate([pools, pools], axis=-1), _GEN_CONSTS[0], _GEN_CONSTS[1])
-    return v.astype("<u4").view("<u8")
 
 
 @dataclass

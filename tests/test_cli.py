@@ -270,7 +270,7 @@ def test_truncated_checkpoint_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "key, value", [("eval_every", "0"), ("batch_size", "0"), ("max_steps", "-5")]
 )
-def test_train_config_out_of_range_exits_2(tmp_path, capsys, key, value):
+def test_train_config_out_of_range_exits_1(tmp_path, capsys, key, value):
     out = tmp_path / "run"
     assert run(["train-ce", "--out", out] + FAST + [f"--{key}", value]) == 1
     assert capsys.readouterr().err == f"error: {key} must be >= 1, got {value}\n"
@@ -285,7 +285,7 @@ def test_train_config_out_of_range_exits_2(tmp_path, capsys, key, value):
         ("adam_beta2", "nan"), ("adam_eps", "-1"), ("adam_eps", "0"), ("adam_eps", "inf"),
     ],
 )
-def test_optimiser_config_out_of_range_exits_2(tmp_path, capsys, key, value):
+def test_optimiser_config_out_of_range_exits_1(tmp_path, capsys, key, value):
     out = tmp_path / "run"
     assert run(["train-ce", "--out", out] + FAST + [f"--{key}", value]) == 1
     err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import bisect
+import copy
 import itertools
 import sys
 import threading
@@ -26,8 +27,8 @@ def uniform_dist(T, V):
     return est.PositionDistributions(np.full((T, V), 1.0 / V))
 
 
-# -- the per-sentence estimator with Generator.spawn streams: the oracle the
-# -- batched reinforce_nat_step must match bitwise
+# -- the per-sentence estimator, drawing its uniforms in the documented
+# -- layout: the oracle the batched reinforce_nat_step must match bitwise
 
 
 def oracle_top_k_partition(row, k, residual_epsilon):
@@ -54,31 +55,32 @@ def oracle_sample(probs, u):
 
 
 def oracle_reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False, prefix=()):
-    """One sentence: plan (t, y, stream, leftover mass or None) per
-    candidate, score, then build dprobs and the surrogate. ``prefix`` holds
-    the leading indices (a batch index) of the sentence inside
-    ``dist.tensor``."""
+    """One sentence: draw ``rng.random(T)`` and, without exact rewards,
+    ``rng.random((T, k + 1, n, T))``; plan (t, y, slot j, leftover mass or
+    None) per candidate, score, then build dprobs and the surrogate.
+    ``prefix`` holds the leading indices (a batch index) of the sentence
+    inside ``dist.tensor``."""
     T, V = dist.T, dist.V
+    k, n = config.k, config.n
     ref = tuple(ref)
-    pos_rngs = rng.spawn(T)
+    u_res = rng.random(T)
+    u = None if exact_rewards else rng.random((T, k + 1, n, T))
     plan = []
     for t in range(T):
         members, mass, residual, has = oracle_top_k_partition(
-            dist.probs[t], config.k, config.residual_epsilon
+            dist.probs[t], k, config.residual_epsilon
         )
-        cand_rngs = pos_rngs[t].spawn(config.k + 1)
         for j, y in enumerate(members):
-            plan.append((t, int(y), cand_rngs[j], None))
+            plan.append((t, int(y), j, None))
         if has:
-            ((y,),) = oracle_sample(residual[None], np.array([[pos_rngs[t].random()]]))
-            plan.append((t, y, cand_rngs[config.k], 1.0 - mass))
+            ((y,),) = oracle_sample(residual[None], np.array([[u_res[t]]]))
+            plan.append((t, y, k, 1.0 - mass))
 
     if exact_rewards:
         values = [est.exact_reward_at(dist, t, y, reward, ref) for t, y, _, _ in plan]
     else:
-        n = config.n
-        u = np.concatenate([stream.random((n, T)) for _, _, stream, _ in plan])
-        tokens = np.array(oracle_sample(dist.probs, u), dtype=np.int64).reshape(len(u), T)
+        slots = np.concatenate([u[t, j] for t, _, j, _ in plan])
+        tokens = np.array(oracle_sample(dist.probs, slots), dtype=np.int64).reshape(len(slots), T)
         tokens[np.arange(len(tokens)), np.repeat([p[0] for p in plan], n)] = np.repeat(
             [p[1] for p in plan], n
         )
@@ -450,7 +452,7 @@ class TestBatchedRewards:
         refs = [(1, 2, 3), (0, 0), (1, 2, 3), (4,), (0, 0), (1, 2, 3), (5, 5, 5, 5), (4,)]
         cfg = est.EstimatorConfig(k=2, n=10)
         every, distinct = [], []
-        # fresh streams for each: the oracle's Generator.spawn advances them
+        # fresh streams for each: a call advances its streams
         want = oracle_batch_step(
             dist, cfg, self._recorder(every), refs, np.random.default_rng(6).spawn(8)
         )
@@ -500,14 +502,24 @@ class TestBatchedRewards:
 
     def test_batch_equals_estimate_reward_at(self):
         # with k = V and no residual, dprobs[t, y] is minus the Monte Carlo
-        # reward of each candidate, drawn from that candidate's own stream
-        dist = est.random_distributions(3, 4, np.random.default_rng(2))
+        # reward of candidate y, from slot [t, y] of the layout: the stream
+        # past T residual uniforms and the (t (k + 1) + y) n T uniforms of
+        # the slots before it
+        T, V, n = 3, 4, 5
+        dist = est.random_distributions(T, V, np.random.default_rng(2))
         ref = (0, 1, 2)
-        got = est.reinforce_nat_step(dist, est.EstimatorConfig(k=4, n=5), rewards.RewardFn("GLEU"), ref, np.random.default_rng(4))
-        streams = [s.spawn(5) for s in np.random.default_rng(4).spawn(3)]
+        stream = np.random.default_rng(4)
+        fresh = copy.deepcopy(stream)
+        got = est.reinforce_nat_step(dist, est.EstimatorConfig(k=V, n=n), rewards.RewardFn("GLEU"), ref, stream)
+
+        def slot(t, y):
+            rng = copy.deepcopy(fresh)
+            rng.random(T + (t * (V + 1) + y) * n * T)
+            return rng
+
         want = [
-            [-est.estimate_reward_at(dist, t, y, 5, rewards.gleu, ref, streams[t][y]) for y in range(4)]
-            for t in range(3)
+            [-est.estimate_reward_at(dist, t, y, n, rewards.gleu, ref, slot(t, y)) for y in range(V)]
+            for t in range(T)
         ]
         assert got.dprobs.tolist() == want
 
@@ -623,104 +635,69 @@ class TestBatchedStats:
         assert got == want
 
 
-# -- streams: numpy's Generator.spawn is the oracle
-
-SEEDS = st.one_of(
-    st.just(0),
-    st.integers(1, 2**32 - 1),
-    st.integers(2**32, 2**64),
-    st.integers(2**64, 2**128 - 1),
-    st.lists(st.integers(0, 2**70), min_size=1, max_size=5).map(tuple),
-)
+# -- streams
 
 
 class TestStreams:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=SEEDS,
-        paths=st.lists(
-            st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), min_size=1, max_size=3),
-            min_size=1,
-            max_size=2,
-        ),
-        spawned=st.integers(0, 3),
-        T=st.integers(1, 4),
-        K=st.integers(1, 4),
-    )
-    def test_streams_equal_generator_spawn(self, seed, paths, spawned, T, K):
-        # sentence streams at spawn depth 1-3, whose parents and which
-        # themselves may already have spawned children; one batch may mix
-        # depths, so its spawn keys differ in length
-        streams = []
-        for path in paths:
-            stream = np.random.default_rng(seed)
-            for earlier, i in path:
-                stream.spawn(earlier)
-                stream = stream.spawn(i + 1)[i]
-            stream.spawn(spawned)
-            streams.append(stream)
-        tree = est._StreamTree(streams, T, K)
-        for b, stream in enumerate(streams):
-            for t, position in enumerate(stream.spawn(T)):
-                candidates = position.spawn(K)
-                got = tree.seeded(tree.position_words[b, t].tolist())
-                assert np.array_equal(got.random(3), position.random(3))
-                for j, want in enumerate(candidates):
-                    got = tree.seeded(tree.candidate_words[b, t, j].tolist())
-                    assert np.array_equal(got.random((2, 3)), want.random((2, 3)))
-
-    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 1, (3, 4)])
-    def test_root_stream_equals_generator_spawn(self, seed):
-        # an unspawned root: SeedSequence pads short entropy only for children
-        tree = est._StreamTree([np.random.default_rng(seed)], 2, 2)
-        for t, position in enumerate(np.random.default_rng(seed).spawn(2)):
-            candidates = position.spawn(2)
-            got = tree.seeded(tree.position_words[0, t].tolist())
-            assert got.random() == position.random()
-            for j, want in enumerate(candidates):
-                got = tree.seeded(tree.candidate_words[0, t, j].tolist())
-                assert got.random() == want.random()
-
     @pytest.mark.parametrize(
-        "rng",
+        "make",
         [
-            np.random.Generator(np.random.MT19937(0)),
-            np.random.Generator(np.random.PCG64DXSM(0)),
-            np.random.Generator(np.random.PCG64(np.random.SeedSequence(0, pool_size=8))),
+            lambda: np.random.Generator(np.random.MT19937(0)),
+            lambda: np.random.Generator(np.random.PCG64DXSM(0)),
+            lambda: np.random.Generator(np.random.PCG64(np.random.SeedSequence(0, pool_size=8))),
         ],
         ids=["mt19937", "pcg64dxsm", "pool8"],
     )
-    def test_unsupported_stream_is_contract_error(self, rng):
-        with pytest.raises(est.ContractError) as info:
-            est.reinforce_nat_step(
-                uniform_dist(2, 3), est.EstimatorConfig(k=1, n=2), equality_reward, (), rng
-            )
-        assert "\n" not in str(info.value)
-
-    def test_spawn_counter_overflow_is_contract_error(self):
-        seq = np.random.SeedSequence(0, spawn_key=(1,), n_children_spawned=2**32 - 2)
-        rng = np.random.Generator(np.random.PCG64(seq))
-        with pytest.raises(est.ContractError, match="spawned too many"):
-            est.reinforce_nat_step(
-                uniform_dist(3, 2), est.EstimatorConfig(k=1, n=2), equality_reward, (), rng
-            )
-
-    def test_call_does_not_advance_the_spawn_counter(self):
+    def test_unsupported_stream_is_contract_error(self, make):
+        # any Generator is accepted and draws the layout bitwise as the
+        # oracle does (the name predates that)
         dist = est.random_distributions(3, 4, np.random.default_rng(1))
         cfg = est.EstimatorConfig(k=1, n=3)
-        stream = np.random.default_rng(2).spawn(1)[0]
-        state = stream.bit_generator.state
-        first = est.reinforce_nat_step(dist, cfg, rewards.RewardFn("GLEU"), (0, 1, 2), stream)
-        assert stream.bit_generator.seed_seq.n_children_spawned == 0
-        assert stream.bit_generator.state == state
-        again = est.reinforce_nat_step(dist, cfg, rewards.RewardFn("GLEU"), (0, 1, 2), stream)
-        assert np.array_equal(first.dprobs, again.dprobs)
-        assert stream.bit_generator.state == state
+        reward = rewards.RewardFn("GLEU")
+        got = est.reinforce_nat_step(dist, cfg, reward, (0, 1, 2), make())
+        want = oracle_reinforce_nat_step(dist, cfg, reward, (0, 1, 2), make())
+        assert got.dprobs.tobytes() == want.dprobs.tobytes()
+
+    def test_call_does_not_advance_the_spawn_counter(self):
+        # a call spawns nothing and advances its stream by exactly its
+        # draws: T residual uniforms, then T (k + 1) n T completion uniforms
+        # unless the rewards are exact
+        T, V, k, n = 3, 4, 1, 3
+        dist = est.random_distributions(T, V, np.random.default_rng(1))
+        cfg = est.EstimatorConfig(k=k, n=n)
+        got = {}
+        for exact, draws in [(False, T + T * (k + 1) * n * T), (True, T)]:
+            stream = np.random.default_rng(2).spawn(1)[0]
+            advanced = copy.deepcopy(stream)
+            advanced.random(draws)
+            got[exact] = est.reinforce_nat_step(
+                dist, cfg, lambda h, r: 0.5, (0, 1, 2), stream, exact_rewards=exact
+            ).dprobs
+            assert stream.bit_generator.seed_seq.n_children_spawned == 0
+            assert stream.bit_generator.state == advanced.bit_generator.state
+        # a positive reward makes dprobs nonzero exactly at the members and
+        # the residual tokens: equal streams pick the same residual tokens
+        assert est.top_k_partition(dist.probs, k).has_residual.all()
+        assert np.array_equal(got[False] != 0.0, got[True] != 0.0)
+        assert (got[True] != 0.0).sum(axis=1).tolist() == [k + 1] * T
+
+    def test_shared_stream_is_contract_error(self):
+        # a second sentence on the same Generator would continue the first
+        # sentence's draws, so the batch would differ from its sentences
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        dist = est.PositionDistributions(np.full((2, 3, 4), 0.25))
+        with pytest.raises(est.ContractError) as info:
+            est.reinforce_nat_step(
+                dist, est.EstimatorConfig(k=1, n=2), equality_reward, [(0,), (0,)], [rng, rng]
+            )
+        assert "\n" not in str(info.value)
+        assert rng.bit_generator.state == state
 
     def test_threads_equal_serial_calls(self):
-        # every thread reuses its own generator: with the interpreter
-        # switching threads every microsecond, two threads' calls interleave
-        # mid-call and must still give the serial numbers
+        # with the interpreter switching threads every microsecond, two
+        # threads' calls interleave mid-call and must still give the serial
+        # numbers
         cfg = est.EstimatorConfig(k=2, n=4)
         cases = []
         for seed in (3, 4):
