@@ -694,6 +694,63 @@ class TestStreams:
         assert "\n" not in str(info.value)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("pair", [(0, 2), (1, 2)], ids=["first-last", "middle-last"])
+    def test_shared_stream_apart_is_contract_error(self, pair):
+        # the check covers sentences that are not neighbours, before any
+        # sentence draws
+        rngs = [np.random.default_rng(s) for s in range(3)]
+        rngs[pair[1]] = rngs[pair[0]]
+        states = [g.bit_generator.state for g in rngs]
+        dist = est.PositionDistributions(np.full((3, 2, 4), 0.25))
+        with pytest.raises(est.ContractError, match="own stream"):
+            est.reinforce_nat_step(
+                dist, est.EstimatorConfig(k=1, n=2), equality_reward, [(0,)] * 3, rngs
+            )
+        assert [g.bit_generator.state for g in rngs] == states
+
+    def test_equal_streams_in_distinct_objects_are_accepted(self):
+        # only object identity is checked: two copies of one state give two
+        # equal sentences the same numbers
+        dist = est.random_distributions(3, 5, np.random.default_rng(8))
+        both = est.PositionDistributions(np.stack([dist.probs, dist.probs]))
+        rng = np.random.default_rng(9)
+        got = est.reinforce_nat_step(
+            both, est.EstimatorConfig(k=2, n=4), rewards.RewardFn("GLEU"),
+            [(0, 1, 2)] * 2, [rng, copy.deepcopy(rng)],
+        ).dprobs
+        assert got[0].tobytes() == got[1].tobytes()
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["monte-carlo", "exact"])
+    def test_unplanned_residual_slots_are_still_drawn(self, exact):
+        # with k = V no position has a residual, yet the residual uniforms
+        # and every residual slot are drawn, and the numbers are the oracle's
+        T, V, n = 2, 3, 4
+        dist = est.random_distributions(T, V, np.random.default_rng(5))
+        cfg = est.EstimatorConfig(k=V, n=n)
+        reward = est.random_reward_table(T, V, np.random.default_rng(6)) if exact else rewards.RewardFn("GLEU")
+        stream = np.random.default_rng(7)
+        advanced = copy.deepcopy(stream)
+        advanced.random(T if exact else T + T * (V + 1) * n * T)
+        got = est.reinforce_nat_step(dist, cfg, reward, (0, 1), stream, exact_rewards=exact)
+        want = oracle_reinforce_nat_step(
+            dist, cfg, reward, (0, 1), np.random.default_rng(7), exact_rewards=exact
+        )
+        assert not est.top_k_partition(dist.probs, V).has_residual.any()
+        assert stream.bit_generator.state == advanced.bit_generator.state
+        assert got.dprobs.tobytes() == want.dprobs.tobytes()
+
+    def test_second_call_continues_the_stream(self):
+        # a call advances its stream, so a second call on it draws new
+        # numbers: those of the oracle's second call on an equal stream
+        dist = est.random_distributions(3, 4, np.random.default_rng(1))
+        cfg = est.EstimatorConfig(k=1, n=3)
+        reward = rewards.RewardFn("GLEU")
+        stream, fresh = np.random.default_rng(2), np.random.default_rng(2)
+        got = [est.reinforce_nat_step(dist, cfg, reward, (0, 1, 2), stream).dprobs for _ in range(2)]
+        want = [oracle_reinforce_nat_step(dist, cfg, reward, (0, 1, 2), fresh).dprobs for _ in range(2)]
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert got[0].tobytes() != got[1].tobytes()
+
     def test_threads_equal_serial_calls(self):
         # with the interpreter switching threads every microsecond, two
         # threads' calls interleave mid-call and must still give the serial
