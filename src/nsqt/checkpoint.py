@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
 
     magic            4 bytes, b"NSQT"
-    format version   u32 (currently 1)
+    format version   u32 (currently 2)
     model kind       u32 length + utf-8 bytes ("ar" | "nat" | "fs")
     seed             u64 (construction seed, for provenance)
     config           d_model u32, d_hidden u32, n_layer u32, n_head u32,
@@ -11,17 +11,24 @@ Layout (all integers little-endian):
     tensor count     u32
     per tensor       name u32 length + utf-8, ndim u32, each dim u32,
                      then the f64 payload in C order
+    checksum         u32 zlib CRC32 of every byte before it
+
+Version 1 is the same layout without the checksum; it still loads.
 
 Round trip is bitwise: load(save(m)) reproduces every parameter exactly.
-A file that ends early, has bytes after the last tensor, or describes a
-model that cannot be built raises ``CheckpointError``.
+A file that ends early, has bytes after its last field, fails its checksum
+or describes a model that cannot be built raises ``CheckpointError``. The
+checksum is verified before any model is built, so a corrupt config field
+allocates nothing.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import struct
+import zlib
 
 import numpy as np
 
@@ -29,18 +36,20 @@ from .errors import CheckpointError
 from .models import ModelConfig, build_model
 
 MAGIC = b"NSQT"
-VERSION = 1
+VERSION = 2
 # the ModelConfig fields of the header, in file order, and their layout
 CONFIG_FIELDS = ("d_model", "d_hidden", "n_layer", "n_head", "p_dropout", "vocab_size", "max_len")
 CONFIG_FORMAT = "<IIIIdII"
 
 
 class _Reader:
-    """Reads exact byte counts from a checkpoint file of known size."""
+    """Reads exact byte counts from a checkpoint file of known size, keeping
+    the CRC32 of every byte read so far."""
 
     def __init__(self, f, path):
         self.f, self.path = f, path
         self.size = os.fstat(f.fileno()).st_size
+        self.crc = 0
 
     def bytes(self, n):
         # checked before reading, so a corrupt length field allocates nothing
@@ -50,7 +59,9 @@ class _Reader:
                 f"{self.path}: truncated at byte {self.size}, "
                 f"needed {n} more bytes from byte {at}"
             )
-        return self.f.read(n)
+        raw = self.f.read(n)
+        self.crc = zlib.crc32(raw, self.crc)
+        return raw
 
     def unpack(self, fmt):
         return struct.unpack(fmt, self.bytes(struct.calcsize(fmt)))
@@ -78,7 +89,7 @@ def _write_str(f, s):
 
 def save_model(model, path, seed=0):
     cfg = model.config
-    with open(path, "wb") as f:
+    with io.BytesIO() as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))
         _write_str(f, model.kind)
@@ -92,15 +103,19 @@ def save_model(model, path, seed=0):
             for dim in data.shape:
                 f.write(struct.pack("<I", dim))
             f.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
+        body = f.getvalue()
+    with open(path, "wb") as f:
+        f.write(body)
+        f.write(struct.pack("<I", zlib.crc32(body)))
 
 
 def load_model(path):
     with open(path, "rb") as f:
         r = _Reader(f, path)
-        if f.read(4) != MAGIC:
+        if r.bytes(min(4, r.size)) != MAGIC:
             raise CheckpointError(f"{path}: not a model checkpoint (bad magic)")
         (version,) = r.unpack("<I")
-        if version != VERSION:
+        if version not in (1, VERSION):
             raise CheckpointError(f"{path}: unsupported format version {version}")
         kind = r.text()
         (seed,) = r.unpack("<Q")
@@ -113,6 +128,13 @@ def load_model(path):
             shape = r.unpack(f"<{ndim}I")
             data = np.frombuffer(r.bytes(8 * math.prod(shape)), dtype="<f8")
             state[name] = data.reshape(shape).astype(np.float64)
+        if version == VERSION:
+            crc = r.crc
+            (stored,) = r.unpack("<I")
+            if stored != crc:
+                raise CheckpointError(
+                    f"{path}: checksum mismatch (stored {stored:08x}, computed {crc:08x})"
+                )
         r.finish()
     try:
         model = build_model(kind, ModelConfig(**header), seed=seed)

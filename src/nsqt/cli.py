@@ -434,10 +434,13 @@ def emit_report(run_dir, required=True):
     metrics = run_dir / "metrics.csv"
     if metrics.exists():
         rows = []
-        for line in metrics.read_text().splitlines()[1:]:
-            step, split, metric, value = line.split(",")
-            if split == "valid" and metric == "gleu":
-                rows.append((int(step), float(value)))
+        for number, line in enumerate(metrics.read_text().splitlines()[1:], start=2):
+            try:
+                step, split, metric, value = line.split(",")
+                if split == "valid" and metric == "gleu":
+                    rows.append((int(step), float(value)))
+            except ValueError as e:
+                raise FormatError(f"metrics.csv line {number}: {e}") from None
         write_csv(run_dir / "report_curve.csv", ("step", "valid_gleu"), rows)
         written.append("report_curve.csv")
     elif required:

@@ -1,10 +1,10 @@
 """Gradient estimators for the expected sequence reward of a factorized
 (per-position independent) output distribution.
 
-Provides exact enumeration oracles, per-position Monte Carlo reward
-estimation, the variance-reduced top-k traversal estimator (plain REINFORCE
-at k=0) and its Monte Carlo statistics, all on gradients with respect to
-the T x V probability matrix. The ``surrogate`` scalar attached to an
+Provides exact and Monte Carlo per-position reward estimation, the
+variance-reduced top-k traversal estimator (plain REINFORCE at k=0) and its
+Monte Carlo statistics, all on gradients with respect to the T x V
+probability matrix. The ``surrogate`` scalar attached to an
 estimate backpropagates the same gradient through the recorded graph.
 
 Convention: ``dprobs[t][y]`` estimates d(loss)/d(p[t][y]) where the loss is
@@ -245,59 +245,6 @@ def _mean_rewards(tokens, n, reward, refs, which):
     return np.add.accumulate(scores[inverse].reshape(-1, n), axis=1)[:, -1] / n
 
 
-def enumerate_gradient_direct(dist, reward, ref):
-    """Gradient of the negative expected reward by enumerating every full
-    sequence and differentiating the probability product directly."""
-    T, V = dist.T, dist.V
-    if V**T > ENUM_LIMIT:
-        raise CapacityError(f"V^T = {V}^{T} exceeds the enumeration bound {ENUM_LIMIT}")
-    ref = tuple(ref)
-    dprobs = np.zeros((T, V))
-    p = dist.probs
-    for seq in itertools.product(range(V), repeat=T):
-        r = reward(seq, ref)
-        if r == 0.0:
-            continue
-        # prefix/suffix products make the leave-one-out product exact even
-        # when some factors are zero
-        prefix = np.ones(T + 1)
-        for i in range(T):
-            prefix[i + 1] = prefix[i] * p[i, seq[i]]
-        suffix = np.ones(T + 1)
-        for i in range(T - 1, -1, -1):
-            suffix[i] = suffix[i + 1] * p[i, seq[i]]
-        for t in range(T):
-            dprobs[t, seq[t]] -= prefix[t] * suffix[t + 1] * r
-    return GradientEstimate(dprobs)
-
-
-def enumerate_gradient_factored(dist, reward, ref):
-    """Gradient via the per-position decomposition: entry (t, y) is the
-    negative expected reward with position t clamped to y."""
-    T, V = dist.T, dist.V
-    if V**T > ENUM_LIMIT:
-        raise CapacityError(f"V^T = {V}^{T} exceeds the enumeration bound {ENUM_LIMIT}")
-    dprobs = np.empty((T, V))
-    for t in range(T):
-        for y in range(V):
-            dprobs[t, y] = -exact_reward_at(dist, t, y, reward, ref)
-    return GradientEstimate(dprobs)
-
-
-def enumerate_expected_gradient(dist, reward, ref):
-    """Exact gradient oracle. Computes the direct and the per-position
-    enumerations and requires them to agree within 1e-10 (the numerical
-    check of the decomposition identity)."""
-    direct = enumerate_gradient_direct(dist, reward, ref)
-    factored = enumerate_gradient_factored(dist, reward, ref)
-    gap = float(np.max(np.abs(direct.dprobs - factored.dprobs)))
-    if gap > 1e-10:
-        raise ArithmeticError(
-            f"direct and per-position enumerations disagree by {gap:.3e}"
-        )
-    return factored
-
-
 def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
     """One estimate of the loss gradient via top-k traversal plus one
     residual sample per position, for one sentence or a batch of them.
@@ -484,21 +431,3 @@ def random_distributions(T, V, rng, concentration=1.0):
     """A random T x V row-stochastic matrix (Dirichlet rows)."""
     probs = rng.dirichlet(np.full(V, concentration), size=T)
     return PositionDistributions(probs)
-
-
-def random_reward_table(T, V, rng):
-    """A dense random reward in [0, 1] over all V^T sequences, as a callable.
-
-    For oracle tests only; ignores the reference argument.
-    """
-    table = {
-        seq: float(r)
-        for seq, r in zip(
-            itertools.product(range(V), repeat=T), rng.random(V**T)
-        )
-    }
-
-    def reward(hyp, ref):
-        return table[tuple(hyp)]
-
-    return reward

@@ -24,6 +24,11 @@ from .models import EOS, PAD, beam_decode, predict_length
 
 log = logging.getLogger(__name__)
 
+# Adam's moment decay rates and denominator offset, the Transformer's values
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.98
+ADAM_EPS = 1e-9
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -31,9 +36,6 @@ class TrainConfig:
     max_steps: int = 2000
     lr: float = 0.01
     warmup: int = 200
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.98
-    adam_eps: float = 1e-9
     patience: int = 10
     rng_seed: int = 0
     eval_every: int = 200
@@ -44,13 +46,9 @@ class TrainConfig:
         for key in ("batch_size", "max_steps", "patience", "eval_every"):
             if getattr(self, key) < 1:
                 raise ContractError(f"{key} must be >= 1, got {getattr(self, key)}")
-        # the comparisons are also false for nan
-        for key in ("lr", "adam_eps"):
-            if not 0.0 < getattr(self, key) < math.inf:
-                raise ContractError(f"{key} must be finite and > 0, got {getattr(self, key)}")
-        for key in ("adam_beta1", "adam_beta2"):
-            if not 0.0 <= getattr(self, key) < 1.0:
-                raise ContractError(f"{key} must be in [0, 1), got {getattr(self, key)}")
+        # the comparison is also false for nan
+        if not 0.0 < self.lr < math.inf:
+            raise ContractError(f"lr must be finite and > 0, got {self.lr}")
 
 
 @dataclass(frozen=True)
@@ -106,7 +104,7 @@ class Adam:
             raise TrainingError(f"non-finite gradient at step {self.step_count + 1}")
         self.step_count += 1
         lr = self.rate(self.step_count)
-        b1, b2, eps = self.cfg.adam_beta1, self.cfg.adam_beta2, self.cfg.adam_eps
+        b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
         m, v, t, u = self.m, self.v, self._t, self._u
         m *= b1
         m += np.multiply(1 - b1, g, out=t)

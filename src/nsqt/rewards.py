@@ -229,27 +229,23 @@ def corpus_bleu(hyps, refs):
 
 @dataclass(frozen=True)
 class RewardFn:
-    """A named reward: GLEU for training, smoothed BLEU for evaluation."""
+    """The training reward by name; GLEU is its only kind. Evaluation scores
+    BLEU with ``bleu_sentence`` and ``corpus_bleu`` directly."""
 
     kind: str = "GLEU"
 
     def __post_init__(self):
-        if self.kind not in ("GLEU", "BLEU"):
+        if self.kind != "GLEU":
             raise ContractError(f"unknown reward kind {self.kind!r}")
 
     def __call__(self, hyp, ref):
-        if self.kind == "GLEU":
-            return gleu(hyp, ref)
-        return bleu_sentence(hyp, ref)
+        return gleu(hyp, ref)
 
     def batch(self, tokens, refs, which):
         """The reward of every row i of an (R, T) token matrix against
         ``refs[which[i]]``: one value per row, bitwise equal to calling the
         reward on that row and reference."""
-        if self.kind == "GLEU":
-            return gleu_rows(tokens, refs, which)
-        rows = zip(np.asarray(tokens).tolist(), np.asarray(which).tolist(), strict=True)
-        return np.array([bleu_sentence(row, refs[i]) for row, i in rows], dtype=np.float64)
+        return gleu_rows(tokens, refs, which)
 
 
 def memoize_reward(reward):

@@ -32,7 +32,6 @@ accumulate shared gradients in the same order.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -496,68 +495,3 @@ def dropout(x, p, rng, training):
         return x
     keep = (rng.random(x.data.shape) >= p) / (1.0 - p)
     return mul(x, keep)
-
-
-@dataclass
-class GradCheckEntry:
-    param_index: int
-    flat_index: int
-    analytic: float
-    numeric: float
-    rel_error: float
-
-
-@dataclass
-class GradCheckReport:
-    max_rel_error: float
-    tol: float
-    passed: bool
-    worst: GradCheckEntry | None = None
-
-
-def _rel_error(a, n):
-    denom = max(abs(a), abs(n))
-    if denom < 1e-6:
-        return abs(a - n)
-    return abs(a - n) / denom
-
-
-def grad_check(f, params, step=1e-5, tol=1e-5):
-    """Compare analytic gradients of ``f()`` against central finite differences.
-
-    ``f`` must be a deterministic scalar-valued function of the tensors in
-    ``params``, re-recording its graph on every call. Returns a report whose
-    ``passed`` flag is true iff the max relative error is within ``tol``.
-    """
-    params = list(params)
-    first = f()
-    second = f()
-    if not isinstance(first, Tensor) or first.data.size != 1:
-        raise GraphError("grad_check target must return a scalar Tensor")
-    if first.item() != second.item():
-        raise GraphError("grad_check target is non-deterministic")
-    for p in params:
-        p.zero_grad()
-    second.backward()
-    analytic = [
-        np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params
-    ]
-    report = GradCheckReport(max_rel_error=0.0, tol=tol, passed=True)
-    for pi, p in enumerate(params):
-        flat = p.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = f().item()
-            flat[i] = orig - step
-            down = f().item()
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * step)
-            a = float(analytic[pi].reshape(-1)[i])
-            err = _rel_error(a, numeric)
-            entry = GradCheckEntry(pi, i, a, numeric, err)
-            if err >= report.max_rel_error:
-                report.max_rel_error = err
-                report.worst = entry
-    report.passed = report.max_rel_error <= tol
-    return report

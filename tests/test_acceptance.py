@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import conftest
+import oracles
 from nsqt import estimators as est
 from nsqt import pipeline as pl
 from nsqt import rewards
@@ -73,10 +74,10 @@ def test_criterion_01_proof_identity():
         V = int(rng.integers(2, 6))
         T = int(rng.integers(1, 4))
         dist = est.random_distributions(T, V, rng)
-        reward = est.random_reward_table(T, V, rng)  # ignores the reference
+        reward = oracles.random_reward_table(T, V, rng)  # ignores the reference
         ref = tuple(int(x) for x in rng.integers(0, V, size=T))
-        direct = est.enumerate_gradient_direct(dist, reward, ref).dprobs
-        factored = est.enumerate_gradient_factored(dist, reward, ref).dprobs
+        direct = oracles.enumerate_gradient_direct(dist, reward, ref).dprobs
+        factored = oracles.enumerate_gradient_factored(dist, reward, ref).dprobs
         worst = max(worst, float(np.abs(direct - factored).max()))
     report(
         1,
@@ -94,7 +95,7 @@ def test_criterion_02_unbiasedness():
     dist = est.random_distributions(T, V, rng)
     ref = (1, 3, 0)
     reward = rewards.RewardFn("GLEU")
-    oracle = est.enumerate_expected_gradient(dist, reward, ref).dprobs
+    oracle = oracles.enumerate_expected_gradient(dist, reward, ref).dprobs
     worst_z = 0.0
     for k in (0, 1, 2):
         for n in (1, 20):
@@ -124,7 +125,7 @@ def test_criterion_03_exact_at_full_traversal():
         dist = est.random_distributions(T, V, rng)
         ref = tuple(int(x) for x in rng.integers(0, V, size=T))
         reward = rewards.RewardFn("GLEU")
-        oracle = est.enumerate_expected_gradient(dist, reward, ref).dprobs
+        oracle = oracles.enumerate_expected_gradient(dist, reward, ref).dprobs
         cfg = est.EstimatorConfig(k=V, n=1)
         got = est.reinforce_nat_step(
             dist, cfg, reward, ref, np.random.default_rng(i), exact_rewards=True
@@ -163,21 +164,21 @@ def test_criterion_05_gradient_integrity():
     prim_reports = []
     x = tc.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     w = tc.Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-    prim_reports.append(tc.grad_check(lambda: tc.tsum(tc.linear(x, w, np.zeros(4))), [x, w]))
+    prim_reports.append(oracles.grad_check(lambda: tc.tsum(tc.linear(x, w, np.zeros(4))), [x, w]))
     y = tc.Tensor(rng.normal(size=(2, 5)) + 0.1, requires_grad=True)
     # the softmax of y itself: y @ I + 0 is exact
     prim_reports.append(
-        tc.grad_check(
+        oracles.grad_check(
             lambda: tc.tsum(tc.mul(tc.linear_softmax(y, np.eye(5), np.zeros(5)), y)), [y]
         )
     )
     z = tc.Tensor(rng.uniform(0.5, 2.0, size=(3, 3)), requires_grad=True)
-    prim_reports.append(tc.grad_check(lambda: tc.tsum(tc.log(z)), [z]))
+    prim_reports.append(oracles.grad_check(lambda: tc.tsum(tc.log(z)), [z]))
     g = tc.Tensor(np.ones(3), requires_grad=True)
     b = tc.Tensor(np.zeros(3), requires_grad=True)
     h = tc.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     prim_reports.append(
-        tc.grad_check(lambda: tc.tsum(tc.layer_norm(h, g, b)), [h, g, b])
+        oracles.grad_check(lambda: tc.tsum(tc.layer_norm(h, g, b)), [h, g, b])
     )
     prim_ok = all(r.passed for r in prim_reports)
     prim_worst = max(r.max_rel_error for r in prim_reports)
@@ -197,7 +198,7 @@ def test_criterion_05_gradient_integrity():
             picked = tc.take(probs, (np.zeros(3, np.int64), np.arange(3), tgts[0]))
             return tc.mul(tc.tsum(tc.log(picked)), -1.0)
 
-        r = tc.grad_check(loss, model.parameters(), tol=1e-4)
+        r = oracles.grad_check(loss, model.parameters(), tol=1e-4)
         model_worst[kind] = r.max_rel_error
     ok = prim_ok and all(v <= 1e-4 for v in model_worst.values())
     report(

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from nsqt import estimators as est
 from nsqt import pipeline as pl
 from nsqt import rewards
@@ -287,11 +288,11 @@ class TestEstimateRewardAt:
 
 class TestEnumerationOracle:
     def test_uniform_equality_all_entries(self):
-        grad = est.enumerate_expected_gradient(uniform_dist(2, 2), equality_reward, ())
+        grad = oracles.enumerate_expected_gradient(uniform_dist(2, 2), equality_reward, ())
         assert np.allclose(grad.dprobs, -0.5, atol=1e-12)
 
     def test_constant_reward(self):
-        grad = est.enumerate_expected_gradient(
+        grad = oracles.enumerate_expected_gradient(
             uniform_dist(3, 3), lambda h, r: 0.25, ()
         )
         assert np.allclose(grad.dprobs, -0.25, atol=1e-12)
@@ -304,7 +305,7 @@ class TestEnumerationOracle:
         def reward(hyp, ref):
             return float(values[hyp[0]])
 
-        grad = est.enumerate_expected_gradient(dist, reward, ())
+        grad = oracles.enumerate_expected_gradient(dist, reward, ())
         expected = float(dist.probs[0] @ values)
         for t in (1, 2):
             assert np.allclose(grad.dprobs[t], -expected, atol=1e-12)
@@ -316,22 +317,22 @@ class TestEnumerationOracle:
         T = int(rng.integers(1, 4))
         V = int(rng.integers(2, 6))
         dist = est.random_distributions(T, V, rng)
-        reward = est.random_reward_table(T, V, rng)
-        direct = est.enumerate_gradient_direct(dist, reward, ())
-        factored = est.enumerate_gradient_factored(dist, reward, ())
+        reward = oracles.random_reward_table(T, V, rng)
+        direct = oracles.enumerate_gradient_direct(dist, reward, ())
+        factored = oracles.enumerate_gradient_factored(dist, reward, ())
         assert np.max(np.abs(direct.dprobs - factored.dprobs)) <= 1e-10
 
     def test_capacity_guard(self):
         with pytest.raises(est.CapacityError):
-            est.enumerate_expected_gradient(uniform_dist(8, 10), equality_reward, ())
+            oracles.enumerate_expected_gradient(uniform_dist(8, 10), equality_reward, ())
 
 
 class TestReinforceNat:
     def test_exact_at_full_traversal(self):
         rng = np.random.default_rng(5)
         dist = est.random_distributions(3, 4, rng)
-        reward = est.random_reward_table(3, 4, rng)
-        oracle = est.enumerate_expected_gradient(dist, reward, ())
+        reward = oracles.random_reward_table(3, 4, rng)
+        oracle = oracles.enumerate_expected_gradient(dist, reward, ())
         got = est.reinforce_nat_step(
             dist,
             est.EstimatorConfig(k=4, n=1),
@@ -367,7 +368,7 @@ class TestReinforceNat:
         got = est.reinforce_nat_step(
             dist, est.EstimatorConfig(k=0, n=1), reward, ref, np.random.default_rng(0)
         )
-        oracle = est.enumerate_expected_gradient(dist, reward, ref)
+        oracle = oracles.enumerate_expected_gradient(dist, reward, ref)
         forced = probs > 0
         assert np.allclose(got.dprobs[forced], oracle.dprobs[forced], atol=1e-12)
 
@@ -377,8 +378,8 @@ class TestReinforceNat:
         dist = est.PositionDistributions(
             np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3]])
         )
-        reward = est.random_reward_table(2, 3, np.random.default_rng(k * 7 + n))
-        oracle = est.enumerate_expected_gradient(dist, reward, ())
+        reward = oracles.random_reward_table(2, 3, np.random.default_rng(k * 7 + n))
+        oracle = oracles.enumerate_expected_gradient(dist, reward, ())
         cfg = est.EstimatorConfig(k=k, n=n)
         stats = est.reinforce_nat_stats(dist, cfg, reward, (), runs, np.random.default_rng(123))
         se = np.sqrt(stats.per_entry_variance / runs)
@@ -551,7 +552,7 @@ class TestBatchedRewards:
 class TestEstimatorStats:
     def test_exact_oracle_has_zero_variance(self):
         dist = uniform_dist(2, 3)
-        oracle = est.enumerate_expected_gradient(dist, equality_reward, ())
+        oracle = oracles.enumerate_expected_gradient(dist, equality_reward, ())
         stats = est.estimator_stats(
             dist, lambda rng: oracle, 10, np.random.default_rng(0)
         )
@@ -610,7 +611,7 @@ class TestBatchedStats:
         monkeypatch.setattr(est, "_STATS_CHUNK", 7)
         rng = np.random.default_rng(40 + k)
         dist = est.random_distributions(3, 6, rng, concentration=0.5)
-        fn = rewards.RewardFn("GLEU") if reward == "gleu" else est.random_reward_table(3, 6, rng)
+        fn = rewards.RewardFn("GLEU") if reward == "gleu" else oracles.random_reward_table(3, 6, rng)
         cfg = est.EstimatorConfig(k=k, n=3)
         got = est.reinforce_nat_stats(dist, cfg, fn, (1, 2, 3), 30, np.random.default_rng(5))
         want = self._per_stream(dist, cfg, fn, (1, 2, 3), 30, 5)
@@ -648,9 +649,9 @@ class TestStreams:
         ],
         ids=["mt19937", "pcg64dxsm", "pool8"],
     )
-    def test_unsupported_stream_is_contract_error(self, make):
+    def test_any_generator_equals_oracle(self, make):
         # any Generator is accepted and draws the layout bitwise as the
-        # oracle does (the name predates that)
+        # oracle does
         dist = est.random_distributions(3, 4, np.random.default_rng(1))
         cfg = est.EstimatorConfig(k=1, n=3)
         reward = rewards.RewardFn("GLEU")
@@ -658,7 +659,7 @@ class TestStreams:
         want = oracle_reinforce_nat_step(dist, cfg, reward, (0, 1, 2), make())
         assert got.dprobs.tobytes() == want.dprobs.tobytes()
 
-    def test_call_does_not_advance_the_spawn_counter(self):
+    def test_call_advances_stream_by_its_draws(self):
         # a call spawns nothing and advances its stream by exactly its
         # draws: T residual uniforms, then T (k + 1) n T completion uniforms
         # unless the rewards are exact
@@ -727,7 +728,7 @@ class TestStreams:
         T, V, n = 2, 3, 4
         dist = est.random_distributions(T, V, np.random.default_rng(5))
         cfg = est.EstimatorConfig(k=V, n=n)
-        reward = est.random_reward_table(T, V, np.random.default_rng(6)) if exact else rewards.RewardFn("GLEU")
+        reward = oracles.random_reward_table(T, V, np.random.default_rng(6)) if exact else rewards.RewardFn("GLEU")
         stream = np.random.default_rng(7)
         advanced = copy.deepcopy(stream)
         advanced.random(T if exact else T + T * (V + 1) * n * T)
@@ -814,7 +815,7 @@ def _estimate(step, B, k, eps, reward, exact, seed=0, peaked=False):
     return ge.dprobs.tobytes(), ge.surrogate.data.tobytes(), logits.grad.tobytes()
 
 
-TABLE = est.random_reward_table(3, V_ORACLE, np.random.default_rng(99))
+TABLE = oracles.random_reward_table(3, V_ORACLE, np.random.default_rng(99))
 REWARDS = {
     "batch": (rewards.RewardFn("GLEU"), False),
     "scalar": (lambda hyp, ref: rewards.gleu(hyp, ref), False),
@@ -896,7 +897,7 @@ class TestScoreSurrogate:
         rng = np.random.default_rng(k)
         shape = (3, 4) if layout == "plain" else (2, 3, 4)
         logits = tc.Tensor(rng.standard_normal(shape), requires_grad=True)
-        table = est.random_reward_table(3, 4, rng)
+        table = oracles.random_reward_table(3, 4, rng)
         calls = []
         op = tc.score_surrogate
         monkeypatch.setattr(tc, "score_surrogate", lambda x, *a: calls.append(a) or op(x, *a))
@@ -911,7 +912,7 @@ class TestScoreSurrogate:
         ge = est.reinforce_nat_step(dist, cfg, table, refs, rngs, exact_rewards=True)
         (args,) = calls
         assert ge.surrogate.item() == op(probs, *args).item()
-        report = tc.grad_check(lambda: op(softmax_rows(logits), *args), [logits])
+        report = oracles.grad_check(lambda: op(softmax_rows(logits), *args), [logits])
         assert report.passed, report.worst
 
 

@@ -1,12 +1,14 @@
 import dataclasses
 import functools
 import struct
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from nsqt import checkpoint, models
 from nsqt import tensor as tc
 
@@ -86,7 +88,7 @@ class TestEncoder:
         def f():
             return tc.tsum(tc.mul(model.encode(SRC), w))
 
-        report = tc.grad_check(f, [model.embed], tol=1e-5)
+        report = oracles.grad_check(f, [model.embed], tol=1e-5)
         assert report.passed, report.worst
 
     def test_shared_encoder_bit_identical_across_variants(self):
@@ -119,7 +121,7 @@ class TestNATForward:
             )
             return tc.mul(tc.tsum(tc.log(picked)), -1.0)
 
-        report = tc.grad_check(f, [model.embed], tol=1e-4)
+        report = oracles.grad_check(f, [model.embed], tol=1e-4)
         assert report.passed, report.worst
 
     def test_overlong_target(self, nat):
@@ -150,7 +152,7 @@ class TestARForward:
             picked = tc.take(probs, (np.zeros(4, int), np.arange(4), TGT[0]))
             return tc.mul(tc.tsum(tc.log(picked)), -1.0)
 
-        report = tc.grad_check(f, [model.embed], tol=1e-4)
+        report = oracles.grad_check(f, [model.embed], tol=1e-4)
         assert report.passed, report.worst
 
 
@@ -191,7 +193,7 @@ class TestFSForward:
             picked = tc.take(probs, (np.zeros(4, int), np.arange(4), TGT[0]))
             return tc.mul(tc.tsum(tc.log(picked)), -1.0)
 
-        report = tc.grad_check(f, [model.fuse_w, model.fuse_u], tol=1e-4)
+        report = oracles.grad_check(f, [model.fuse_w, model.fuse_u], tol=1e-4)
         assert report.passed, report.worst
 
     def test_length_padding_and_truncation(self, fs):
@@ -662,6 +664,11 @@ class TestCheckpoint:
         checkpoint.save_model(models.build_model("fs", CFG, seed=2), path, seed=2)
         return path, path.read_bytes()
 
+    @staticmethod
+    def resealed(raw):
+        """A version-2 file with its checksum recomputed after an edit."""
+        return raw[:-4] + struct.pack("<I", zlib.crc32(raw[:-4]))
+
     def test_truncated_file(self, saved):
         path, raw = saved
         # cuts inside the header, the config, a tensor name, a shape and a payload
@@ -688,7 +695,9 @@ class TestCheckpoint:
     def test_unbuildable_description(self, saved):
         path, raw = saved
         # kind "fs" -> "fx": a complete file naming no model kind
-        path.write_bytes(raw.replace(b"\x02\x00\x00\x00fs", b"\x02\x00\x00\x00fx", 1))
+        path.write_bytes(
+            self.resealed(raw.replace(b"\x02\x00\x00\x00fs", b"\x02\x00\x00\x00fx", 1))
+        )
         with pytest.raises(checkpoint.CheckpointError, match="loadable"):
             checkpoint.load_model(path)
 
@@ -697,13 +706,19 @@ class TestCheckpoint:
         # n_head follows magic, version, kind "fs", seed, d_model, d_hidden, n_layer
         at = 8 + 4 + 2 + 8 + 3 * 4
         assert raw[at : at + 4] == (2).to_bytes(4, "little")
-        path.write_bytes(raw[:at] + bytes(4) + raw[at + 4 :])
+        path.write_bytes(self.resealed(raw[:at] + bytes(4) + raw[at + 4 :]))
         with pytest.raises(checkpoint.CheckpointError, match="n_head"):
             checkpoint.load_model(path)
 
+    def test_version_2_ends_with_crc_of_the_rest(self, saved):
+        _, raw = saved
+        assert raw[:8] == b"NSQT\x02\x00\x00\x00"
+        assert raw[-4:] == struct.pack("<I", zlib.crc32(raw[:-4]))
+
     def test_version_1_layout_still_loads(self, saved):
         path, raw = saved
-        assert raw[:8] == b"NSQT\x01\x00\x00\x00"
+        # version 1: the same fields without the checksum
+        path.write_bytes(b"NSQT\x01\x00\x00\x00" + raw[8:-4])
         clone = checkpoint.load_model(path)
         for name, data in models.build_model("fs", CFG, seed=2).state().items():
             assert np.array_equal(clone.state()[name], data), name
@@ -721,15 +736,34 @@ class TestCheckpoint:
         )
         assert raw[at : at + len(block)] == block
 
+    def test_flipped_max_len_byte_is_checkpoint_error(self, tmp_path, monkeypatch):
+        # byte 2 of max_len = 16 set to 1 reads as max_len 65552; the
+        # checksum catches it before a 65552-row positional table is built
+        path = tmp_path / "ar.nsqt"
+        checkpoint.save_model(models.build_model("ar", CFG, seed=2), path, seed=2)
+        raw = bytearray(path.read_bytes())
+        at = 8 + 4 + 2 + 8 + struct.calcsize("<IIIIdI")
+        assert raw[at : at + 4] == struct.pack("<I", CFG.max_len) == b"\x10\x00\x00\x00"
+        raw[at + 2] = 1
+        path.write_bytes(raw)
+        built = []
+        monkeypatch.setattr(checkpoint, "build_model", lambda *a, **kw: built.append(a))
+        with pytest.raises(checkpoint.CheckpointError, match="checksum mismatch"):
+            checkpoint.load_model(path)
+        assert built == []
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_damaged_file_raises_only_checkpoint_error(self, tmp_path_factory, data):
         path = tmp_path_factory.getbasetemp() / "fuzz.nsqt"
         checkpoint.save_model(models.build_model("fs", CFG, seed=2), path, seed=2)
         raw = path.read_bytes()
-        damage = data.draw(st.sampled_from(["truncate", "append", "random"]))
+        damage = data.draw(st.sampled_from(["truncate", "append", "flip", "random"]))
         if damage == "truncate":
             blob = raw[: data.draw(st.integers(0, len(raw) - 1))]
+        elif damage == "flip":
+            at = data.draw(st.integers(0, len(raw) - 1))
+            blob = raw[:at] + bytes([raw[at] ^ 1 << data.draw(st.integers(0, 7))]) + raw[at + 1 :]
         elif damage == "append":
             blob = raw + data.draw(st.binary(min_size=1, max_size=64))
         else:
