@@ -127,7 +127,10 @@ def load_model(path):
             (ndim,) = r.unpack("<I")
             shape = r.unpack(f"<{ndim}I")
             data = np.frombuffer(r.bytes(8 * math.prod(shape)), dtype="<f8")
-            state[name] = data.reshape(shape).astype(np.float64)
+            try:
+                state[name] = data.reshape(shape).astype(np.float64)
+            except ValueError as e:  # more dimensions than numpy allows
+                raise CheckpointError(f"{path}: tensor {name!r}: {e}") from None
         if version == VERSION:
             crc = r.crc
             (stored,) = r.unpack("<I")

@@ -286,6 +286,17 @@ def test_optimiser_config_out_of_range_exits_1(tmp_path, capsys, key, value):
     assert not (out / "metrics.csv").exists()
 
 
+# Adam's decay rates and offset are fixed constants, not settable keys
+@pytest.mark.parametrize(
+    "key, value", [("adam_beta1", "0.5"), ("adam_beta2", "0.9"), ("adam_eps", "1e-8")]
+)
+def test_adam_key_is_unknown(tmp_path, capsys, key, value):
+    out = tmp_path / "run"
+    assert run(["train-ce", "--out", out] + FAST + [f"--{key}", value]) == 1
+    assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"
+    assert not (out / "metrics.csv").exists()
+
+
 # any other value or combination the user can fix is a ContractError too:
 # exit 1 with a one-line message and no run output
 @pytest.mark.parametrize(
@@ -747,8 +758,9 @@ def test_emit_report_missing_metrics_exits_2(tmp_path, capsys):
     [
         ("1,train,loss", "not enough values to unpack"),
         ("x,valid,gleu,0.5", "invalid literal for int()"),
+        ("6,valid,gleu,abc", "could not convert string to float"),
     ],
-    ids=["three-fields", "step-x"],
+    ids=["three-fields", "step-x", "value-abc"],
 )
 def test_emit_report_malformed_metrics_names_file_and_line(tmp_path, capsys, row, reason):
     out = tmp_path / "run"

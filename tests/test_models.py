@@ -736,6 +736,28 @@ class TestCheckpoint:
         )
         assert raw[at : at + len(block)] == block
 
+    def test_flipped_payload_bit_is_checkpoint_error(self, saved):
+        # a flipped bit in the last weight leaves every length field intact,
+        # so only the checksum tells the damaged file from a good one
+        path, raw = saved
+        path.write_bytes(raw[:-5] + bytes([raw[-5] ^ 0x01]) + raw[-4:])
+        with pytest.raises(checkpoint.CheckpointError, match="checksum mismatch"):
+            checkpoint.load_model(path)
+
+    def test_too_many_dimensions_is_checkpoint_error(self, saved):
+        # the first tensor's ndim follows the header, the tensor count and its name;
+        # 612 dimensions of which one is 0 hold no payload, but numpy allows 64
+        path, raw = saved
+        at = 8 + 4 + 2 + 8 + struct.calcsize(checkpoint.CONFIG_FORMAT) + 4
+        (name_len,) = struct.unpack_from("<I", raw, at)
+        at += 4 + name_len
+        (ndim,) = struct.unpack_from("<I", raw, at)
+        shape = struct.pack("<612I", *([0] + [1] * 611))
+        blob = raw[:at] + struct.pack("<I", 612) + shape + raw[at + 4 + 4 * ndim :]
+        path.write_bytes(self.resealed(blob))
+        with pytest.raises(checkpoint.CheckpointError, match="tensor"):
+            checkpoint.load_model(path)
+
     def test_flipped_max_len_byte_is_checkpoint_error(self, tmp_path, monkeypatch):
         # byte 2 of max_len = 16 set to 1 reads as max_len 65552; the
         # checksum catches it before a 65552-row positional table is built

@@ -1,5 +1,6 @@
 """Training loops, decoding, evaluation, and distillation."""
 
+import dataclasses
 import inspect
 import math
 
@@ -273,6 +274,13 @@ class ReferenceAdam:
             mhat = m / (1 - b1**self.step_count)
             vhat = v / (1 - b2**self.step_count)
             p.data -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
+def test_adam_constants_are_fixed_not_configurable():
+    """The Transformer's values, as floats; TrainConfig carries no copy of them."""
+    assert (pl.ADAM_BETA1, pl.ADAM_BETA2, pl.ADAM_EPS) == (0.9, 0.98, 1e-9)
+    fields = {f.name for f in dataclasses.fields(pl.TrainConfig)}
+    assert not {name for name in fields if name.startswith("adam")}
 
 
 ADAM_SHAPES = [(3, 4), (5,), (2, 3, 2), (4,)]
