@@ -19,7 +19,10 @@ Round trip is bitwise: load(save(m)) reproduces every parameter exactly.
 A file that ends early, has bytes after its last field, fails its checksum
 or describes a model that cannot be built raises ``CheckpointError``. The
 checksum is verified before any model is built, so a corrupt config field
-allocates nothing.
+allocates nothing. So is every config field that sizes stored tensors
+(``vocab_size``, ``d_model``, ``d_hidden``, ``n_layer``), against those
+tensors, which also covers version 1. ``max_len`` sizes no stored tensor:
+the positional table is computed.
 """
 
 from __future__ import annotations
@@ -109,6 +112,29 @@ def save_model(model, path, seed=0):
         f.write(struct.pack("<I", zlib.crc32(body)))
 
 
+def _check_sizes(path, header, state):
+    """Refuse header fields that disagree with the stored tensors they size:
+    the shared embedding, the first encoder feed-forward layer and the
+    number of encoder layers."""
+    shapes = {name: data.shape for name, data in state.items()}
+    sized = {
+        "embed": ("vocab_size", "d_model"),
+        "enc.0.ff.inner.w": ("d_model", "d_hidden"),
+    }
+    for name, fields in sized.items():
+        want = tuple(header[f] for f in fields)
+        if shapes.get(name) != want:
+            raise CheckpointError(
+                f"{path}: header ({', '.join(fields)}) = {want} does not match "
+                f"tensor {name!r} of shape {shapes.get(name)}"
+            )
+    layers = len({name.split(".")[1] for name in shapes if name.startswith("enc.")})
+    if layers != header["n_layer"]:
+        raise CheckpointError(
+            f"{path}: header n_layer = {header['n_layer']} does not match {layers} stored encoder layers"
+        )
+
+
 def load_model(path):
     with open(path, "rb") as f:
         r = _Reader(f, path)
@@ -139,6 +165,7 @@ def load_model(path):
                     f"{path}: checksum mismatch (stored {stored:08x}, computed {crc:08x})"
                 )
         r.finish()
+    _check_sizes(path, header, state)
     try:
         model = build_model(kind, ModelConfig(**header), seed=seed)
         model.load_state(state)

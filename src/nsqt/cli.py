@@ -112,7 +112,7 @@ def parse_config_file(path):
     entries = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, ValueError) as e:  # ValueError: not UTF-8, or a NUL in the path
         raise ContractError(f"cannot read config file {path}: {e}") from e
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -387,12 +387,19 @@ def cmd_estimator_bench(cfg, out_dir):
     if max(ks) > V:
         raise ContractError(f"key k: expected values <= bench_vocab ({V}), got {max(ks)}")
     est_cfg = estimators.EstimatorConfig(n=cfg["n"], residual_epsilon=cfg["residual_epsilon"])
-    totals = estimators.total_variance_sweep(
+    sweep = estimators.variance_sweep(
         ks, cfg["bench_len"], V, est_cfg, cfg["bench_instances"], cfg["bench_reps"],
         rewards.RewardFn("GLEU"), cfg["seed"],
     )
-    rows = [(k, float(np.mean(t)), *t) for k, t in zip(ks, totals)]
-    header = ("k", "mean_total_variance", *(f"instance_{i}" for i in range(cfg["bench_instances"])))
+    rows = []
+    for k, stats in zip(ks, sweep):
+        totals = [s.total_variance for s in stats]
+        logit = float(np.mean([s.logit_total_variance for s in stats]))
+        rows.append((k, float(np.mean(totals)), logit, *totals))
+    header = (
+        "k", "mean_total_variance", "mean_logit_variance",
+        *(f"instance_{i}" for i in range(cfg["bench_instances"])),
+    )
     write_csv(out_dir / "variance.csv", header, rows)
     emit_report(out_dir, required=False)
     return 0

@@ -13,17 +13,19 @@ expected reward with position t clamped to token y.
 
 Random streams: ``reinforce_nat_step`` draws every uniform of a sentence
 from that sentence's own stream in a fixed layout: the T residual uniforms,
-then, for Monte Carlo rewards, one block holding the n x T completion
-uniforms of every candidate slot of every position. A sentence's numbers therefore
-depend only on its stream, not on its batch or the order of execution.
+then, for Monte Carlo rewards, the n x T uniforms of the sentence's n base
+completions, which every candidate of the sentence shares. A call advances
+each stream by T + n T doubles (T with exact rewards). A sentence's numbers
+therefore depend only on its stream, not on its batch or the order of
+execution.
 
 A ``reinforce_nat_step`` call on a small instance costs Python-level numpy
 calls more than arithmetic, so its per-call path keeps ``tensor.py``'s
 rule: every op calls numpy's C entry points, not its Python wrappers. That
 means ufunc methods such as ``np.add.reduce`` and ``np.add.accumulate``
 rather than ``np.sum`` or ``np.cumsum``, and array methods such as
-``.argsort``, ``.searchsorted``, ``.nonzero`` and ``.repeat`` rather than
-their ``np.`` functions. The numbers are bitwise those of the wrappers.
+``.argsort``, ``.take``, ``.nonzero`` and ``.repeat`` rather than their
+``np.`` functions. The numbers are bitwise those of the wrappers.
 """
 
 from __future__ import annotations
@@ -148,16 +150,13 @@ def top_k_partition(probs, k, residual_epsilon=1e-6):
 
 
 def _sample_completions(probs, u):
-    """Full sequences from an (N, T) matrix of uniforms: token t of each
-    sequence inverts row t's CDF at the uniform in column t."""
-    T, V = probs.shape
-    cum = np.add.accumulate(probs, axis=1)
-    tokens = np.empty(u.shape, dtype=np.int64)
-    for i in range(T):
-        tokens[:, i] = cum[i].searchsorted(u[:, i], side="right")
-    # searchsorted never returns a negative index: only the top needs a clamp
-    np.minimum(tokens, V - 1, out=tokens)
-    return tokens
+    """Full sequences from a (..., N, T) array of uniforms and (..., T, V)
+    rows: token t of each sequence inverts row t's CDF at the uniform in
+    column t. Counting the CDF entries <= u is searchsorted(side="right");
+    the count is never negative, so only the top needs a clamp."""
+    cum = np.add.accumulate(probs, axis=-1)
+    count = np.add.reduce(cum[..., None, :, :] <= u[..., None], axis=-1, dtype=np.int64)
+    return np.minimum(count, probs.shape[-1] - 1, out=count)
 
 
 def exact_reward_at(dist, t, y, reward, ref):
@@ -267,11 +266,12 @@ def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
     ``numpy.random.Generator`` but must be a different object from every
     other sentence's. It draws ``random(T)``, the residual uniforms
     (position t inverts entry t only if it has a residual), then, unless
-    ``exact_rewards``, ``random((T, k + 1, n, T))``: slot ``[t, j]`` holds
-    the n x T completion uniforms of candidate j at position t, where j < k
-    are the members in increasing id order and j = k is the residual
-    sample. A slot whose residual sample is not planned is drawn and left
-    unused. The call advances its streams by these draws.
+    ``exact_rewards``, ``random((n, T))``: the uniforms of the sentence's n
+    base completions, row i inverting position t's CDF at entry t. Every
+    candidate (t, y) of the sentence, the members and the residual sample
+    alike, takes these n rows with position t clamped to y, so a step
+    scores n clamped rows per candidate. The call advances each stream by
+    these T + n T draws (T with exact rewards).
 
     Rewards must be pure. The step scores each distinct (completion,
     reference) pair once, over all sentences, and every sampled completion
@@ -295,17 +295,15 @@ def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
     part = top_k_partition(probs, k, config.residual_epsilon)
 
     # every uniform in the documented layout, straight into its place
-    u_res = np.empty((B, T))
-    u = None if exact_rewards else np.empty((B, T, k + 1, n, T))
+    u_res = np.empty((B, 1, T))
+    u = None if exact_rewards else np.empty((B, n, T))
     for b, g in enumerate(rngs):
-        g.random(out=u_res[b])
+        g.random(out=u_res[b, 0])
         if u is not None:
             g.random(out=u[b])
 
-    # the residual sample of each position; counting the CDF entries <= u
-    # is searchsorted(side="right")
-    cum = np.add.accumulate(part.residual, axis=-1)
-    drawn = np.minimum(np.add.reduce(cum <= u_res[..., None], axis=-1), V - 1)
+    # the residual sample of each position
+    drawn = _sample_completions(part.residual, u_res)[:, 0]
 
     # the plan: candidates (b, t, j, y) in sentence, position, candidate
     # order; j < k are the members, j = k the residual sample
@@ -315,8 +313,6 @@ def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
     planned[..., k] = part.has_residual
     cb, ct, cj = planned.nonzero()
     cy = candidates[cb, ct, cj]
-    ends = np.add.accumulate(np.add.reduce(planned.reshape(B, -1), axis=1)).tolist()
-    starts = [0] + ends[:-1]
 
     if exact_rewards:
         sentences = [PositionDistributions(p) for p in probs]
@@ -325,13 +321,11 @@ def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
             for b, t, y in zip(cb.tolist(), ct.tolist(), cy.tolist())
         ])
     else:
-        every = np.logical_and.reduce(planned.reshape(B, -1), axis=1).tolist()
-        tokens = np.empty((len(cb) * n, T), dtype=np.int64)
-        for b, lo, hi in zip(range(B), starts, ends):
-            # a sentence with every slot planned samples from its block in place
-            slots = u[b] if every[b] else u[b][planned[b]]
-            tokens[lo * n : hi * n] = _sample_completions(probs[b], slots.reshape(-1, T))
-        tokens[np.arange(len(tokens)), ct.repeat(n)] = cy.repeat(n)
+        # each candidate's n rows: its sentence's base completions with
+        # position t clamped to y
+        tokens = _sample_completions(probs, u).take(cb, axis=0)
+        tokens[np.arange(len(cb)), :, ct] = cy[:, None]
+        tokens = tokens.reshape(-1, T)
         distinct = {}  # reference -> its index among the distinct references
         ref_of = np.array([distinct.setdefault(r, len(distinct)) for r in refs], dtype=np.int64)
         values = _mean_rewards(tokens, n, reward, list(distinct), ref_of[cb].repeat(n))
@@ -351,11 +345,25 @@ def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
     return GradientEstimate(dprobs if batched else dprobs[0], surrogate)
 
 
+def logit_gradient(dprobs, probs):
+    """The gradient with respect to the logits of ``probs`` = softmax(logits),
+    given ``dprobs``, the gradient with respect to ``probs``: the softmax
+    Jacobian's product ``p * (d - <p, d>)`` over the last axis. Training
+    backpropagates ``dprobs`` this way, so a constant added to one position's
+    row of ``dprobs`` changes nothing here."""
+    return probs * (dprobs - np.add.reduce(probs * dprobs, axis=-1, keepdims=True))
+
+
 @dataclass
 class EstimatorStats:
+    """Sample mean and unbiased per-entry variance of ``dprobs``, their
+    total, and the total variance of ``logit_gradient(dprobs, probs)``, the
+    update that training sees."""
+
     mean_dprobs: np.ndarray
     per_entry_variance: np.ndarray
     total_variance: float
+    logit_total_variance: float
     repetitions: int
 
 
@@ -363,30 +371,38 @@ class EstimatorStats:
 _STATS_CHUNK = 500
 
 
-def _moments(repetitions, rng, estimate, chunk):
-    """Sample mean and unbiased per-entry variance of the ``dprobs`` rows that
-    ``estimate`` returns for each run of up to ``chunk`` streams of
-    ``rng.spawn(repetitions)``, added in repetition order."""
+def _moments(dist, repetitions, rng, estimate, chunk):
+    """Moments of the ``dprobs`` rows that ``estimate`` returns for each run
+    of up to ``chunk`` streams of ``rng.spawn(repetitions)``, and of their
+    logit gradients under ``dist``, added in repetition order."""
     if repetitions < 2:
         raise ContractError(f"repetitions must be >= 2, got {repetitions}")
     streams = rng.spawn(repetitions)
-    acc = acc_sq = 0.0  # the first row's += makes each its own array
+    acc = acc_sq = logit_acc = logit_sq = 0.0  # the first row's += makes each its own array
     for lo in range(0, repetitions, chunk):
-        for d in estimate(streams[lo : lo + chunk]):
+        rows = np.asarray(estimate(streams[lo : lo + chunk]))
+        for d, g in zip(rows, logit_gradient(rows, dist.probs)):
             acc += d
             acc_sq += d * d
-    mean = acc / repetitions
-    var = (acc_sq - repetitions * mean * mean) / (repetitions - 1)
-    np.maximum(var, 0.0, out=var)
-    return EstimatorStats(mean, var, float(var.sum()), repetitions)
+            logit_acc += g
+            logit_sq += g * g
+
+    def variance(acc, acc_sq):
+        mean = acc / repetitions
+        var = (acc_sq - repetitions * mean * mean) / (repetitions - 1)
+        return mean, np.maximum(var, 0.0, out=var)
+
+    mean, var = variance(acc, acc_sq)
+    _, logit_var = variance(logit_acc, logit_sq)
+    return EstimatorStats(mean, var, float(var.sum()), float(logit_var.sum()), repetitions)
 
 
 def estimator_stats(dist, estimator, repetitions, rng):
-    """Sample mean and unbiased per-entry variance of an estimator over
-    independent repetitions. ``estimator`` maps an RNG to a GradientEstimate
-    and runs once per repetition: the per-stream reference that
-    ``reinforce_nat_stats`` equals bitwise."""
-    return _moments(repetitions, rng, lambda streams: [estimator(s).dprobs for s in streams], 1)
+    """``EstimatorStats`` of an estimator over independent repetitions.
+    ``estimator`` maps an RNG to a GradientEstimate and runs once per
+    repetition: the per-stream reference that ``reinforce_nat_stats`` equals
+    bitwise."""
+    return _moments(dist, repetitions, rng, lambda streams: [estimator(s).dprobs for s in streams], 1)
 
 
 def reinforce_nat_stats(dist, config, reward, ref, repetitions, rng):
@@ -399,32 +415,32 @@ def reinforce_nat_stats(dist, config, reward, ref, repetitions, rng):
         batch = PositionDistributions(np.broadcast_to(dist.probs, (B, dist.T, dist.V)))
         return reinforce_nat_step(batch, config, reward, [ref] * B, streams).dprobs
 
-    return _moments(repetitions, rng, estimate, _STATS_CHUNK)
+    return _moments(dist, repetitions, rng, estimate, _STATS_CHUNK)
 
 
-def total_variance_sweep(ks, T, V, config, instances, repetitions, reward, seed):
-    """Per k in ``ks``, the total variance of ``reinforce_nat_step`` on each
-    random T x V instance, under ``config`` with its k replaced by k (so its
-    n and residual_epsilon apply). Instance i draws Dirichlet(3) rows and a
-    uniform reference from the stream ``(seed, i)``; its repetitions for width k
-    spawn from ``(seed, i, k)``. Moderately flat instances keep the sweep
-    stable: near-zero probabilities make the score-function term heavy-tailed.
+def variance_sweep(ks, T, V, config, instances, repetitions, reward, seed):
+    """Per k in ``ks``, the ``EstimatorStats`` of ``reinforce_nat_step`` on
+    each random T x V instance, under ``config`` with its k replaced by k (so
+    its n and residual_epsilon apply). Instance i draws Dirichlet(3) rows and
+    a uniform reference from the stream ``(seed, i)``; its repetitions for
+    width k spawn from ``(seed, i, k)``. Moderately flat instances keep the
+    sweep stable: near-zero probabilities make the score-function term
+    heavy-tailed.
     """
     cases = []
     for i in range(instances):
         rng = np.random.default_rng((seed, i))
         dist = random_distributions(T, V, rng, concentration=3.0)
         cases.append((dist, tuple(int(x) for x in rng.integers(0, V, size=T))))
-    totals = []
-    for k in ks:
-        at_k = replace(config, k=k)
-        totals.append([
+    return [
+        [
             reinforce_nat_stats(
-                dist, at_k, reward, ref, repetitions, np.random.default_rng((seed, i, k))
-            ).total_variance
+                dist, replace(config, k=k), reward, ref, repetitions, np.random.default_rng((seed, i, k))
+            )
             for i, (dist, ref) in enumerate(cases)
-        ])
-    return totals
+        ]
+        for k in ks
+    ]
 
 
 def random_distributions(T, V, rng, concentration=1.0):

@@ -10,10 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsqt import cli
 from nsqt import pipeline as pl
 from nsqt.checkpoint import save_model
+from nsqt.errors import ContractError
 from nsqt.models import ModelConfig, build_model
 
 FAST = [
@@ -81,6 +84,65 @@ def test_config_file_comments_and_override_precedence(tmp_path):
     assert "vocab_size = 10" in resolved
     steps = [line.split(",")[0] for line in (out / "metrics.csv").read_text().splitlines()[1:]]
     assert max(int(s) for s in steps) == 3
+
+
+def test_config_file_not_utf8_names_path(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(b"max_st\xffeps = 3\n")
+    assert run(["train-ce", "--config", cfg, "--out", tmp_path / "run"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {cfg}: ")
+    assert "can't decode byte 0xff in position 6" in err and err.count("\n") == 1
+
+
+_CONFIG_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.integers().map(str),
+    st.floats().map(str),
+    st.sampled_from(["true", "no", "1e400", "nan", "-0", "1_000", "\u0663", "9" * 5000]),
+)
+_CONFIG_KEYS = st.one_of(st.sampled_from(sorted(cli.DEFAULTS)), st.text(max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.one_of(
+        st.lists(
+            st.tuples(_CONFIG_KEYS, st.sampled_from(["=", " = ", "", "==", " # "]), _CONFIG_VALUES),
+            max_size=6,
+        ).map(lambda lines: "\n".join(k + sep + v for k, sep, v in lines)),
+        st.text(max_size=60),
+    ),
+    raw=st.one_of(st.none(), st.binary(max_size=40)),
+    command=st.one_of(st.sampled_from(cli.COMMANDS), st.text(max_size=8)),
+    flags=st.lists(
+        st.one_of(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from(["--seed", "--out"]),
+                    _CONFIG_KEYS.map(lambda k: "--" + k),
+                ),
+                _CONFIG_VALUES,
+            ).map(list),
+            st.lists(st.text(max_size=6), max_size=1),
+        ),
+        max_size=5,
+    ),
+)
+def test_config_text_and_flags_give_a_result_or_contract_error(tmp_path_factory, text, raw, command, flags):
+    # the only allowed failure of argument and config handling is a
+    # ContractError: exit 1 with a one-line message
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    if raw is None:
+        path.write_text(text, encoding="utf-8")
+    else:
+        path.write_bytes(raw)
+    argv = [command] + [token for flag in flags for token in flag]
+    try:
+        command, _, seed, _, overrides = cli._parse_args(argv)
+        cli.resolve_config(cli.parse_config_file(path), overrides, seed, command)
+    except ContractError as e:
+        assert "\n" not in str(e)
 
 
 def test_malformed_config_line(tmp_path, capsys):
@@ -643,6 +705,18 @@ def test_estimator_bench_one_row_per_k(tmp_path):
     assert code == 0
     lines = (out / "variance.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines] == ["k", "0", "1", "5", "10"]
+
+
+def test_estimator_bench_header_has_the_logit_column(tmp_path):
+    out = tmp_path / "bench"
+    assert run(["estimator-bench", "--out", out, "--k", "0,2", "--bench_reps", "20",
+                "--bench_instances", "2", "--n", "2"]) == 0
+    header, *rows = (out / "variance.csv").read_text().splitlines()
+    assert header == "k,mean_total_variance,mean_logit_variance,instance_0,instance_1"
+    for row in rows:
+        _, total, logit, *instances = (float(x) for x in row.split(","))
+        assert np.isclose(total, np.mean(instances), rtol=1e-8)
+        assert 0.0 < logit < total
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])

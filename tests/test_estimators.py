@@ -57,34 +57,35 @@ def oracle_sample(probs, u):
 
 def oracle_reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False, prefix=()):
     """One sentence: draw ``rng.random(T)`` and, without exact rewards,
-    ``rng.random((T, k + 1, n, T))``; plan (t, y, slot j, leftover mass or
-    None) per candidate, score, then build dprobs and the surrogate.
+    ``rng.random((n, T))``, the n shared base completions; plan (t, y,
+    leftover mass or None) per candidate, score each candidate's base rows
+    with position t set to y, then build dprobs and the surrogate.
     ``prefix`` holds the leading indices (a batch index) of the sentence
     inside ``dist.tensor``."""
     T, V = dist.T, dist.V
     k, n = config.k, config.n
     ref = tuple(ref)
     u_res = rng.random(T)
-    u = None if exact_rewards else rng.random((T, k + 1, n, T))
+    u = None if exact_rewards else rng.random((n, T))
     plan = []
     for t in range(T):
         members, mass, residual, has = oracle_top_k_partition(
             dist.probs[t], k, config.residual_epsilon
         )
-        for j, y in enumerate(members):
-            plan.append((t, int(y), j, None))
+        for y in members:
+            plan.append((t, int(y), None))
         if has:
             ((y,),) = oracle_sample(residual[None], np.array([[u_res[t]]]))
-            plan.append((t, y, k, 1.0 - mass))
+            plan.append((t, y, 1.0 - mass))
 
     if exact_rewards:
-        values = [est.exact_reward_at(dist, t, y, reward, ref) for t, y, _, _ in plan]
+        values = [est.exact_reward_at(dist, t, y, reward, ref) for t, y, _ in plan]
     else:
-        slots = np.concatenate([u[t, j] for t, _, j, _ in plan])
-        tokens = np.array(oracle_sample(dist.probs, slots), dtype=np.int64).reshape(len(slots), T)
-        tokens[np.arange(len(tokens)), np.repeat([p[0] for p in plan], n)] = np.repeat(
-            [p[1] for p in plan], n
-        )
+        base = oracle_sample(dist.probs, u)
+        tokens = np.array(
+            [[y if i == t else tok for i, tok in enumerate(row)] for t, y, _ in plan for row in base],
+            dtype=np.int64,
+        ).reshape(len(plan) * n, T)
         batch = getattr(reward, "batch", None)
         if batch is None:
             scores = [reward(tuple(row), ref) for row in tokens]
@@ -100,7 +101,7 @@ def oracle_reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=Fals
 
     dprobs = np.zeros((T, V))
     prob_t, prob_y, prob_w, log_t, log_y, log_w = [], [], [], [], [], []
-    for (t, y, _, rest), r in zip(plan, values):
+    for (t, y, rest), r in zip(plan, values):
         if rest is None:
             dprobs[t, y] -= r
             prob_t.append(t)
@@ -503,23 +504,20 @@ class TestBatchedRewards:
 
     def test_batch_equals_estimate_reward_at(self):
         # with k = V and no residual, dprobs[t, y] is minus the Monte Carlo
-        # reward of candidate y, from slot [t, y] of the layout: the stream
-        # past T residual uniforms and the (t (k + 1) + y) n T uniforms of
-        # the slots before it
+        # reward of candidate y from the shared completions: every candidate
+        # draws them from one copy of the stream past the T residual uniforms
         T, V, n = 3, 4, 5
         dist = est.random_distributions(T, V, np.random.default_rng(2))
         ref = (0, 1, 2)
         stream = np.random.default_rng(4)
-        fresh = copy.deepcopy(stream)
+        shared = copy.deepcopy(stream)
+        shared.random(T)
         got = est.reinforce_nat_step(dist, est.EstimatorConfig(k=V, n=n), rewards.RewardFn("GLEU"), ref, stream)
-
-        def slot(t, y):
-            rng = copy.deepcopy(fresh)
-            rng.random(T + (t * (V + 1) + y) * n * T)
-            return rng
-
         want = [
-            [-est.estimate_reward_at(dist, t, y, n, rewards.gleu, ref, slot(t, y)) for y in range(V)]
+            [
+                -est.estimate_reward_at(dist, t, y, n, rewards.gleu, ref, copy.deepcopy(shared))
+                for y in range(V)
+            ]
             for t in range(T)
         ]
         assert got.dprobs.tolist() == want
@@ -549,6 +547,56 @@ class TestBatchedRewards:
             self._step(self._BadBatch(result))
 
 
+class TestLogitGradient:
+    def test_invariant_to_a_constant_per_position(self):
+        rng = np.random.default_rng(11)
+        probs = rng.dirichlet(np.ones(6), size=(4, 3))
+        d = rng.standard_normal((4, 3, 6))
+        shifted = d + 10.0 * rng.standard_normal((4, 3, 1))
+        assert np.allclose(est.logit_gradient(shifted, probs), est.logit_gradient(d, probs), rtol=0, atol=1e-12)
+
+    def test_equals_softmax_jacobian_product(self):
+        rng = np.random.default_rng(12)
+        probs = rng.dirichlet(np.ones(5), size=3)
+        d = rng.standard_normal((3, 5))
+        want = [(np.diag(p) - np.outer(p, p)) @ row for p, row in zip(probs, d)]
+        assert np.allclose(est.logit_gradient(d, probs), want, rtol=1e-13, atol=1e-15)
+
+    def test_equals_backward_through_softmax(self):
+        # the gradient the surrogate's graph gives the logits
+        rng = np.random.default_rng(13)
+        logits = tc.Tensor(rng.standard_normal((3, 5)), requires_grad=True)
+        probs = softmax_rows(logits)
+        d = rng.standard_normal((3, 5))
+        tc.tsum(tc.mul(probs, d)).backward()
+        assert np.allclose(logits.grad, est.logit_gradient(d, probs.data), rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.slow
+    def test_unbiased_in_logit_space(self):
+        # criterion 2's instance, streams and scale, 50,000 estimates per
+        # (k, n), with every estimate mapped to the logit gradient
+        V, T, reps = 4, 3, 50_000
+        dist = est.random_distributions(T, V, np.random.default_rng(2024))
+        ref = (1, 3, 0)
+        reward = rewards.RewardFn("GLEU")
+        want = est.logit_gradient(oracles.enumerate_expected_gradient(dist, reward, ref).dprobs, dist.probs)
+        worst = 0.0
+        for k in (0, 1, 2):
+            for n in (1, 20):
+                cfg = est.EstimatorConfig(k=k, n=n)
+                streams = np.random.default_rng((7, k, n)).spawn(reps)
+                rows = []
+                for lo in range(0, reps, 500):
+                    chunk = streams[lo : lo + 500]
+                    batch = est.PositionDistributions(np.broadcast_to(dist.probs, (len(chunk), T, V)))
+                    dprobs = est.reinforce_nat_step(batch, cfg, reward, [ref] * len(chunk), chunk).dprobs
+                    rows.append(est.logit_gradient(dprobs, dist.probs))
+                g = np.concatenate(rows)
+                se = np.sqrt(g.var(axis=0, ddof=1) / reps)
+                worst = max(worst, float((np.abs(g.mean(axis=0) - want) / (se + 1e-12)).max()))
+        assert worst <= 3.0, worst
+
+
 class TestEstimatorStats:
     def test_exact_oracle_has_zero_variance(self):
         dist = uniform_dist(2, 3)
@@ -557,6 +605,7 @@ class TestEstimatorStats:
             dist, lambda rng: oracle, 10, np.random.default_rng(0)
         )
         assert stats.total_variance == 0.0
+        assert stats.logit_total_variance == 0.0
         assert np.allclose(stats.mean_dprobs, oracle.dprobs, atol=1e-15)
 
     def test_variance_drops_with_traversal(self):
@@ -572,6 +621,19 @@ class TestEstimatorStats:
 
         assert runner(5).total_variance <= runner(0).total_variance
 
+    def test_logit_total_variance_of_the_repetitions(self):
+        dist = est.random_distributions(3, 5, np.random.default_rng(14), concentration=0.5)
+        cfg = est.EstimatorConfig(k=1, n=3)
+        reward = rewards.RewardFn("GLEU")
+        stats = est.reinforce_nat_stats(dist, cfg, reward, (1, 2, 3), 40, np.random.default_rng(15))
+        rows = [
+            est.reinforce_nat_step(dist, cfg, reward, (1, 2, 3), s).dprobs
+            for s in np.random.default_rng(15).spawn(40)
+        ]
+        logits = est.logit_gradient(np.stack(rows), dist.probs)
+        assert np.isclose(stats.logit_total_variance, logits.var(axis=0, ddof=1).sum(), rtol=1e-10, atol=0)
+        assert 0.0 < stats.logit_total_variance < stats.total_variance
+
     def test_repetition_guard(self):
         with pytest.raises(est.ContractError):
             est.estimator_stats(uniform_dist(1, 2), lambda rng: None, 1, np.random.default_rng(0))
@@ -583,7 +645,7 @@ class TestEstimatorStats:
 
 
 class TestBatchedStats:
-    """``reinforce_nat_stats`` and ``total_variance_sweep`` against
+    """``reinforce_nat_stats`` and ``variance_sweep`` against
     ``estimator_stats`` over per-stream ``reinforce_nat_step`` calls, bitwise."""
 
     @staticmethod
@@ -601,6 +663,7 @@ class TestBatchedStats:
             stats.mean_dprobs.tobytes(),
             stats.per_entry_variance.tobytes(),
             stats.total_variance,
+            stats.logit_total_variance,
             stats.repetitions,
         )
 
@@ -621,7 +684,7 @@ class TestBatchedStats:
         reward = rewards.RewardFn("GLEU")
         # the config's n and residual_epsilon reach every k; its k does not
         config = est.EstimatorConfig(k=4, n=2, residual_epsilon=0.3)
-        got = est.total_variance_sweep((0, 2), 3, 5, config, 2, 12, reward, 8)
+        got = est.variance_sweep((0, 2), 3, 5, config, 2, 12, reward, 8)
         want = []
         for k in (0, 2):
             totals = []
@@ -630,10 +693,9 @@ class TestBatchedStats:
                 dist = est.random_distributions(3, 5, rng, concentration=3.0)
                 ref = tuple(int(x) for x in rng.integers(0, 5, size=3))
                 cfg = est.EstimatorConfig(k=k, n=2, residual_epsilon=0.3)
-                stats = self._per_stream(dist, cfg, reward, ref, 12, (8, i, k))
-                totals.append(stats.total_variance)
+                totals.append(self._bytes(self._per_stream(dist, cfg, reward, ref, 12, (8, i, k))))
             want.append(totals)
-        assert got == want
+        assert [[self._bytes(s) for s in row] for row in got] == want
 
 
 # -- streams
@@ -661,13 +723,13 @@ class TestStreams:
 
     def test_call_advances_stream_by_its_draws(self):
         # a call spawns nothing and advances its stream by exactly its
-        # draws: T residual uniforms, then T (k + 1) n T completion uniforms
-        # unless the rewards are exact
+        # draws: T residual uniforms, then the n T uniforms of the shared
+        # completions unless the rewards are exact
         T, V, k, n = 3, 4, 1, 3
         dist = est.random_distributions(T, V, np.random.default_rng(1))
         cfg = est.EstimatorConfig(k=k, n=n)
         got = {}
-        for exact, draws in [(False, T + T * (k + 1) * n * T), (True, T)]:
+        for exact, draws in [(False, T + n * T), (True, T)]:
             stream = np.random.default_rng(2).spawn(1)[0]
             advanced = copy.deepcopy(stream)
             advanced.random(draws)
@@ -722,16 +784,17 @@ class TestStreams:
         assert got[0].tobytes() == got[1].tobytes()
 
     @pytest.mark.parametrize("exact", [False, True], ids=["monte-carlo", "exact"])
-    def test_unplanned_residual_slots_are_still_drawn(self, exact):
+    def test_residual_uniforms_are_drawn_at_full_traversal(self, exact):
         # with k = V no position has a residual, yet the residual uniforms
-        # and every residual slot are drawn, and the numbers are the oracle's
+        # are drawn before the shared completions, and the numbers are the
+        # oracle's
         T, V, n = 2, 3, 4
         dist = est.random_distributions(T, V, np.random.default_rng(5))
         cfg = est.EstimatorConfig(k=V, n=n)
         reward = oracles.random_reward_table(T, V, np.random.default_rng(6)) if exact else rewards.RewardFn("GLEU")
         stream = np.random.default_rng(7)
         advanced = copy.deepcopy(stream)
-        advanced.random(T if exact else T + T * (V + 1) * n * T)
+        advanced.random(T if exact else T + n * T)
         got = est.reinforce_nat_step(dist, cfg, reward, (0, 1), stream, exact_rewards=exact)
         want = oracle_reinforce_nat_step(
             dist, cfg, reward, (0, 1), np.random.default_rng(7), exact_rewards=exact

@@ -774,6 +774,25 @@ class TestCheckpoint:
             checkpoint.load_model(path)
         assert built == []
 
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("field", ["vocab_size", "d_model", "d_hidden", "n_layer"])
+    def test_header_size_mismatch_builds_nothing(self, saved, monkeypatch, field, version):
+        # a corrupt high byte in a field that sizes stored tensors would ask
+        # build_model for gigabytes; a version-1 file has no checksum to
+        # catch it, so the field is checked against the tensors first
+        path, raw = saved
+        index = checkpoint.CONFIG_FIELDS.index(field)
+        at = 8 + 4 + 2 + 8 + struct.calcsize(checkpoint.CONFIG_FORMAT[: 1 + index]) + 3
+        assert raw[at] == 0
+        blob = raw[:at] + b"\x40" + raw[at + 1 :]
+        blob = b"NSQT\x01\x00\x00\x00" + blob[8:-4] if version == 1 else self.resealed(blob)
+        path.write_bytes(blob)
+        built = []
+        monkeypatch.setattr(checkpoint, "build_model", lambda *a, **kw: built.append(a))
+        with pytest.raises(checkpoint.CheckpointError, match="does not match"):
+            checkpoint.load_model(path)
+        assert built == []
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_damaged_file_raises_only_checkpoint_error(self, tmp_path_factory, data):
