@@ -13,7 +13,8 @@ Layout (all integers little-endian):
                      then the f64 payload in C order
     checksum         u32 zlib CRC32 of every byte before it
 
-Version 1 is the same layout without the checksum; it still loads.
+Version 1, the same layout without the checksum, is refused: nothing
+would catch a corrupt header field that sizes no stored tensor.
 
 Round trip is bitwise: load(save(m)) reproduces every parameter exactly.
 A file that ends early, has bytes after its last field, fails its checksum
@@ -21,8 +22,8 @@ or describes a model that cannot be built raises ``CheckpointError``. The
 checksum is verified before any model is built, so a corrupt config field
 allocates nothing. So is every config field that sizes stored tensors
 (``vocab_size``, ``d_model``, ``d_hidden``, ``n_layer``), against those
-tensors, which also covers version 1. ``max_len`` sizes no stored tensor:
-the positional table is computed.
+tensors. ``max_len`` sizes no stored tensor: the positional table is
+computed.
 """
 
 from __future__ import annotations
@@ -115,7 +116,8 @@ def save_model(model, path, seed=0):
 def _check_sizes(path, header, state):
     """Refuse header fields that disagree with the stored tensors they size:
     the shared embedding, the first encoder feed-forward layer and the
-    number of encoder layers."""
+    number of encoder layers. The checksum catches damage, not a header
+    written wrong; this refuses one before ``build_model`` allocates for it."""
     shapes = {name: data.shape for name, data in state.items()}
     sized = {
         "embed": ("vocab_size", "d_model"),
@@ -141,7 +143,7 @@ def load_model(path):
         if r.bytes(min(4, r.size)) != MAGIC:
             raise CheckpointError(f"{path}: not a model checkpoint (bad magic)")
         (version,) = r.unpack("<I")
-        if version not in (1, VERSION):
+        if version != VERSION:
             raise CheckpointError(f"{path}: unsupported format version {version}")
         kind = r.text()
         (seed,) = r.unpack("<Q")
@@ -157,13 +159,12 @@ def load_model(path):
                 state[name] = data.reshape(shape).astype(np.float64)
             except ValueError as e:  # more dimensions than numpy allows
                 raise CheckpointError(f"{path}: tensor {name!r}: {e}") from None
-        if version == VERSION:
-            crc = r.crc
-            (stored,) = r.unpack("<I")
-            if stored != crc:
-                raise CheckpointError(
-                    f"{path}: checksum mismatch (stored {stored:08x}, computed {crc:08x})"
-                )
+        crc = r.crc
+        (stored,) = r.unpack("<I")
+        if stored != crc:
+            raise CheckpointError(
+                f"{path}: checksum mismatch (stored {stored:08x}, computed {crc:08x})"
+            )
         r.finish()
     _check_sizes(path, header, state)
     try:

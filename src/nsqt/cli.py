@@ -504,6 +504,9 @@ def _parse_args(argv):
         elif key == "seed":
             if not value.isdecimal():
                 raise ContractError("--seed: expected a non-negative integer")
+            # checkpoints store the seed as a u64
+            if len(value) > 20 or int(value) >= 2**64:
+                raise ContractError(f"--seed: expected at most {2**64 - 1}")
             seed = int(value)
         elif key == "out":
             out = value

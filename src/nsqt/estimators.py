@@ -1,11 +1,13 @@
 """Gradient estimators for the expected sequence reward of a factorized
 (per-position independent) output distribution.
 
-Provides exact and Monte Carlo per-position reward estimation, the
-variance-reduced top-k traversal estimator (plain REINFORCE at k=0) and its
-Monte Carlo statistics, all on gradients with respect to the T x V
-probability matrix. The ``surrogate`` scalar attached to an
-estimate backpropagates the same gradient through the recorded graph.
+Provides the variance-reduced top-k traversal estimator (plain REINFORCE at
+k=0), whose candidates' rewards average a completion set (n samples, or all
+V^T sequences weighted by their probabilities), a Monte Carlo estimate of
+one clamped reward and the estimator's Monte Carlo statistics, all on
+gradients with respect to the T x V probability matrix. The ``surrogate``
+scalar attached to an estimate backpropagates the same gradient through the
+recorded graph.
 
 Convention: ``dprobs[t][y]`` estimates d(loss)/d(p[t][y]) where the loss is
 the negative expected reward, so the exact value is -r(y_t = y), the
@@ -30,7 +32,6 @@ rather than ``np.sum`` or ``np.cumsum``, and array methods such as
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -159,31 +160,9 @@ def _sample_completions(probs, u):
     return np.minimum(count, probs.shape[-1] - 1, out=count)
 
 
-def exact_reward_at(dist, t, y, reward, ref):
-    """Expected reward with position t clamped to token y, by enumeration."""
-    T, V = dist.T, dist.V
-    if V ** max(T - 1, 0) > ENUM_LIMIT:
-        raise CapacityError(
-            f"V^(T-1) = {V}^{T - 1} exceeds the enumeration bound {ENUM_LIMIT}"
-        )
-    others = [i for i in range(T) if i != t]
-    ref = tuple(ref)
-    total = 0.0
-    seq = [0] * T
-    seq[t] = y
-    for combo in itertools.product(range(V), repeat=len(others)):
-        prob = 1.0
-        for pos, tok in zip(others, combo):
-            seq[pos] = tok
-            prob *= dist.probs[pos, tok]
-        if prob:
-            total += prob * reward(tuple(seq), ref)
-    return total
-
-
 def estimate_reward_at(dist, t, y, n, reward, ref, rng):
-    """Monte Carlo estimate of ``exact_reward_at``: n full samples with
-    position t clamped to y, mean reward."""
+    """Monte Carlo estimate of the expected reward with position t clamped
+    to y: n full samples with position t set to y, mean reward."""
     if n < 1:
         raise ContractError(f"n must be positive, got {n}")
     tokens = _sample_completions(dist.probs, rng.random((n, dist.T)))
@@ -191,10 +170,11 @@ def estimate_reward_at(dist, t, y, n, reward, ref, rng):
     return float(_mean_rewards(tokens, n, reward, [tuple(ref)], np.zeros(n, dtype=np.int64))[0])
 
 
-def _mean_rewards(tokens, n, reward, refs, which):
+def _mean_rewards(tokens, n, reward, refs, which, row_weights=None):
     """The mean reward of each consecutive block of n rows of ``tokens``,
     row i scored against ``refs[which[i]]`` and each block summed left to
-    right.
+    right. With ``row_weights``, one row of n weights per block, each block's
+    value is instead the sum of its rewards times their weights, undivided.
 
     Rewards are pure, so each distinct (row, reference) pair is scored once
     and every row takes its pair's score. Rows are keyed by a wrapping
@@ -240,20 +220,23 @@ def _mean_rewards(tokens, n, reward, refs, which):
             )
         if not np.logical_and.reduce((scores >= 0.0) & (scores <= 1.0)):
             raise ContractError("reward.batch returned values outside [0, 1]")
+    scores = scores[inverse].reshape(-1, n)
     # accumulate adds in row order, as a Python loop over the rows would
-    return np.add.accumulate(scores[inverse].reshape(-1, n), axis=1)[:, -1] / n
+    if row_weights is None:
+        return np.add.accumulate(scores, axis=1)[:, -1] / n
+    return np.add.accumulate(scores * row_weights, axis=1)[:, -1]
 
 
 def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
     """One estimate of the loss gradient via top-k traversal plus one
     residual sample per position, for one sentence or a batch of them.
 
-    Per position: exact-weight gradient terms for the top-k tokens (reward
-    estimated by Monte Carlo unless ``exact_rewards``), then, if residual
-    mass remains, one sample from the renormalized remainder contributes a
-    REINFORCE term weighted by the leftover mass. Reward estimates and the
-    leftover mass are treated as constants; only probabilities carry
-    gradient (realized through the returned surrogate scalar).
+    Per position: exact-weight gradient terms for the top-k tokens, then, if
+    residual mass remains, one sample from the renormalized remainder
+    contributes a REINFORCE term weighted by the leftover mass. Reward
+    estimates and the leftover mass are treated as constants; only
+    probabilities carry gradient (realized through the returned surrogate
+    scalar).
 
     With a T x V ``dist``, ``ref`` is one reference and ``rng`` one
     ``Generator``; ``dprobs`` is T x V. With a B x T x V ``dist``, ``ref``
@@ -272,6 +255,12 @@ def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
     alike, takes these n rows with position t clamped to y, so a step
     scores n clamped rows per candidate. The call advances each stream by
     these T + n T draws (T with exact rewards).
+
+    A candidate's reward estimate is the mean reward of its n rows. With
+    ``exact_rewards`` it is the sum over all V^T sequences c of p(c) r(c with
+    position t set to y), the expected reward with position t clamped to y;
+    a step of more than ``ENUM_LIMIT`` such rows raises ``CapacityError``
+    before any draw.
 
     Rewards must be pure. The step scores each distinct (completion,
     reference) pair once, over all sentences, and every sampled completion
@@ -293,6 +282,8 @@ def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
         raise ContractError("each sentence needs its own stream, got one Generator for two sentences")
     k, n = config.k, config.n
     part = top_k_partition(probs, k, config.residual_epsilon)
+    if exact_rewards and (B * T * k + int(np.add.reduce(part.has_residual, axis=None))) * V**T > ENUM_LIMIT:
+        raise CapacityError(f"exact rewards at V={V}, T={T} exceed the enumeration bound {ENUM_LIMIT}")
 
     # every uniform in the documented layout, straight into its place
     u_res = np.empty((B, 1, T))
@@ -314,21 +305,24 @@ def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
     cb, ct, cj = planned.nonzero()
     cy = candidates[cb, ct, cj]
 
+    # each sentence's completions: its n samples, or every sequence in
+    # itertools.product order, weighted by its row entries' left-to-right product
     if exact_rewards:
-        sentences = [PositionDistributions(p) for p in probs]
-        values = np.array([
-            exact_reward_at(sentences[b], t, y, reward, refs[b])
-            for b, t, y in zip(cb.tolist(), ct.tolist(), cy.tolist())
-        ])
+        m = V**T
+        seqs = np.indices((V,) * T).reshape(T, m).T
+        row_weights = np.multiply.accumulate(probs[:, np.arange(T), seqs], axis=-1)[..., -1].take(cb, axis=0)
+        base = np.broadcast_to(seqs, (B, m, T))
     else:
-        # each candidate's n rows: its sentence's base completions with
-        # position t clamped to y
-        tokens = _sample_completions(probs, u).take(cb, axis=0)
-        tokens[np.arange(len(cb)), :, ct] = cy[:, None]
-        tokens = tokens.reshape(-1, T)
-        distinct = {}  # reference -> its index among the distinct references
-        ref_of = np.array([distinct.setdefault(r, len(distinct)) for r in refs], dtype=np.int64)
-        values = _mean_rewards(tokens, n, reward, list(distinct), ref_of[cb].repeat(n))
+        m, row_weights = n, None
+        base = _sample_completions(probs, u)
+    # each candidate's m rows: its sentence's completions with position t
+    # clamped to y
+    tokens = base.take(cb, axis=0)
+    tokens[np.arange(len(cb)), :, ct] = cy[:, None]
+    tokens = tokens.reshape(-1, T)
+    distinct = {}  # reference -> its index among the distinct references
+    ref_of = np.array([distinct.setdefault(r, len(distinct)) for r in refs], dtype=np.int64)
+    values = _mean_rewards(tokens, m, reward, list(distinct), ref_of[cb].repeat(m), row_weights)
 
     sampled = cj == k
     weights = values.copy()

@@ -1,9 +1,11 @@
 """Reference implementations that only the tests run.
 
 The enumeration oracles give the exact gradient of the expected reward
-that the estimators must match; ``random_reward_table`` is a dense reward
-they are checked on; ``grad_check`` compares the autodiff gradients with
-central finite differences.
+that the estimators must match, the per-position one from
+``exact_reward_at``, the expected reward with one position clamped, by
+enumeration; ``random_reward_table`` is a dense reward they are checked on;
+``grad_check`` compares the autodiff gradients with central finite
+differences.
 """
 
 from __future__ import annotations
@@ -16,6 +18,28 @@ import numpy as np
 from nsqt import estimators as est
 from nsqt import tensor as tc
 from nsqt.errors import CapacityError, GraphError
+
+
+def exact_reward_at(dist, t, y, reward, ref):
+    """Expected reward with position t clamped to token y, by enumeration."""
+    T, V = dist.T, dist.V
+    if V ** max(T - 1, 0) > est.ENUM_LIMIT:
+        raise CapacityError(
+            f"V^(T-1) = {V}^{T - 1} exceeds the enumeration bound {est.ENUM_LIMIT}"
+        )
+    others = [i for i in range(T) if i != t]
+    ref = tuple(ref)
+    total = 0.0
+    seq = [0] * T
+    seq[t] = y
+    for combo in itertools.product(range(V), repeat=len(others)):
+        prob = 1.0
+        for pos, tok in zip(others, combo):
+            seq[pos] = tok
+            prob *= dist.probs[pos, tok]
+        if prob:
+            total += prob * reward(tuple(seq), ref)
+    return total
 
 
 def enumerate_gradient_direct(dist, reward, ref):
@@ -53,7 +77,7 @@ def enumerate_gradient_factored(dist, reward, ref):
     dprobs = np.empty((T, V))
     for t in range(T):
         for y in range(V):
-            dprobs[t, y] = -est.exact_reward_at(dist, t, y, reward, ref)
+            dprobs[t, y] = -exact_reward_at(dist, t, y, reward, ref)
     return est.GradientEstimate(dprobs)
 
 

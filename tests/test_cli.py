@@ -167,6 +167,16 @@ def test_negative_seed_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: --seed: expected a non-negative integer\n"
 
 
+@pytest.mark.parametrize("seed", [str(2**64), "9" * 5000], ids=["2^64", "5000-digits"])
+def test_seed_beyond_u64_is_usage_error(tmp_path, capsys, seed):
+    # checkpoints store the seed as a u64: a larger seed trained and then
+    # failed at the save, and 5000 digits made int() raise a bare ValueError
+    out = tmp_path / "run"
+    assert run(["train-ce", "--out", out, "--seed", seed] + FAST) == 1
+    assert capsys.readouterr().err == f"error: --seed: expected at most {2**64 - 1}\n"
+    assert not out.exists()
+
+
 def test_thread_env_not_read(tmp_path, monkeypatch):
     """NSQT_THREADS is no knob: any value is ignored, and the resolved
     config holds only documented keys and the seed."""

@@ -59,7 +59,8 @@ def oracle_reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=Fals
     """One sentence: draw ``rng.random(T)`` and, without exact rewards,
     ``rng.random((n, T))``, the n shared base completions; plan (t, y,
     leftover mass or None) per candidate, score each candidate's base rows
-    with position t set to y, then build dprobs and the surrogate.
+    (every sequence, with exact rewards) with position t set to y, then
+    build dprobs and the surrogate.
     ``prefix`` holds the leading indices (a batch index) of the sentence
     inside ``dist.tensor``."""
     T, V = dist.T, dist.V
@@ -79,7 +80,18 @@ def oracle_reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=Fals
             plan.append((t, y, 1.0 - mass))
 
     if exact_rewards:
-        values = [est.exact_reward_at(dist, t, y, reward, ref) for t, y, _ in plan]
+        # every sequence, weighted by its probability (row entries
+        # multiplied left to right), scored with position t set to y
+        values = []
+        for t, y, _ in plan:
+            total = 0.0
+            for seq in itertools.product(range(V), repeat=T):
+                prob = 1.0
+                for pos, tok in enumerate(seq):
+                    prob *= dist.probs[pos, tok]
+                r = reward(tuple(y if i == t else tok for i, tok in enumerate(seq)), ref)
+                total += r * prob
+            values.append(total)
     else:
         base = oracle_sample(dist.probs, u)
         tokens = np.array(
@@ -238,24 +250,24 @@ class TestExactRewardAt:
         # T=2, V=2 uniform, reward 1 iff tokens equal: with one position
         # clamped, the other matches with probability 1/2
         dist = uniform_dist(2, 2)
-        assert est.exact_reward_at(dist, 0, 0, equality_reward, ()) == pytest.approx(0.5)
+        assert oracles.exact_reward_at(dist, 0, 0, equality_reward, ()) == pytest.approx(0.5)
 
     def test_single_position(self):
         dist = est.PositionDistributions(np.array([[0.3, 0.7]]))
         ref = (1,)
         r = rewards.gleu
-        assert est.exact_reward_at(dist, 0, 1, r, ref) == r((1,), ref)
+        assert oracles.exact_reward_at(dist, 0, 1, r, ref) == r((1,), ref)
 
     def test_one_hot_others(self):
         probs = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
         dist = est.PositionDistributions(probs)
-        got = est.exact_reward_at(dist, 1, 0, rewards.gleu, (0, 0, 1))
+        got = oracles.exact_reward_at(dist, 1, 0, rewards.gleu, (0, 0, 1))
         assert got == rewards.gleu((0, 0, 1), (0, 0, 1))
 
     def test_capacity_guard(self):
         dist = uniform_dist(10, 100)
         with pytest.raises(est.CapacityError, match="10000000"):
-            est.exact_reward_at(dist, 0, 0, equality_reward, ())
+            oracles.exact_reward_at(dist, 0, 0, equality_reward, ())
 
 
 class TestEstimateRewardAt:
@@ -344,6 +356,50 @@ class TestReinforceNat:
         )
         assert np.max(np.abs(got.dprobs - oracle.dprobs)) <= 1e-10
 
+    def test_batched_exact_at_full_traversal(self):
+        # each sentence, with its own rows and reference, gets its own
+        # enumeration gradient
+        rng = np.random.default_rng(11)
+        B, T, V = 3, 3, 4
+        dist = est.PositionDistributions(rng.dirichlet(np.ones(V), size=(B, T)))
+        refs = [(0, 1, 2), (3, 3, 0), (2, 1, 1)]
+        reward = rewards.RewardFn("GLEU")
+        got = est.reinforce_nat_step(
+            dist, est.EstimatorConfig(k=V, n=1), reward, refs, rng.spawn(B), exact_rewards=True
+        ).dprobs
+        for b in range(B):
+            sentence = est.PositionDistributions(dist.probs[b])
+            want = oracles.enumerate_expected_gradient(sentence, reward, refs[b]).dprobs
+            assert np.max(np.abs(got[b] - want)) <= 1e-10
+
+    def test_exact_scores_each_distinct_pair_once(self):
+        # candidates clamp the same V^T sequences, so their rows repeat; a
+        # scalar reward still sees each distinct (row, reference) pair once
+        rng = np.random.default_rng(12)
+        B, T, V = 2, 3, 3
+        dist = est.PositionDistributions(rng.dirichlet(np.ones(V), size=(B, T)))
+        refs = [(0, 1, 2), (2, 2, 1)]
+        calls = []
+        est.reinforce_nat_step(
+            dist, est.EstimatorConfig(k=2, n=1), TestBatchedRewards._recorder(calls), refs,
+            rng.spawn(B), exact_rewards=True,
+        )
+        assert len(calls) == len(set(calls))
+        for ref in refs:
+            assert 0 < sum(r == ref for _, r in calls) <= V**T
+
+    def test_exact_capacity_checked_before_any_draw(self):
+        # 18 candidates x 10^9 sequences exceed ENUM_LIMIT: the step raises
+        # and leaves its stream as it was
+        stream = np.random.default_rng(3)
+        state = stream.bit_generator.state
+        with pytest.raises(est.CapacityError, match="enumeration bound"):
+            est.reinforce_nat_step(
+                uniform_dist(9, 10), est.EstimatorConfig(k=1, n=1), equality_reward, (), stream,
+                exact_rewards=True,
+            )
+        assert stream.bit_generator.state == state
+
     def test_k_greater_than_v(self):
         with pytest.raises(est.ContractError):
             est.reinforce_nat_step(
@@ -421,20 +477,24 @@ class TestBatchedRewards:
     reward is the oracle."""
 
     @settings(max_examples=300, deadline=None)
-    @given(case=scoring_cases(), batched=st.booleans(), collide=st.booleans())
-    def test_distinct_scoring_equals_every_row(self, case, batched, collide):
+    @given(case=scoring_cases(), batched=st.booleans(), collide=st.booleans(), weighted=st.booleans())
+    def test_distinct_scoring_equals_every_row(self, case, batched, collide, weighted):
+        # weighted blocks sum reward times weight, undivided
         tokens, n, refs, which = case
+        weights = np.random.default_rng(len(tokens)).random((len(tokens) // n, n))
         want = []
         for lo in range(0, len(tokens), n):
             total = 0.0  # left to right, as Python 3.11's sum adds floats
-            for row, i in zip(tokens[lo : lo + n].tolist(), which[lo : lo + n].tolist()):
-                total += rewards.gleu(tuple(row), refs[i])
-            want.append(total / n)
+            rows = zip(tokens[lo : lo + n].tolist(), which[lo : lo + n].tolist(), weights[lo // n].tolist())
+            for row, i, w in rows:
+                r = rewards.gleu(tuple(row), refs[i])
+                total += r * w if weighted else r
+            want.append(total if weighted else total / n)
         fn = rewards.RewardFn("GLEU") if batched else (lambda h, r: rewards.gleu(h, r))
         with pytest.MonkeyPatch.context() as mp:
             if collide:  # every row gets the same key
                 mp.setattr(est, "_ROW_HASH_MULT", 0)
-            got = est._mean_rewards(tokens, n, fn, refs, which)
+            got = est._mean_rewards(tokens, n, fn, refs, which, weights if weighted else None)
         assert got.tolist() == want
 
     @staticmethod

@@ -715,19 +715,31 @@ class TestCheckpoint:
         assert raw[:8] == b"NSQT\x02\x00\x00\x00"
         assert raw[-4:] == struct.pack("<I", zlib.crc32(raw[:-4]))
 
-    def test_version_1_layout_still_loads(self, saved):
+    @pytest.mark.parametrize("field", [None, "max_len", "vocab_size", "d_model", "d_hidden", "n_layer"])
+    def test_version_1_is_refused(self, saved, monkeypatch, field):
+        # version 1 is the same fields without the checksum, so nothing would
+        # catch a corrupt header byte: one in max_len, which sizes no stored
+        # tensor, loaded as max_len 65552. The file is refused whole, intact
+        # or not, before any model is built
         path, raw = saved
-        # version 1: the same fields without the checksum
-        path.write_bytes(b"NSQT\x01\x00\x00\x00" + raw[8:-4])
-        clone = checkpoint.load_model(path)
-        for name, data in models.build_model("fs", CFG, seed=2).state().items():
-            assert np.array_equal(clone.state()[name], data), name
+        blob = b"NSQT\x01\x00\x00\x00" + raw[8:-4]
+        if field is not None:
+            index = checkpoint.CONFIG_FIELDS.index(field)
+            at = 8 + 4 + 2 + 8 + struct.calcsize(checkpoint.CONFIG_FORMAT[: 1 + index]) + 2
+            assert blob[at] == 0
+            blob = blob[:at] + b"\x01" + blob[at + 1 :]
+        path.write_bytes(blob)
+        built = []
+        monkeypatch.setattr(checkpoint, "build_model", lambda *a, **kw: built.append(a))
+        with pytest.raises(checkpoint.CheckpointError, match="unsupported format version 1"):
+            checkpoint.load_model(path)
+        assert built == []
 
     def test_config_block_holds_every_model_field(self, saved):
         _, raw = saved
         names = tuple(f.name for f in dataclasses.fields(models.ModelConfig))
         assert checkpoint.CONFIG_FIELDS == names
-        # the version-1 layout, spelled out: it follows magic, version, kind "fs" and seed
+        # the config block, spelled out: it follows magic, version, kind "fs" and seed
         at = 8 + 4 + 2 + 8
         block = struct.pack(
             "<IIIIdII",
@@ -774,19 +786,16 @@ class TestCheckpoint:
             checkpoint.load_model(path)
         assert built == []
 
-    @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("field", ["vocab_size", "d_model", "d_hidden", "n_layer"])
-    def test_header_size_mismatch_builds_nothing(self, saved, monkeypatch, field, version):
-        # a corrupt high byte in a field that sizes stored tensors would ask
-        # build_model for gigabytes; a version-1 file has no checksum to
-        # catch it, so the field is checked against the tensors first
+    def test_header_size_mismatch_builds_nothing(self, saved, monkeypatch, field):
+        # a wrong high byte in a field that sizes stored tensors would ask
+        # build_model for gigabytes; written with a valid checksum, only the
+        # check against the tensors catches it
         path, raw = saved
         index = checkpoint.CONFIG_FIELDS.index(field)
         at = 8 + 4 + 2 + 8 + struct.calcsize(checkpoint.CONFIG_FORMAT[: 1 + index]) + 3
         assert raw[at] == 0
-        blob = raw[:at] + b"\x40" + raw[at + 1 :]
-        blob = b"NSQT\x01\x00\x00\x00" + blob[8:-4] if version == 1 else self.resealed(blob)
-        path.write_bytes(blob)
+        path.write_bytes(self.resealed(raw[:at] + b"\x40" + raw[at + 1 :]))
         built = []
         monkeypatch.setattr(checkpoint, "build_model", lambda *a, **kw: built.append(a))
         with pytest.raises(checkpoint.CheckpointError, match="does not match"):
