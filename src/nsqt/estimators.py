@@ -63,10 +63,13 @@ class PositionDistributions:
             raise ContractError(
                 f"expected a T x V matrix or a B x T x V batch, got {self.probs.shape}"
             )
+        if 0 in self.probs.shape:
+            raise ContractError(f"expected no empty axis, got {self.probs.shape}")
         if np.any(self.probs < 0):
             raise ContractError("probabilities must be non-negative")
         rows = self.probs.sum(axis=-1)
-        if np.max(np.abs(rows - 1.0)) > 1e-9:
+        # written so that a nan row fails too
+        if not np.all(np.abs(rows - 1.0) <= 1e-9):
             raise ContractError("rows must sum to 1 within 1e-9")
 
     @property
@@ -339,20 +342,11 @@ def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
     return GradientEstimate(dprobs if batched else dprobs[0], surrogate)
 
 
-def logit_gradient(dprobs, probs):
-    """The gradient with respect to the logits of ``probs`` = softmax(logits),
-    given ``dprobs``, the gradient with respect to ``probs``: the softmax
-    Jacobian's product ``p * (d - <p, d>)`` over the last axis. Training
-    backpropagates ``dprobs`` this way, so a constant added to one position's
-    row of ``dprobs`` changes nothing here."""
-    return probs * (dprobs - np.add.reduce(probs * dprobs, axis=-1, keepdims=True))
-
-
 @dataclass
 class EstimatorStats:
     """Sample mean and unbiased per-entry variance of ``dprobs``, their
-    total, and the total variance of ``logit_gradient(dprobs, probs)``, the
-    update that training sees."""
+    total, and the total variance of ``tensor.softmax_grad(dprobs, probs)``,
+    the logit gradient that training backpropagates."""
 
     mean_dprobs: np.ndarray
     per_entry_variance: np.ndarray
@@ -375,7 +369,7 @@ def _moments(dist, repetitions, rng, estimate, chunk):
     acc = acc_sq = logit_acc = logit_sq = 0.0  # the first row's += makes each its own array
     for lo in range(0, repetitions, chunk):
         rows = np.asarray(estimate(streams[lo : lo + chunk]))
-        for d, g in zip(rows, logit_gradient(rows, dist.probs)):
+        for d, g in zip(rows, tc.softmax_grad(rows, dist.probs)):
             acc += d
             acc_sq += d * d
             logit_acc += g

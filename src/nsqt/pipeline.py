@@ -171,8 +171,7 @@ def _nll_loss(model, src_batch, tgt_batch):
     B, T = tgt_batch.shape
     rows = np.repeat(np.arange(B), T)
     cols = np.tile(np.arange(T), B)
-    picked = tc.take(probs, (rows, cols, tgt_batch.reshape(-1)))
-    return tc.mul(tc.tsum(tc.log(picked)), -1.0 / (B * T))
+    return tc.nll(probs, (rows, cols, tgt_batch.reshape(-1)), -1.0 / (B * T))
 
 
 def mean_validation_gleu(model, corpus, dec, table):

@@ -1,8 +1,7 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The op set is deliberately small: exactly what a small Transformer and the
-surrogate losses need. Besides ``mul``, ``log``, entry gather (``take``),
-``slice_axis``, ``tsum`` and ``dropout``, each op is a fused layer that
+The op set is exactly what the models and the losses record. Besides
+``mul``, ``slice_axis`` and ``dropout``, each op is a fused layer that
 records one node:
 
 * ``linear``: ``x @ w + b``;
@@ -13,7 +12,11 @@ records one node:
 * ``linear_softmax``: the softmax head, linear then a row softmax;
 * ``fuse_relu``: the FS fusion ``relu(h @ w + y @ u)``;
 * ``layer_norm``, optionally over a residual sum;
+* ``nll``: the token loss, a scaled sum of picked log-probabilities;
 * ``score_surrogate``: the estimator's score-function surrogate.
+
+The differentiable arguments of an op are ``Tensor``s; only ``mul`` wraps a
+number or an array as a constant.
 
 Broadcasting is the numpy kind but is only exercised for bias rows, batched
 matmul and attention over a shared 2-D query/key set.
@@ -93,14 +96,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
 
     def item(self):
         return float(self.data.reshape(()))
@@ -192,7 +187,6 @@ def _weight_grads(g, x_data, w, b=None):
 
 def linear(x, w, b):
     """``x @ w + b`` as one node."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     x_data = x.data
     _check_inner("linear", x_data.shape, w.data.shape)
     out_data = x_data @ w.data + b.data
@@ -208,7 +202,6 @@ def linear(x, w, b):
 def feed_forward(x, w1, b1, w2, b2):
     """``linear(relu(linear(x, w1, b1)), w2, b2)`` as one node; the ReLU's
     subgradient at exactly 0 is 0."""
-    x, w1, b1, w2, b2 = as_tensor(x), as_tensor(w1), as_tensor(b1), as_tensor(w2), as_tensor(b2)
     x_data = x.data
     _check_inner("linear", x_data.shape, w1.data.shape)
     hidden = x_data @ w1.data + b1.data
@@ -243,7 +236,11 @@ def _softmax(x):
     return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
-def _softmax_grad(g, p):
+def softmax_grad(g, p):
+    """The gradient with respect to the logits of ``p`` = softmax(logits)
+    along the last axis, given ``g``, the gradient with respect to ``p``:
+    the softmax Jacobian's product ``p * (g - <p, g>)``. A constant added to
+    a row of ``g`` changes nothing."""
     return p * (g - np.add.reduce(g * p, axis=-1, keepdims=True))
 
 
@@ -258,7 +255,6 @@ def attention(q, k, v, n_head, scale, wo, bo, mask=None):
     keys a query may not see. Returns ``heads @ wo + bo`` of the merged
     heads, (..., T_q, d_out).
     """
-    q, k, v, wo, bo = as_tensor(q), as_tensor(k), as_tensor(v), as_tensor(wo), as_tensor(bo)
     q_shape, k_shape, v_shape = q.data.shape, k.data.shape, v.data.shape
     if not q_shape[-1] == k_shape[-1] == v_shape[-1] or k_shape[-2] != v_shape[-2]:
         raise ContractError(f"attention shapes disagree: q {q_shape}, k {k_shape}, v {v_shape}")
@@ -285,7 +281,7 @@ def attention(q, k, v, n_head, scale, wo, bo, mask=None):
         if not (q.requires_grad or k.requires_grad):
             return
         g_probs = _unbroadcast(g_ctx @ vh.swapaxes(-1, -2), probs.shape)
-        g_scores = _softmax_grad(g_probs, probs)
+        g_scores = softmax_grad(g_probs, probs)
         if mask is not None:
             g_scores = np.where(mask, 0.0, g_scores)
         g_scores = g_scores * scale
@@ -302,7 +298,6 @@ def token_embedding(weight, ids, scale, positions):
     """``weight[ids] * scale + positions`` as one node: rows of ``weight``
     gathered by an integer index array, times the constant ``scale``, plus
     the constant array ``positions`` (broadcast over leading axes)."""
-    weight = as_tensor(weight)
     ids = np.asarray(ids, dtype=np.int64)
     out_data = weight.data[ids] * scale + positions
 
@@ -319,13 +314,12 @@ def token_embedding(weight, ids, scale, positions):
 def linear_softmax(x, w, b):
     """The softmax head as one node: ``x @ w + b``, then a softmax along
     the last axis with max-subtraction for stability."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     x_data = x.data
     _check_inner("linear", x_data.shape, w.data.shape)
     out_data = _softmax(x_data @ w.data + b.data)
 
     def backward(g):
-        g_logits = _softmax_grad(g, out_data)
+        g_logits = softmax_grad(g, out_data)
         if x.requires_grad:
             x._accumulate(g_logits @ w.data.T)
         _weight_grads(g_logits, x_data, w, b)
@@ -337,7 +331,6 @@ def fuse_relu(h, w, y, u):
     """``relu(h @ w + y @ u)`` as one node, for 2-D ``w`` and ``u``: the FS
     decoder's fusion of bottom states ``h`` with target embeddings ``y``.
     The ReLU's subgradient at exactly 0 is 0."""
-    h, w, y, u = as_tensor(h), as_tensor(w), as_tensor(y), as_tensor(u)
     h_data, y_data = h.data, y.data
     _check_inner("matmul", h_data.shape, w.data.shape)
     _check_inner("matmul", y_data.shape, u.data.shape)
@@ -357,26 +350,14 @@ def fuse_relu(h, w, y, u):
     return Tensor(out_data, _parents=(h, w, y, u), _backward=backward)
 
 
-def log(x):
-    x = as_tensor(x)
-    out_data = np.log(x.data)
-
-    def backward(g):
-        x._accumulate(g / x.data)
-
-    return Tensor(out_data, _parents=(x,), _backward=backward)
-
-
 def layer_norm(x, gain, bias, residual=None):
     """Normalize the last axis by ``sqrt(var + 1e-5)``, then scale and shift.
     With ``residual`` the input is the residual connection's sum
     ``x + residual``, in one node with the same numbers as
     ``layer_norm(add(x, residual), ...)``."""
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     if residual is None:
         inputs, data = (x,), x.data
     else:
-        residual = as_tensor(residual)
         inputs, data = (x, residual), x.data + residual.data
     # the moments numpy's mean and var compute, without their Python layer
     n = data.shape[-1]
@@ -400,23 +381,8 @@ def layer_norm(x, gain, bias, residual=None):
     return Tensor(out_data, _parents=(*inputs, gain, bias), _backward=backward)
 
 
-def take(x, indices):
-    """Gather entries by a tuple of integer index arrays (fancy indexing)."""
-    x = as_tensor(x)
-    indices = tuple(np.asarray(i, dtype=np.int64) for i in indices)
-    out_data = x.data[indices]
-
-    def backward(g):
-        dx = np.zeros_like(x.data)
-        np.add.at(dx, indices, g)
-        x._accumulate(dx)
-
-    return Tensor(out_data, _parents=(x,), _backward=backward)
-
-
 def slice_axis(x, axis, start, stop):
     """Contiguous slice along one axis."""
-    x = as_tensor(x)
     index = [slice(None)] * x.data.ndim
     index[axis] = slice(start, stop)
     index = tuple(index)
@@ -430,13 +396,18 @@ def slice_axis(x, axis, start, stop):
     return Tensor(out_data, _parents=(x,), _backward=backward)
 
 
-def tsum(x):
-    """The sum of every entry, a scalar."""
-    x = as_tensor(x)
-    out_data = np.add.reduce(x.data, axis=None)
+def nll(x, index, scale):
+    """The token loss as one node: ``scale`` times the sum of ``log x[index]``,
+    a scalar, for a tuple ``index`` of integer arrays. The value and the
+    gradient are bitwise those of the composed gather, log, sum and ``mul``
+    chain; an entry picked twice gets its gradient twice."""
+    picked = x.data[index]
+    out_data = np.add.reduce(np.log(picked), axis=None) * scale
 
     def backward(g):
-        x._accumulate(np.broadcast_to(g, x.data.shape))
+        dx = np.zeros_like(x.data)
+        np.add.at(dx, index, np.broadcast_to(g * scale, picked.shape) / picked)
+        x._accumulate(dx)
 
     return Tensor(out_data, _parents=(x,), _backward=backward)
 
@@ -456,7 +427,6 @@ def score_surrogate(x, index, weights, logged, segments):
     index order, and the gradient at entry i is ``(g * -1) * w``, divided by
     ``x[i]`` when it is logged.
     """
-    x = as_tensor(x)
     index = tuple(np.asarray(i, dtype=np.int64) for i in index)
     weights = np.asarray(weights, dtype=np.float64)
     logged = np.asarray(logged, dtype=bool)
@@ -490,7 +460,6 @@ def score_surrogate(x, index, weights, logged, segments):
 
 def dropout(x, p, rng, training):
     """Inverted dropout with an explicit RNG stream; identity when not training."""
-    x = as_tensor(x)
     if not training or p <= 0.0:
         return x
     keep = (rng.random(x.data.shape) >= p) / (1.0 - p)

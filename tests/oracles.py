@@ -5,7 +5,9 @@ that the estimators must match, the per-position one from
 ``exact_reward_at``, the expected reward with one position clamped, by
 enumeration; ``random_reward_table`` is a dense reward they are checked on;
 ``grad_check`` compares the autodiff gradients with central finite
-differences.
+differences. ``take``, ``log`` and ``tsum`` are graph primitives that only
+the tests record: the composed token loss that ``tensor.nll`` fuses, and
+readouts to a scalar.
 """
 
 from __future__ import annotations
@@ -18,6 +20,35 @@ import numpy as np
 from nsqt import estimators as est
 from nsqt import tensor as tc
 from nsqt.errors import CapacityError, GraphError
+
+
+def take(x, indices):
+    """Gather entries by a tuple of integer index arrays (fancy indexing)."""
+    indices = tuple(np.asarray(i, dtype=np.int64) for i in indices)
+    out_data = x.data[indices]
+
+    def backward(g):
+        dx = np.zeros_like(x.data)
+        np.add.at(dx, indices, g)
+        x._accumulate(dx)
+
+    return tc.Tensor(out_data, _parents=(x,), _backward=backward)
+
+
+def log(x):
+    def backward(g):
+        x._accumulate(g / x.data)
+
+    return tc.Tensor(np.log(x.data), _parents=(x,), _backward=backward)
+
+
+def tsum(x):
+    """The sum of every entry, a scalar."""
+
+    def backward(g):
+        x._accumulate(np.broadcast_to(g, x.data.shape))
+
+    return tc.Tensor(np.add.reduce(x.data, axis=None), _parents=(x,), _backward=backward)
 
 
 def exact_reward_at(dist, t, y, reward, ref):

@@ -130,10 +130,10 @@ def oracle_reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=Fals
         terms = []
         if prob_t:
             idx = prefix + (np.array(prob_t), np.array(prob_y))
-            terms.append(tc.tsum(tc.mul(tc.take(dist.tensor, idx), np.array(prob_w))))
+            terms.append(oracles.tsum(tc.mul(oracles.take(dist.tensor, idx), np.array(prob_w))))
         if log_t:
             idx = prefix + (np.array(log_t), np.array(log_y))
-            terms.append(tc.tsum(tc.mul(tc.log(tc.take(dist.tensor, idx)), np.array(log_w))))
+            terms.append(oracles.tsum(tc.mul(oracles.log(oracles.take(dist.tensor, idx)), np.array(log_w))))
         if terms:
             total = terms[0]
             for extra in terms[1:]:
@@ -163,6 +163,20 @@ class TestPositionDistributions:
     def test_rejects_negative(self):
         with pytest.raises(est.ContractError):
             est.PositionDistributions(np.array([[1.2, -0.2]]))
+
+    @pytest.mark.parametrize("shape", [(0, 5), (2, 0, 5), (0, 3, 5), (3, 0)])
+    def test_rejects_empty(self, shape):
+        with pytest.raises(est.ContractError, match="empty axis"):
+            est.PositionDistributions(np.zeros(shape))
+
+    @pytest.mark.parametrize("lead", [(3,), (2, 3)])
+    def test_rejects_nan(self, lead):
+        # nan > 1e-9 is false, so a check that looks only for a large
+        # deviation lets the row through
+        probs = np.full(lead + (4,), 0.25)
+        probs[..., 1, 2] = np.nan
+        with pytest.raises(est.ContractError, match="sum to 1"):
+            est.PositionDistributions(probs)
 
 
 @st.composite
@@ -613,14 +627,14 @@ class TestLogitGradient:
         probs = rng.dirichlet(np.ones(6), size=(4, 3))
         d = rng.standard_normal((4, 3, 6))
         shifted = d + 10.0 * rng.standard_normal((4, 3, 1))
-        assert np.allclose(est.logit_gradient(shifted, probs), est.logit_gradient(d, probs), rtol=0, atol=1e-12)
+        assert np.allclose(tc.softmax_grad(shifted, probs), tc.softmax_grad(d, probs), rtol=0, atol=1e-12)
 
     def test_equals_softmax_jacobian_product(self):
         rng = np.random.default_rng(12)
         probs = rng.dirichlet(np.ones(5), size=3)
         d = rng.standard_normal((3, 5))
         want = [(np.diag(p) - np.outer(p, p)) @ row for p, row in zip(probs, d)]
-        assert np.allclose(est.logit_gradient(d, probs), want, rtol=1e-13, atol=1e-15)
+        assert np.allclose(tc.softmax_grad(d, probs), want, rtol=1e-13, atol=1e-15)
 
     def test_equals_backward_through_softmax(self):
         # the gradient the surrogate's graph gives the logits
@@ -628,8 +642,8 @@ class TestLogitGradient:
         logits = tc.Tensor(rng.standard_normal((3, 5)), requires_grad=True)
         probs = softmax_rows(logits)
         d = rng.standard_normal((3, 5))
-        tc.tsum(tc.mul(probs, d)).backward()
-        assert np.allclose(logits.grad, est.logit_gradient(d, probs.data), rtol=1e-12, atol=1e-15)
+        oracles.tsum(tc.mul(probs, d)).backward()
+        assert np.allclose(logits.grad, tc.softmax_grad(d, probs.data), rtol=1e-12, atol=1e-15)
 
     @pytest.mark.slow
     def test_unbiased_in_logit_space(self):
@@ -639,7 +653,7 @@ class TestLogitGradient:
         dist = est.random_distributions(T, V, np.random.default_rng(2024))
         ref = (1, 3, 0)
         reward = rewards.RewardFn("GLEU")
-        want = est.logit_gradient(oracles.enumerate_expected_gradient(dist, reward, ref).dprobs, dist.probs)
+        want = tc.softmax_grad(oracles.enumerate_expected_gradient(dist, reward, ref).dprobs, dist.probs)
         worst = 0.0
         for k in (0, 1, 2):
             for n in (1, 20):
@@ -650,7 +664,7 @@ class TestLogitGradient:
                     chunk = streams[lo : lo + 500]
                     batch = est.PositionDistributions(np.broadcast_to(dist.probs, (len(chunk), T, V)))
                     dprobs = est.reinforce_nat_step(batch, cfg, reward, [ref] * len(chunk), chunk).dprobs
-                    rows.append(est.logit_gradient(dprobs, dist.probs))
+                    rows.append(tc.softmax_grad(dprobs, dist.probs))
                 g = np.concatenate(rows)
                 se = np.sqrt(g.var(axis=0, ddof=1) / reps)
                 worst = max(worst, float((np.abs(g.mean(axis=0) - want) / (se + 1e-12)).max()))
@@ -690,7 +704,7 @@ class TestEstimatorStats:
             est.reinforce_nat_step(dist, cfg, reward, (1, 2, 3), s).dprobs
             for s in np.random.default_rng(15).spawn(40)
         ]
-        logits = est.logit_gradient(np.stack(rows), dist.probs)
+        logits = tc.softmax_grad(np.stack(rows), dist.probs)
         assert np.isclose(stats.logit_total_variance, logits.var(axis=0, ddof=1).sum(), rtol=1e-10, atol=0)
         assert 0.0 < stats.logit_total_variance < stats.total_variance
 
