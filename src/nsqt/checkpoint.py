@@ -23,7 +23,8 @@ checksum is verified before any model is built, so a corrupt config field
 allocates nothing. So is every config field that sizes stored tensors
 (``vocab_size``, ``d_model``, ``d_hidden``, ``n_layer``), against those
 tensors. ``max_len`` sizes no stored tensor: the positional table is
-computed.
+computed, and ``ModelConfig`` refuses a ``max_len`` above
+``models.MAX_POSITIONS`` before any model is built.
 """
 
 from __future__ import annotations

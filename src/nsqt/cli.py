@@ -6,13 +6,19 @@ lines, ``#`` comments), --seed N, --out DIR, plus ``--key value`` overrides
 that take precedence over the config file. Every command writes its resolved
 configuration to the output directory before doing any work.
 
+Every command that reads a corpus loads it, gets its model and checks that
+each sentence fits the model's positions before any work: the training
+commands through ``_training_setup``, decode, evaluate and topk-stats through
+``_evaluation_setup``, and distill against its teacher.
+
 Exit codes: 0 success; 1 for a ``ContractError``, a value or combination of
-values the user can fix (an unknown key, an out-of-range number, a model that
-does not fit the command), printed as ``error: <message>``; 2 for every other
-exception (an unreadable or empty corpus, a corrupt checkpoint, diverged
-training), printed as ``error: <Type>: <message>``. ``train-ce`` and
-``finetune-rl`` write their own ``metrics.csv``, replacing one an earlier run
-left in the same directory.
+values the user can fix (an unknown key, an out-of-range number such as a
+max_len above ``models.MAX_POSITIONS``, a model or corpus that does not fit
+the command), printed as ``error: <message>``; 2 for every other exception
+(an unreadable or empty corpus, a corrupt checkpoint, an estimator step past
+its row bound, diverged training), printed as ``error: <Type>: <message>``.
+``train-ce`` and ``finetune-rl`` write their own ``metrics.csv``, replacing
+one an earlier run left in the same directory.
 """
 
 from __future__ import annotations
@@ -246,26 +252,7 @@ def _check_vocab(model, vocab):
         )
 
 
-def _check_lengths(cfg, model, train, valid):
-    """Training and validation would fail mid-run on a sentence longer than
-    the model's positions. Sources and training targets must fit max_len,
-    AR and FS targets with their EOS; validation decodes only its sources,
-    at lengths the training targets set."""
-    eos = 0 if model.kind == "nat" else 1
-    _check_fits(
-        cfg, model, "training", (max(len(src), len(tgt) + eos) for src, tgt in train.pairs),
-        " (targets with EOS)" if eos else "",
-    )
-    if valid is not None:
-        _check_sources(cfg, model, valid, "validation")
-
-
-def _check_sources(cfg, model, corpus, name):
-    """Decoding reads every source of the corpus ``name`` whole."""
-    _check_fits(cfg, model, name, (len(src) for src, _ in corpus.pairs), "")
-
-
-def _check_fits(cfg, model, name, lengths, note):
+def _check_fits(cfg, model, name, lengths, note=""):
     """A usage error when the corpus ``name`` needs more positions than the
     model has; ``lengths`` holds each pair's need. Synthetic corpora are as
     long as len_max makes them; file corpora were loaded at most max_len
@@ -279,12 +266,6 @@ def _check_fits(cfg, model, name, lengths, note):
         )
 
 
-def _evaluated(train, valid):
-    """The corpus the evaluation commands read and its name: the validation
-    corpus when there is one."""
-    return (valid, "validation") if valid is not None else (train, "training")
-
-
 def _get_model(cfg, vocab):
     """The model of init_checkpoint, or a new one built from the keys; either
     must cover the corpus vocabulary ``vocab``."""
@@ -296,21 +277,38 @@ def _get_model(cfg, vocab):
     return model
 
 
-def cmd_train_ce(cfg, out_dir):
+def _training_setup(cfg):
+    """The training and validation corpora and the model of train-ce and
+    finetune-rl. Training would fail mid-run on a sentence longer than the
+    model's positions: sources and training targets must fit max_len, AR and
+    FS targets with their EOS; validation decodes only its sources, at
+    lengths the training targets set."""
     train, valid = _load_corpora(cfg)
     model = _get_model(cfg, train.vocab)
-    _check_lengths(cfg, model, train, valid)
-    rows = pipeline.train_ce(model, train, _train_config(cfg), valid=valid)
+    eos = 0 if model.kind == "nat" else 1
+    _check_fits(
+        cfg, model, "training", (max(len(src), len(tgt) + eos) for src, tgt in train.pairs),
+        " (targets with EOS)" if eos else "",
+    )
+    if valid is not None:
+        _check_fits(cfg, model, "validation", (len(src) for src, _ in valid.pairs))
+    return train, valid, model
+
+
+def _finish_training(cfg, out_dir, model, rows):
     write_metrics(out_dir / "metrics.csv", rows)
     checkpoint.save_model(model, out_dir / "model.nsqt", seed=cfg["seed"])
     emit_report(out_dir, required=False)
-    return 0
+
+
+def cmd_train_ce(cfg, out_dir):
+    train, valid, model = _training_setup(cfg)
+    rows = pipeline.train_ce(model, train, _train_config(cfg), valid=valid)
+    _finish_training(cfg, out_dir, model, rows)
 
 
 def cmd_finetune_rl(cfg, out_dir):
-    train, valid = _load_corpora(cfg)
-    model = _get_model(cfg, train.vocab)
-    _check_lengths(cfg, model, train, valid)
+    train, valid, model = _training_setup(cfg)
     est_cfg = estimators.EstimatorConfig(
         k=_k_single(cfg["k"]),
         n=cfg["n"],
@@ -320,30 +318,34 @@ def cmd_finetune_rl(cfg, out_dir):
     rows = pipeline.finetune_rl(
         model, train, est_cfg, rewards.RewardFn("GLEU"), _train_config(cfg), valid=valid
     )
-    write_metrics(out_dir / "metrics.csv", rows)
-    checkpoint.save_model(model, out_dir / "model.nsqt", seed=cfg["seed"])
-    emit_report(out_dir, required=False)
-    return 0
+    _finish_training(cfg, out_dir, model, rows)
+
+
+def _evaluation_setup(cfg, targets=False):
+    """The training corpus, the corpus decode, evaluate and topk-stats read
+    (the validation corpus when there is one) and the model. Each pair of
+    the corpus read needs its source's positions, or with ``targets`` the
+    larger of its source's and target's, as NAT runs at each target's
+    length."""
+    train, valid = _load_corpora(cfg)
+    corpus, name = (valid, "validation") if valid is not None else (train, "training")
+    model = _get_model(cfg, train.vocab)
+    lengths = (max(len(src), len(tgt)) if targets else len(src) for src, tgt in corpus.pairs)
+    _check_fits(cfg, model, name, lengths)
+    return train, corpus, model
 
 
 def cmd_decode(cfg, out_dir):
-    train, valid = _load_corpora(cfg)
-    corpus, name = _evaluated(train, valid)
-    model = _get_model(cfg, train.vocab)
-    _check_sources(cfg, model, corpus, name)
+    train, corpus, model = _evaluation_setup(cfg)
     table = data.build_length_table(train)
     hyps = pipeline.decode_corpus(model, corpus, _decode_config(cfg, model.kind), table)
     with open(out_dir / "decodes.txt", "w", encoding="utf-8") as f:
         for hyp in hyps:
             f.write(corpus.vocab.decode(hyp) + "\n")
-    return 0
 
 
 def cmd_evaluate(cfg, out_dir):
-    train, valid = _load_corpora(cfg)
-    corpus, name = _evaluated(train, valid)
-    model = _get_model(cfg, train.vocab)
-    _check_sources(cfg, model, corpus, name)
+    train, corpus, model = _evaluation_setup(cfg)
     table = data.build_length_table(train)
     report = pipeline.evaluate(model, corpus, _decode_config(cfg, model.kind), table)
     summary = [
@@ -360,7 +362,6 @@ def cmd_evaluate(cfg, out_dir):
         report.buckets,
     )
     emit_report(out_dir, required=False)
-    return 0
 
 
 def cmd_distill(cfg, out_dir):
@@ -369,14 +370,13 @@ def cmd_distill(cfg, out_dir):
         raise ContractError("distill requires teacher_checkpoint")
     teacher = checkpoint.load_model(cfg["teacher_checkpoint"])
     _check_vocab(teacher, train.vocab)
-    _check_sources(cfg, teacher, train, "training")
+    _check_fits(cfg, teacher, "training", (len(src) for src, _ in train.pairs))
     dec = _decode_config(cfg, teacher.kind)
     distilled = pipeline.distill_corpus(teacher, train, dec)
     data.save_corpus(
         distilled, out_dir / "distilled.src", out_dir / "distilled.tgt", train.vocab
     )
     train.vocab.save(out_dir / "distilled.vocab")
-    return 0
 
 
 def cmd_estimator_bench(cfg, out_dir):
@@ -402,18 +402,12 @@ def cmd_estimator_bench(cfg, out_dir):
     )
     write_csv(out_dir / "variance.csv", header, rows)
     emit_report(out_dir, required=False)
-    return 0
 
 
 def cmd_topk_stats(cfg, out_dir):
-    train, valid = _load_corpora(cfg)
-    corpus, name = _evaluated(train, valid)
-    model = _get_model(cfg, train.vocab)
+    _, corpus, model = _evaluation_setup(cfg, targets=True)
     if model.kind != "nat":
         raise ContractError("topk-stats requires a NAT model")
-    # NAT runs at each target's length
-    lengths = (max(len(src), len(tgt)) for src, tgt in corpus.pairs)
-    _check_fits(cfg, model, name, lengths, "")
     ks = _k_list(cfg["k"])
     values, summary = pipeline.topk_stats(model, corpus, ks)
     dump_rows = [(k, i, v) for k in ks for i, v in enumerate(values[k])]
@@ -425,7 +419,6 @@ def cmd_topk_stats(cfg, out_dir):
         summary,
         fmt_full,
     )
-    return 0
 
 
 def emit_report(run_dir, required=True):
@@ -437,7 +430,6 @@ def emit_report(run_dir, required=True):
     is an error naming the missing file.
     """
     run_dir = Path(run_dir)
-    written = []
     metrics = run_dir / "metrics.csv"
     if metrics.exists():
         rows = []
@@ -449,7 +441,6 @@ def emit_report(run_dir, required=True):
             except ValueError as e:
                 raise FormatError(f"metrics.csv line {number}: {e}") from None
         write_csv(run_dir / "report_curve.csv", ("step", "valid_gleu"), rows)
-        written.append("report_curve.csv")
     elif required:
         raise FormatError("missing inputs: metrics.csv")
     for src_name, dst_name in (
@@ -459,13 +450,6 @@ def emit_report(run_dir, required=True):
         src = run_dir / src_name
         if src.exists():
             (run_dir / dst_name).write_text(src.read_text())
-            written.append(dst_name)
-    return written
-
-
-def cmd_emit_report(cfg, out_dir):
-    emit_report(out_dir, required=True)
-    return 0
 
 
 HANDLERS = {
@@ -476,7 +460,7 @@ HANDLERS = {
     "distill": cmd_distill,
     "estimator-bench": cmd_estimator_bench,
     "topk-stats": cmd_topk_stats,
-    "emit-report": cmd_emit_report,
+    "emit-report": lambda cfg, out_dir: emit_report(out_dir),
 }
 COMMANDS = tuple(HANDLERS)
 
@@ -522,13 +506,14 @@ def run_command(argv):
         file_entries = parse_config_file(config_path) if config_path else {}
         cfg = resolve_config(file_entries, overrides, seed, command)
         write_resolved_config(cfg, out_dir)
-        return HANDLERS[command](cfg, out_dir)
+        HANDLERS[command](cfg, out_dir)
     except ContractError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # noqa: BLE001 - CLI boundary
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
+    return 0
 
 
 def main():

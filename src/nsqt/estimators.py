@@ -39,6 +39,7 @@ import numpy as np
 from . import tensor as tc
 from .errors import CapacityError, ContractError
 
+# the most completion rows, sampled or enumerated, that one step scores
 ENUM_LIMIT = 10**7
 # odd multiplier of the row hash that keys sampled completions
 _ROW_HASH_MULT = 0x9E3779B97F4A7C15
@@ -186,7 +187,8 @@ def _mean_rewards(tokens, n, reward, refs, which, row_weights=None):
     pairs share a key, every row is scored. A reward with a
     ``batch(tokens, refs, which)`` method scores the distinct rows in one
     call; otherwise it is called once per distinct row. Both give the same
-    numbers."""
+    numbers, and both must give one value in [0, 1] per distinct row, or
+    ``ContractError`` names the path that did not."""
     weights = np.multiply.accumulate(
         np.array([_ROW_HASH_MULT] * (tokens.shape[1] + 1), dtype=np.uint64)
     )
@@ -211,18 +213,17 @@ def _mean_rewards(tokens, n, reward, refs, which, row_weights=None):
         rows, row_refs = tokens, which
     batch = getattr(reward, "batch", None)
     if batch is None:
-        scores = np.array(
-            [reward(tuple(row), refs[i]) for row, i in zip(rows.tolist(), row_refs.tolist())],
-            dtype=np.float64,
-        )
+        what = "reward"
+        scores = [reward(tuple(row), refs[i]) for row, i in zip(rows.tolist(), row_refs.tolist())]
     else:
-        scores = np.asarray(batch(rows, refs, row_refs), dtype=np.float64)
-        if scores.shape != (len(rows),):
-            raise ContractError(
-                f"reward.batch returned shape {scores.shape}, expected ({len(rows)},)"
-            )
-        if not np.logical_and.reduce((scores >= 0.0) & (scores <= 1.0)):
-            raise ContractError("reward.batch returned values outside [0, 1]")
+        what = "reward.batch"
+        scores = batch(rows, refs, row_refs)
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != (len(rows),):
+        raise ContractError(f"{what} returned shape {scores.shape}, expected ({len(rows)},)")
+    # written so that nan fails too
+    if not np.logical_and.reduce((scores >= 0.0) & (scores <= 1.0)):
+        raise ContractError(f"{what} returned values outside [0, 1]")
     scores = scores[inverse].reshape(-1, n)
     # accumulate adds in row order, as a Python loop over the rows would
     if row_weights is None:
@@ -261,16 +262,18 @@ def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
 
     A candidate's reward estimate is the mean reward of its n rows. With
     ``exact_rewards`` it is the sum over all V^T sequences c of p(c) r(c with
-    position t set to y), the expected reward with position t clamped to y;
-    a step of more than ``ENUM_LIMIT`` such rows raises ``CapacityError``
-    before any draw.
+    position t set to y), the expected reward with position t clamped to y.
+    Either way, a step of more than ``ENUM_LIMIT`` candidate rows raises
+    ``CapacityError`` before any draw.
 
     Rewards must be pure. The step scores each distinct (completion,
     reference) pair once, over all sentences, and every sampled completion
     takes its pair's score, so the numbers are those of scoring every
     completion. A reward with a ``batch(tokens, refs, which)`` method scores
     the distinct completions of the whole step in one call; otherwise it is
-    called once per distinct completion. Both give the same numbers.
+    called once per distinct completion. Both give the same numbers, and
+    either must give one value in [0, 1] per completion, or the step raises
+    ``ContractError``.
     """
     batched = dist.probs.ndim == 3
     probs = dist.probs if batched else dist.probs[None]
@@ -285,8 +288,12 @@ def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
         raise ContractError("each sentence needs its own stream, got one Generator for two sentences")
     k, n = config.k, config.n
     part = top_k_partition(probs, k, config.residual_epsilon)
-    if exact_rewards and (B * T * k + int(np.add.reduce(part.has_residual, axis=None))) * V**T > ENUM_LIMIT:
-        raise CapacityError(f"exact rewards at V={V}, T={T} exceed the enumeration bound {ENUM_LIMIT}")
+    # every candidate scores m completion rows: n samples or all V^T sequences
+    m = V**T if exact_rewards else n
+    count = B * T * k + int(np.add.reduce(part.has_residual, axis=None))
+    if count * m > ENUM_LIMIT:
+        what = f"exact rewards at V={V}, T={T}" if exact_rewards else f"{count} candidates x {n} completions"
+        raise CapacityError(f"{what} exceed the enumeration bound {ENUM_LIMIT}")
 
     # every uniform in the documented layout, straight into its place
     u_res = np.empty((B, 1, T))
@@ -311,12 +318,11 @@ def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
     # each sentence's completions: its n samples, or every sequence in
     # itertools.product order, weighted by its row entries' left-to-right product
     if exact_rewards:
-        m = V**T
         seqs = np.indices((V,) * T).reshape(T, m).T
         row_weights = np.multiply.accumulate(probs[:, np.arange(T), seqs], axis=-1)[..., -1].take(cb, axis=0)
         base = np.broadcast_to(seqs, (B, m, T))
     else:
-        m, row_weights = n, None
+        row_weights = None
         base = _sample_completions(probs, u)
     # each candidate's m rows: its sentence's completions with position t
     # clamped to y

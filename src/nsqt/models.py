@@ -26,6 +26,10 @@ from .errors import CapacityError, ContractError
 
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
 N_RESERVED = 4
+# every model build computes a max_len x d_model sinusoidal table, so an
+# unbounded max_len from a key or a checkpoint header could ask for
+# gigabytes; the bound is the sinusoid's base, far past any sentence here
+MAX_POSITIONS = 10_000
 
 
 @dataclass(frozen=True)
@@ -42,6 +46,8 @@ class ModelConfig:
         for name in ("d_model", "d_hidden", "n_head", "vocab_size", "max_len"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.max_len > MAX_POSITIONS:
+            raise ContractError(f"max_len must be <= {MAX_POSITIONS}, got {self.max_len}")
         if not 0.0 <= self.p_dropout < 1.0:
             raise ContractError(f"p_dropout must be in [0, 1), got {self.p_dropout}")
         if self.d_model % self.n_head != 0:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsqt import cli
+from nsqt import cli, models
 from nsqt import pipeline as pl
 from nsqt.checkpoint import save_model
 from nsqt.errors import ContractError
@@ -631,7 +631,7 @@ def test_corpus_longer_than_max_len_is_usage_error(tmp_path, capsys, command, ki
     err = capsys.readouterr().err
     assert err.startswith("error: key len_max: the training corpus ") and message in err
     assert err.endswith(", above the model's max_len 16\n") and err.count("\n") == 1
-    assert not (out / "metrics.csv").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["config.resolved.cfg"]
 
 
 @pytest.mark.parametrize(
@@ -664,17 +664,15 @@ def test_file_corpus_longer_than_max_len_is_usage_error(
     assert run(args) == 1
     err = capsys.readouterr().err
     assert err == f"error: key max_len: {message} above the model's max_len 16\n"
-    assert not (out / "metrics.csv").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["config.resolved.cfg"]
 
 
 @pytest.mark.parametrize(
-    "command,corpus,output",
-    [("decode", "validation", "decodes.txt"), ("evaluate", "validation", "eval.csv"),
-     ("distill", "training", "distilled.src"), ("topk-stats", "validation", "topk_values.csv")],
+    "command,corpus",
+    [("decode", "validation"), ("evaluate", "validation"), ("distill", "training"),
+     ("topk-stats", "validation")],
 )
-def test_source_longer_than_checkpoint_max_len_is_usage_error(
-    tmp_path, capsys, command, corpus, output
-):
+def test_source_longer_than_checkpoint_max_len_is_usage_error(tmp_path, capsys, command, corpus):
     out = tmp_path / "run"
     ckpt = "--teacher_checkpoint" if command == "distill" else "--init_checkpoint"
     args = [command, "--out", out, ckpt, _tiny_checkpoint(tmp_path)] + FAST
@@ -683,7 +681,7 @@ def test_source_longer_than_checkpoint_max_len_is_usage_error(
         f"error: key len_max: the {corpus} corpus needs 20 positions, "
         f"above the model's max_len 16\n"
     )
-    assert not (out / output).exists()
+    assert sorted(p.name for p in out.iterdir()) == ["config.resolved.cfg"]
 
 
 def test_topk_stats_target_longer_than_max_len_is_usage_error(tmp_path, capsys):
@@ -698,6 +696,15 @@ def test_topk_stats_target_longer_than_max_len_is_usage_error(tmp_path, capsys):
         r"above the model's max_len 16\n", err,
     ).group(1))
     assert need > 16
+
+
+def test_max_len_above_the_bound_is_usage_error(tmp_path, capsys, monkeypatch):
+    # refused by ModelConfig before a 100000-row positional table is built
+    monkeypatch.setattr(models, "sinusoidal_encoding", lambda *a: pytest.fail("table built"))
+    out = tmp_path / "run"
+    assert run(["train-ce", "--out", out] + FAST + ["--max_len", "100000"]) == 1
+    assert capsys.readouterr().err == "error: max_len must be <= 10000, got 100000\n"
+    assert sorted(p.name for p in out.iterdir()) == ["config.resolved.cfg"]
 
 
 def test_corpus_at_max_len_trains(tmp_path):
@@ -816,8 +823,16 @@ def test_topk_stats_k0_covers_no_mass(tmp_path):
 
 def test_topk_stats_requires_nat(tmp_path, capsys):
     ckpt = _tiny_checkpoint(tmp_path, kind="ar")
-    assert run(["topk-stats", "--out", tmp_path / "t", "--init_checkpoint", ckpt] + FAST) == 1
+    args = ["topk-stats", "--out", tmp_path / "t", "--init_checkpoint", ckpt] + FAST
+    assert run(args) == 1
     assert capsys.readouterr().err == "error: topk-stats requires a NAT model\n"
+    # positions are checked on loading, before the model kind: a corpus too
+    # long for the AR checkpoint reports its length
+    assert run(args + ["--len_min", "20", "--len_max", "20"]) == 1
+    assert capsys.readouterr().err == (
+        "error: key len_max: the validation corpus needs 20 positions, "
+        "above the model's max_len 16\n"
+    )
 
 
 def test_topk_stats_malformed_k_is_usage_error(tmp_path, capsys):

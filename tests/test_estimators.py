@@ -414,6 +414,19 @@ class TestReinforceNat:
             )
         assert stream.bit_generator.state == state
 
+    def test_sampled_capacity_checked_before_any_draw(self, monkeypatch):
+        # k=1 at T=3, V=4 plans 3 members and 3 residual samples; at n=4
+        # they score 24 rows, one past a bound of 23
+        dist, cfg = uniform_dist(3, 4), est.EstimatorConfig(k=1, n=4)
+        stream = np.random.default_rng(3)
+        state = stream.bit_generator.state
+        monkeypatch.setattr(est, "ENUM_LIMIT", 23)
+        with pytest.raises(est.CapacityError, match="6 candidates x 4 completions exceed the enumeration bound 23"):
+            est.reinforce_nat_step(dist, cfg, equality_reward, (), stream)
+        assert stream.bit_generator.state == state
+        monkeypatch.setattr(est, "ENUM_LIMIT", 24)
+        est.reinforce_nat_step(dist, cfg, equality_reward, (), stream)
+
     def test_k_greater_than_v(self):
         with pytest.raises(est.ContractError):
             est.reinforce_nat_step(
@@ -619,6 +632,22 @@ class TestBatchedRewards:
     def test_bad_batch_is_contract_error(self, result):
         with pytest.raises(est.ContractError, match="reward.batch"):
             self._step(self._BadBatch(result))
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            (1.5, "values outside"),
+            (-0.2, "values outside"),
+            (np.nan, "values outside"),
+            ((0.5, 0.5), r"shape \(\d+, 2\)"),
+        ],
+        ids=["above_1", "negative", "nan", "pair"],
+    )
+    def test_bad_scalar_reward_is_contract_error(self, value, message):
+        # the scalar path is checked as the batched one: one value in [0, 1]
+        # per distinct row, so a nan cannot reach dprobs
+        with pytest.raises(est.ContractError, match=f"^reward returned {message}"):
+            self._step(lambda h, r: value)
 
 
 class TestLogitGradient:

@@ -47,7 +47,11 @@ class TestModelConfig:
 
     @pytest.mark.parametrize(
         "field",
-        [{"d_model": 0}, {"n_head": 0}, {"d_hidden": 0}, {"max_len": 0}, {"p_dropout": 1.0}],
+        [
+            {"d_model": 0}, {"n_head": 0}, {"d_hidden": 0}, {"max_len": 0}, {"p_dropout": 1.0},
+            # above MAX_POSITIONS: a build would ask for a 10^9 x d_model table
+            {"max_len": 10**9},
+        ],
     )
     def test_degenerate_sizes(self, field):
         with pytest.raises(ValueError):
@@ -785,6 +789,18 @@ class TestCheckpoint:
         with pytest.raises(checkpoint.CheckpointError, match="checksum mismatch"):
             checkpoint.load_model(path)
         assert built == []
+
+    def test_huge_max_len_header_builds_nothing(self, saved, monkeypatch):
+        # max_len sizes no stored tensor, so a file written with max_len
+        # 10^9 and a valid checksum passes every other check; the config's
+        # bound refuses it before a positional table is built
+        path, raw = saved
+        at = 8 + 4 + 2 + 8 + struct.calcsize(checkpoint.CONFIG_FORMAT[:-1])
+        assert raw[at : at + 4] == struct.pack("<I", CFG.max_len)
+        path.write_bytes(self.resealed(raw[:at] + struct.pack("<I", 10**9) + raw[at + 4 :]))
+        monkeypatch.setattr(models, "sinusoidal_encoding", lambda *a: pytest.fail("table built"))
+        with pytest.raises(checkpoint.CheckpointError, match="max_len must be <= 10000, got 1000000000"):
+            checkpoint.load_model(path)
 
     @pytest.mark.parametrize("field", ["vocab_size", "d_model", "d_hidden", "n_layer"])
     def test_header_size_mismatch_builds_nothing(self, saved, monkeypatch, field):

@@ -642,9 +642,10 @@ def test_tensor_calls_numpy_entry_points():
 
 def test_every_library_definition_is_referenced():
     """No dead or test-only helpers: every module-level function and class
-    of the library is named somewhere in the library or perfbench, outside
-    its own definition (an attribute, a name or a string such as a patch
-    target). Code that only the tests call belongs in ``tests/oracles.py``."""
+    of the library, and every method of its classes but the dunders, is
+    named somewhere in the library or perfbench, outside its own definition
+    (an attribute, a name or a string such as a patch target). Code that
+    only the tests call belongs in ``tests/oracles.py``."""
     import ast
     from collections import Counter
     from pathlib import Path
@@ -666,13 +667,25 @@ def test_every_library_definition_is_referenced():
     for folder in (lib, root / "perfbench"):
         for path in sorted(folder.glob("*.py")):
             refs.update(names(ast.parse(path.read_text(encoding="utf-8"))))
+
+    def definitions(body):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield node
+                yield from (
+                    sub for sub in node.body
+                    if isinstance(sub, ast.FunctionDef)
+                    and not (sub.name.startswith("__") and sub.name.endswith("__"))
+                )
+            elif isinstance(node, ast.FunctionDef):
+                yield node
+
     dead = []
     for path in sorted(lib.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                own = Counter(names(node))[node.name]
-                if refs[node.name] <= own:
-                    dead.append(f"{path.name}:{node.lineno} {node.name}")
+        for node in definitions(ast.parse(path.read_text(encoding="utf-8")).body):
+            own = Counter(names(node))[node.name]
+            if refs[node.name] <= own:
+                dead.append(f"{path.name}:{node.lineno} {node.name}")
     assert dead == []
 
 
