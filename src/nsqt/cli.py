@@ -13,10 +13,11 @@ commands through ``_training_setup``, decode, evaluate and topk-stats through
 
 Exit codes: 0 success; 1 for a ``ContractError``, a value or combination of
 values the user can fix (an unknown key, an out-of-range number such as a
-max_len above ``models.MAX_POSITIONS``, a model or corpus that does not fit
-the command), printed as ``error: <message>``; 2 for every other exception
-(an unreadable or empty corpus, a corrupt checkpoint, an estimator step past
-its row bound, diverged training), printed as ``error: <Type>: <message>``.
+max_len above ``models.MAX_POSITIONS`` or an n past the estimator's bound,
+a model or corpus that does not fit the command), printed as
+``error: <message>``; 2 for every other exception (an unreadable or empty
+corpus, a corrupt checkpoint, diverged training), printed as
+``error: <Type>: <message>``.
 ``train-ce`` and ``finetune-rl`` write their own ``metrics.csv``, replacing
 one an earlier run left in the same directory.
 """
@@ -321,17 +322,15 @@ def cmd_finetune_rl(cfg, out_dir):
     _finish_training(cfg, out_dir, model, rows)
 
 
-def _evaluation_setup(cfg, targets=False):
+def _evaluation_setup(cfg, need=lambda src, tgt: len(src)):
     """The training corpus, the corpus decode, evaluate and topk-stats read
     (the validation corpus when there is one) and the model. Each pair of
-    the corpus read needs its source's positions, or with ``targets`` the
-    larger of its source's and target's, as NAT runs at each target's
-    length."""
+    the corpus read needs ``need(src, tgt)`` positions, by default its
+    source's."""
     train, valid = _load_corpora(cfg)
     corpus, name = (valid, "validation") if valid is not None else (train, "training")
     model = _get_model(cfg, train.vocab)
-    lengths = (max(len(src), len(tgt)) if targets else len(src) for src, tgt in corpus.pairs)
-    _check_fits(cfg, model, name, lengths)
+    _check_fits(cfg, model, name, (need(src, tgt) for src, tgt in corpus.pairs))
     return train, corpus, model
 
 
@@ -405,7 +404,8 @@ def cmd_estimator_bench(cfg, out_dir):
 
 
 def cmd_topk_stats(cfg, out_dir):
-    _, corpus, model = _evaluation_setup(cfg, targets=True)
+    # NAT runs at each target's length
+    _, corpus, model = _evaluation_setup(cfg, need=lambda src, tgt: max(len(src), len(tgt)))
     if model.kind != "nat":
         raise ContractError("topk-stats requires a NAT model")
     ks = _k_list(cfg["k"])

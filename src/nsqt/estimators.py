@@ -39,7 +39,9 @@ import numpy as np
 from . import tensor as tc
 from .errors import CapacityError, ContractError
 
-# the most completion rows, sampled or enumerated, that one step scores
+# the most clamped tokens (candidates x completion rows x T), sampled or
+# enumerated, that one step builds. tracemalloc puts a step's peak at 26 to
+# 32 bytes per clamped token at T = 3 to 32, about 320 MB at this bound
 ENUM_LIMIT = 10**7
 # odd multiplier of the row hash that keys sampled completions
 _ROW_HASH_MULT = 0x9E3779B97F4A7C15
@@ -263,8 +265,9 @@ def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
     A candidate's reward estimate is the mean reward of its n rows. With
     ``exact_rewards`` it is the sum over all V^T sequences c of p(c) r(c with
     position t set to y), the expected reward with position t clamped to y.
-    Either way, a step of more than ``ENUM_LIMIT`` candidate rows raises
-    ``CapacityError`` before any draw.
+    Either way, a step that could build more than ``ENUM_LIMIT`` clamped
+    tokens, ``max_clamped_tokens`` of its shape, raises ``CapacityError``
+    before any draw.
 
     Rewards must be pure. The step scores each distinct (completion,
     reference) pair once, over all sentences, and every sampled completion
@@ -290,9 +293,10 @@ def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
     part = top_k_partition(probs, k, config.residual_epsilon)
     # every candidate scores m completion rows: n samples or all V^T sequences
     m = V**T if exact_rewards else n
-    count = B * T * k + int(np.add.reduce(part.has_residual, axis=None))
-    if count * m > ENUM_LIMIT:
-        what = f"exact rewards at V={V}, T={T}" if exact_rewards else f"{count} candidates x {n} completions"
+    if max_clamped_tokens(B, T, V, k, m) > ENUM_LIMIT:
+        what = f"{B * T * min(k + 1, V)} candidates x {n} completions x {T} tokens"
+        if exact_rewards:
+            what = f"exact rewards at V={V}, T={T}"
         raise CapacityError(f"{what} exceed the enumeration bound {ENUM_LIMIT}")
 
     # every uniform in the documented layout, straight into its place
@@ -346,6 +350,26 @@ def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
         index = (cb, ct, cy) if batched else (ct, cy)
         surrogate = tc.score_surrogate(dist.tensor, index, weights, sampled, cb)
     return GradientEstimate(dprobs if batched else dprobs[0], surrogate)
+
+
+def max_clamped_tokens(B, T, V, k, m):
+    """The most clamped tokens ``reinforce_nat_step`` builds on B sentences
+    of T positions over V tokens at width k: k members and at most one
+    residual sample per position, no more than V, each scoring m completions
+    of T tokens."""
+    return B * T * min(k + 1, V) * m * T
+
+
+def check_step_size(B, T, V, config):
+    """A ``ContractError`` naming n when a Monte Carlo ``reinforce_nat_step``
+    under ``config`` on B sentences of T positions over V tokens could raise
+    ``CapacityError``: loops of steps check their largest before the first."""
+    tokens = max_clamped_tokens(B, T, V, config.k, config.n)
+    if tokens > ENUM_LIMIT:
+        raise ContractError(
+            f"n {config.n} is too large: a batch of {B} x {T} tokens at k {config.k} "
+            f"could build {tokens} clamped tokens, above the enumeration bound {ENUM_LIMIT}"
+        )
 
 
 @dataclass
@@ -402,14 +426,16 @@ def estimator_stats(dist, estimator, repetitions, rng):
 def reinforce_nat_stats(dist, config, reward, ref, repetitions, rng):
     """``estimator_stats`` of ``reinforce_nat_step`` on one T x V ``dist``
     and reference, with the same streams and bitwise the same numbers, but
-    each chunk of repetitions runs as one batched call."""
+    each chunk of repetitions runs as one batched call, as many as stay
+    within ``ENUM_LIMIT`` clamped tokens."""
 
     def estimate(streams):
         B = len(streams)
         batch = PositionDistributions(np.broadcast_to(dist.probs, (B, dist.T, dist.V)))
         return reinforce_nat_step(batch, config, reward, [ref] * B, streams).dprobs
 
-    return _moments(dist, repetitions, rng, estimate, _STATS_CHUNK)
+    per_call = ENUM_LIMIT // max_clamped_tokens(1, dist.T, dist.V, config.k, config.n)
+    return _moments(dist, repetitions, rng, estimate, max(1, min(_STATS_CHUNK, per_call)))
 
 
 def variance_sweep(ks, T, V, config, instances, repetitions, reward, seed):
@@ -421,6 +447,7 @@ def variance_sweep(ks, T, V, config, instances, repetitions, reward, seed):
     sweep stable: near-zero probabilities make the score-function term
     heavy-tailed.
     """
+    check_step_size(1, T, V, replace(config, k=max(ks, default=0)))
     cases = []
     for i in range(instances):
         rng = np.random.default_rng((seed, i))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,12 +258,18 @@ def finetune_rl(model, corpus, est_cfg, reward, cfg, valid=None):
     distilled corpus is supplied).
 
     Runs with dropout off (``model.training`` is set to False): the
-    estimator scores the distributions the model would decode with."""
+    estimator scores the distributions the model would decode with. Raises
+    ``ContractError`` before any step when a batch could pass the
+    estimator's bound (``est.check_step_size``)."""
     if model.kind != "nat":
         raise ContractError(
             f"sequence-level fine-tuning is defined for the factorized NAT "
             f"output only, got model kind {model.kind!r}"
         )
+    # a batch holds up to batch_size pairs of one (source, target) length
+    lengths = Counter((len(src), len(tgt)) for src, tgt in corpus.pairs)
+    for (_, T), count in lengths.items():
+        est.check_step_size(min(count, cfg.batch_size), T, model.config.vocab_size, est_cfg)
     model.training = False
     est_rng = np.random.default_rng(est_cfg.rng_seed)
 

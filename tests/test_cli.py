@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsqt import cli, models
+from nsqt import cli, estimators, models
 from nsqt import pipeline as pl
 from nsqt.checkpoint import save_model
 from nsqt.errors import ContractError
@@ -722,6 +722,44 @@ def test_estimator_bench_one_row_per_k(tmp_path):
     assert code == 0
     lines = (out / "variance.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines] == ["k", "0", "1", "5", "10"]
+
+
+def test_estimator_bench_sizes_its_batches_to_the_bound(tmp_path, monkeypatch):
+    # at n=700 a repetition at k=10 builds at most 3 * 10 * 700 * 3 = 63000
+    # clamped tokens: a bound of 63000 runs one repetition per call, with
+    # the numbers of 20 per call, and one token less refuses the sweep
+    args = ["estimator-bench", "--n", "700", "--bench_reps", "20", "--bench_instances", "1"]
+    assert run(args + ["--out", tmp_path / "wide"]) == 0
+    monkeypatch.setattr(estimators, "ENUM_LIMIT", 63000)
+    assert run(args + ["--out", tmp_path / "narrow"]) == 0
+    for name in ("variance.csv", "report_variance_sweep.csv"):
+        assert (tmp_path / "narrow" / name).read_bytes() == (tmp_path / "wide" / name).read_bytes()
+    monkeypatch.setattr(estimators, "ENUM_LIMIT", 62999)
+    assert run(args + ["--out", tmp_path / "over"]) == 1
+    assert sorted(p.name for p in (tmp_path / "over").iterdir()) == ["config.resolved.cfg"]
+
+
+def test_finetune_rl_past_the_bound_is_usage_error(tmp_path, capsys, monkeypatch):
+    # batches of 3 x 2 tokens and 1 x 6 tokens: at k=1, n=2 over the
+    # checkpoint's 10 tokens the second builds up to 144 clamped tokens, so
+    # a bound of 143 refuses the run before its first step
+    for name, text in [("vocab.txt", "a\nb"), ("train.src", "a b\n" * 3 + "a b a b a b"),
+                       ("train.tgt", "a b\n" * 3 + "a b a b a b")]:
+        (tmp_path / name).write_text(text + "\n")
+    args = [
+        "finetune-rl", "--k", "1", "--n", "2", "--max_steps", "2", "--eval_every", "1",
+        "--init_checkpoint", _tiny_checkpoint(tmp_path), "--vocab_file", tmp_path / "vocab.txt",
+        "--train_src", tmp_path / "train.src", "--train_tgt", tmp_path / "train.tgt",
+    ]
+    monkeypatch.setattr(estimators, "ENUM_LIMIT", 143)
+    assert run(args + ["--out", tmp_path / "over"]) == 1
+    assert capsys.readouterr().err == (
+        "error: n 2 is too large: a batch of 1 x 6 tokens at k 1 could build 144 clamped "
+        "tokens, above the enumeration bound 143\n"
+    )
+    assert sorted(p.name for p in (tmp_path / "over").iterdir()) == ["config.resolved.cfg"]
+    monkeypatch.setattr(estimators, "ENUM_LIMIT", 144)
+    assert run(args + ["--out", tmp_path / "fits"]) == 0
 
 
 def test_estimator_bench_header_has_the_logit_column(tmp_path):

@@ -416,16 +416,46 @@ class TestReinforceNat:
 
     def test_sampled_capacity_checked_before_any_draw(self, monkeypatch):
         # k=1 at T=3, V=4 plans 3 members and 3 residual samples; at n=4
-        # they score 24 rows, one past a bound of 23
+        # they clamp 24 rows of 3 tokens, one token past a bound of 71
         dist, cfg = uniform_dist(3, 4), est.EstimatorConfig(k=1, n=4)
+        assert est.max_clamped_tokens(1, 3, 4, 1, 4) == 72
         stream = np.random.default_rng(3)
         state = stream.bit_generator.state
-        monkeypatch.setattr(est, "ENUM_LIMIT", 23)
-        with pytest.raises(est.CapacityError, match="6 candidates x 4 completions exceed the enumeration bound 23"):
+        monkeypatch.setattr(est, "ENUM_LIMIT", 71)
+        with pytest.raises(
+            est.CapacityError, match="6 candidates x 4 completions x 3 tokens exceed the enumeration bound 71"
+        ):
             est.reinforce_nat_step(dist, cfg, equality_reward, (), stream)
         assert stream.bit_generator.state == state
-        monkeypatch.setattr(est, "ENUM_LIMIT", 24)
+        monkeypatch.setattr(est, "ENUM_LIMIT", 72)
         est.reinforce_nat_step(dist, cfg, equality_reward, (), stream)
+
+    def test_capacity_counts_tokens_not_rows(self, monkeypatch):
+        # 30 positions at k=1, n=2 clamp 120 rows, below a bound of 1000,
+        # but 3600 tokens: refused before any draw
+        stream = np.random.default_rng(3)
+        state = stream.bit_generator.state
+        monkeypatch.setattr(est, "ENUM_LIMIT", 1000)
+        with pytest.raises(est.CapacityError, match="60 candidates x 2 completions x 30 tokens"):
+            est.reinforce_nat_step(uniform_dist(30, 4), est.EstimatorConfig(k=1, n=2), equality_reward, (), stream)
+        assert stream.bit_generator.state == state
+
+    @pytest.mark.parametrize("k, allowed", [(1, 2), (4, 4)], ids=["residual", "full_traversal"])
+    def test_check_step_size_matches_the_step(self, monkeypatch, k, allowed):
+        # T=3, V=4, n=4: a batch of 2 builds at most 2 * 3 * allowed * 4 * 3
+        # tokens; check_step_size refuses exactly the batches the step may
+        tokens = 2 * 3 * allowed * 4 * 3
+        cfg = est.EstimatorConfig(k=k, n=4)
+        monkeypatch.setattr(est, "ENUM_LIMIT", tokens - 1)
+        message = f"n 4 is too large: a batch of 2 x 3 tokens at k {k} could build {tokens} "
+        dist = est.PositionDistributions(np.full((2, 3, 4), 0.25))
+        with pytest.raises(est.ContractError, match=message):
+            est.check_step_size(2, 3, 4, cfg)
+        with pytest.raises(est.CapacityError):
+            est.reinforce_nat_step(dist, cfg, equality_reward, [()] * 2, [np.random.default_rng(0), np.random.default_rng(1)])
+        monkeypatch.setattr(est, "ENUM_LIMIT", tokens)
+        est.check_step_size(2, 3, 4, cfg)
+        est.reinforce_nat_step(dist, cfg, equality_reward, [()] * 2, [np.random.default_rng(0), np.random.default_rng(1)])
 
     def test_k_greater_than_v(self):
         with pytest.raises(est.ContractError):
@@ -782,6 +812,32 @@ class TestBatchedStats:
         got = est.reinforce_nat_stats(dist, cfg, fn, (1, 2, 3), 30, np.random.default_rng(5))
         want = self._per_stream(dist, cfg, fn, (1, 2, 3), 30, 5)
         assert self._bytes(got) == self._bytes(want)
+
+    def test_chunks_fit_the_bound(self, monkeypatch):
+        # a repetition at T=3, V=6, k=1, n=3 builds at most 54 clamped
+        # tokens, so a bound of 217 takes 4 per call, with the same numbers
+        dist = est.random_distributions(3, 6, np.random.default_rng(41), concentration=0.5)
+        cfg, reward = est.EstimatorConfig(k=1, n=3), rewards.RewardFn("GLEU")
+        want = self._per_stream(dist, cfg, reward, (1, 2, 3), 30, 5)
+        step, sizes = est.reinforce_nat_step, []
+
+        def recording(dist, *args):
+            sizes.append(dist.probs.shape[0])
+            return step(dist, *args)
+
+        monkeypatch.setattr(est, "reinforce_nat_step", recording)
+        monkeypatch.setattr(est, "ENUM_LIMIT", 217)
+        got = est.reinforce_nat_stats(dist, cfg, reward, (1, 2, 3), 30, np.random.default_rng(5))
+        assert sizes == [4] * 7 + [2]
+        assert self._bytes(got) == self._bytes(want)
+
+    def test_sweep_checks_its_largest_step_first(self, monkeypatch):
+        # k=5 at T=3, V=6, n=2 builds up to 108 tokens; k=0 would fit
+        calls = []
+        monkeypatch.setattr(est, "ENUM_LIMIT", 107)
+        with pytest.raises(est.ContractError, match="n 2 is too large: a batch of 1 x 3 tokens at k 5"):
+            est.variance_sweep((0, 5), 3, 6, est.EstimatorConfig(n=2), 1, 4, TestBatchedRewards._recorder(calls), 0)
+        assert calls == []
 
     def test_sweep_equals_per_stream_totals(self):
         reward = rewards.RewardFn("GLEU")

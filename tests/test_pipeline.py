@@ -125,6 +125,30 @@ def test_finetune_rl_rejects_non_nat(kind):
         )
 
 
+def test_finetune_rl_checks_its_largest_batch_before_any_step(monkeypatch):
+    # at k=1, n=2 over 12 tokens a batch of 3 x 2 tokens builds at most 48
+    # clamped tokens and the lone 6-token pair 144; its step would fail
+    # mid-run, so the run fails before its first
+    short, long = (4, 5), (4, 5, 6, 7, 8, 9)
+    corpus = ParallelCorpus([(short, short)] * 3 + [(long, long)], tiny_corpus().vocab)
+    ecfg = est.EstimatorConfig(k=1, n=2)
+    model = build_model("nat", TINY, seed=3)
+    before = model.state()
+    calls = []
+
+    def reward(hyp, ref):
+        calls.append(hyp)
+        return rewards.gleu(hyp, ref)
+
+    monkeypatch.setattr(est, "ENUM_LIMIT", 143)
+    with pytest.raises(pl.ContractError, match="n 2 is too large: a batch of 1 x 6 tokens at k 1 could build 144 "):
+        pl.finetune_rl(model, corpus, ecfg, reward, tiny_cfg(max_steps=4))
+    assert calls == []
+    assert all(np.array_equal(before[name], model.state()[name]) for name in before)
+    monkeypatch.setattr(est, "ENUM_LIMIT", 144)
+    pl.finetune_rl(model, corpus, ecfg, reward, tiny_cfg(max_steps=4))
+
+
 def test_finetune_rl_deterministic_logs():
     corpus = tiny_corpus(len_range=(3, 4))
     ecfg = est.EstimatorConfig(k=3, n=4, rng_seed=9)
