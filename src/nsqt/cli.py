@@ -70,7 +70,7 @@ DEFAULTS = {
     "k": "5",
     **_field_defaults(estimators.EstimatorConfig, ("n", "residual_epsilon")),
     # decoding; the mode follows from the model kind and beam (_decode_config)
-    **_field_defaults(pipeline.DecodeConfig, ("beam", "dedup")),
+    **_field_defaults(pipeline.DecodeConfig, ("beam",)),
     # checkpoints
     "init_checkpoint": "",
     "teacher_checkpoint": "",
@@ -240,7 +240,7 @@ def _decode_config(cfg, kind):
         mode = "nat_argmax"
     else:
         mode = "greedy" if beam == 1 else "beam"
-    return pipeline.DecodeConfig(mode=mode, beam=beam, dedup=cfg["dedup"])
+    return pipeline.DecodeConfig(mode=mode, beam=beam)
 
 
 def _check_vocab(model, vocab):

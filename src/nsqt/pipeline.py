@@ -56,7 +56,6 @@ class TrainConfig:
 class DecodeConfig:
     mode: str = "nat_argmax"
     beam: int = 1
-    dedup: bool = True
 
     def __post_init__(self):
         if self.mode not in ("nat_argmax", "greedy", "beam"):
@@ -288,15 +287,6 @@ def finetune_rl(model, corpus, est_cfg, reward, cfg, valid=None):
     return _train(model, corpus, cfg, valid, surrogate)
 
 
-def dedup_consecutive(tokens):
-    """Collapse runs of the same token to a single occurrence."""
-    out = []
-    for t in tokens:
-        if not out or out[-1] != t:
-            out.append(int(t))
-    return out
-
-
 def _strip(tokens):
     tokens = list(tokens)
     while tokens and tokens[-1] in (PAD, EOS):
@@ -317,10 +307,7 @@ def _decode_raw(model, src, dec, table):
         out_len = min(predict_length(len(src), table), model.config.max_len)
         probs = model.forward(src_arr, out_len)
         raw = probs.data[0].argmax(axis=1).tolist()
-        tokens = _strip(raw)
-        if dec.dedup:
-            tokens = dedup_consecutive(tokens)
-        return tokens, len(raw)
+        return _strip(raw), len(raw)
     if dec.mode == "nat_argmax":
         raise ContractError(f"nat_argmax undefined for model kind {model.kind!r}")
     if model.kind == "fs":
@@ -333,9 +320,8 @@ def _decode_raw(model, src, dec, table):
 
 
 def decode(model, src, dec, table):
-    """Decode one source sentence to a clean token sequence (trailing pad and
-    end markers stripped; consecutive duplicates removed for NAT when
-    ``dec.dedup``)."""
+    """Decode one source sentence to a clean token sequence: trailing pad and
+    end markers stripped, repeated tokens kept as the model emits them."""
     return _decode_raw(model, src, dec, table)[0]
 
 

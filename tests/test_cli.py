@@ -200,7 +200,6 @@ bench_vocab = 10
 d_hidden = 64
 d_model = 32
 data_seed = 0
-dedup = True
 eval_every = 200
 init_checkpoint =
 k = 5
@@ -242,6 +241,22 @@ def test_default_resolved_config_is_pinned(tmp_path, command):
     assert (tmp_path / "config.resolved.cfg").read_text().replace(" \n", "\n") == want
 
 
+def test_old_resolved_config_with_dedup_loads_once_the_line_is_deleted(tmp_path, capsys):
+    """A resolved config written while `dedup` was a key is refused as it
+    stands; it loads once that line and the `seed` line (the seed is given
+    by --seed, never by a config file) are deleted (README, Decoding)."""
+    old = tmp_path / "old.cfg"
+    old.write_text(DEFAULT_RESOLVED.replace("\neval_every", "\ndedup = True\neval_every"))
+    out = tmp_path / "run"
+    assert run(["train-ce", "--config", old, "--out", out] + FAST) == 1
+    assert capsys.readouterr().err == "error: unknown config key 'dedup'\n"
+    assert not out.exists()
+    fixed = tmp_path / "fixed.cfg"
+    fixed.write_text(old.read_text().replace("dedup = True\n", "").replace("\nseed = 0\n", "\n"))
+    assert run(["train-ce", "--config", fixed, "--out", out] + FAST) == 0
+    assert (out / "metrics.csv").exists()
+
+
 def test_every_default_key_is_read():
     """No unused knobs: every key is a model or training config field, or
     read as ``cfg["<key>"]`` in cli.py."""
@@ -253,16 +268,26 @@ def test_every_default_key_is_read():
     assert set(cli.DEFAULTS) - config_fields - read == set()
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_recipes():
     """Every ``nsqt ...`` line of the README's fenced code blocks, with
     backslash continuations joined."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = README.read_text(encoding="utf-8")
     recipes = []
     for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S):
         for line in block.replace("\\\n", " ").splitlines():
             if line.strip().startswith("nsqt "):
                 recipes.append(shlex.split(line)[1:])
     return recipes
+
+
+def test_every_key_is_documented():
+    """Each settable key is named in the README, as `key` or --key."""
+    text = README.read_text(encoding="utf-8")
+    missing = [k for k in cli.DEFAULTS if not re.search(rf"`{k}`|--{k}\b", text)]
+    assert missing == []
 
 
 def test_readme_recipes_parse_and_resolve():
@@ -358,15 +383,17 @@ def test_optimiser_config_out_of_range_exits_1(tmp_path, capsys, key, value):
     assert not (out / "metrics.csv").exists()
 
 
-# Adam's decay rates and offset are fixed constants, not settable keys
+# Adam's decay rates and offset are fixed constants, and NAT output is scored
+# as the model emits it: none of these is a settable key
 @pytest.mark.parametrize(
-    "key, value", [("adam_beta1", "0.5"), ("adam_beta2", "0.9"), ("adam_eps", "1e-8")]
+    "key, value",
+    [("adam_beta1", "0.5"), ("adam_beta2", "0.9"), ("adam_eps", "1e-8"), ("dedup", "false")],
 )
-def test_adam_key_is_unknown(tmp_path, capsys, key, value):
+def test_removed_key_is_unknown(tmp_path, capsys, key, value):
     out = tmp_path / "run"
     assert run(["train-ce", "--out", out] + FAST + [f"--{key}", value]) == 1
     assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"
-    assert not (out / "metrics.csv").exists()
+    assert not out.exists()
 
 
 # any other value or combination the user can fix is a ContractError too:

@@ -6,8 +6,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
 from nsqt import estimators as est
@@ -30,28 +28,6 @@ def tiny_cfg(**kw):
     base = dict(batch_size=8, max_steps=20, lr=0.005, warmup=10, rng_seed=0, eval_every=10)
     base.update(kw)
     return pl.TrainConfig(**base)
-
-
-# ---------------------------------------------------------------------------
-# dedup and stripping
-
-
-def test_dedup_worked_example():
-    assert pl.dedup_consecutive([7, 7, 9, 9, 9, 4]) == [7, 9, 4]
-
-
-def test_dedup_keeps_non_adjacent_repeats():
-    assert pl.dedup_consecutive([7, 9, 7]) == [7, 9, 7]
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 5), max_size=20))
-def test_dedup_idempotent_and_never_lengthens(tokens):
-    once = pl.dedup_consecutive(tokens)
-    assert len(once) <= len(tokens)
-    assert pl.dedup_consecutive(once) == once
-    # no adjacent duplicates remain
-    assert all(a != b for a, b in zip(once, once[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +353,13 @@ def test_nat_argmax_reproduces_one_hot():
 
     model = OneHot(TINY, seed=0)
     table = LengthTable({3: 3})
-    dec = pl.DecodeConfig(mode="nat_argmax", dedup=False)
-    assert pl.decode(model, (7, 5, 9), dec, table) == [7, 5, 9]
+    assert pl.decode(model, (7, 5, 9), pl.DecodeConfig(mode="nat_argmax"), table) == [7, 5, 9]
 
 
-def test_nat_decode_dedups_when_enabled():
+def test_nat_decode_keeps_repeats():
+    """Repeated tokens are the NAT failure mode under study: decoding scores
+    the argmax row as the model emits it, repeats included."""
+
     class Repeater(NATModel):
         def forward(self, src_ids, out_len):
             data = np.zeros((1, out_len, self.config.vocab_size))
@@ -391,9 +369,8 @@ def test_nat_decode_dedups_when_enabled():
 
     model = Repeater(TINY, seed=0)
     table = LengthTable({3: 6})
-    assert pl.decode(model, (4, 4, 4), pl.DecodeConfig(mode="nat_argmax"), table) == [7, 9, 4]
-    no_dedup = pl.DecodeConfig(mode="nat_argmax", dedup=False)
-    assert pl.decode(model, (4, 4, 4), no_dedup, table) == [7, 7, 9, 9, 9, 4]
+    dec = pl.DecodeConfig(mode="nat_argmax")
+    assert pl.decode(model, (4, 4, 4), dec, table) == [7, 7, 9, 9, 9, 4]
 
 
 @pytest.mark.parametrize("kind", ["ar", "fs"])
@@ -489,11 +466,28 @@ def test_evaluate_echo_model_scores_one():
 
     corpus = tiny_corpus(count=12)  # copy task: reference == source
     table = build_length_table(corpus)
-    report = pl.evaluate(
-        Echo(TINY, seed=0), corpus, pl.DecodeConfig(mode="nat_argmax", dedup=False), table
-    )
+    report = pl.evaluate(Echo(TINY, seed=0), corpus, pl.DecodeConfig(mode="nat_argmax"), table)
     assert report.corpus_bleu == pytest.approx(1.0)
     assert report.mean_gleu == pytest.approx(1.0)
+
+
+def test_evaluate_scores_repeated_tokens():
+    """A model that emits every source token twice is scored on the doubled
+    output, not on the copy that collapsing repeats would leave."""
+
+    class Stutter(NATModel):
+        def forward(self, src_ids, out_len):
+            data = np.zeros((1, out_len, self.config.vocab_size))
+            for t in range(out_len):
+                data[0, t, src_ids[0, t // 2]] = 1.0
+            return tc.Tensor(data)
+
+    corpus = tiny_corpus(count=12)  # copy task: reference == source
+    table = LengthTable({n: 2 * n for n in range(3, 7)})
+    report = pl.evaluate(Stutter(TINY, seed=0), corpus, pl.DecodeConfig(mode="nat_argmax"), table)
+    assert report.mean_hyp_len == pytest.approx(2 * report.mean_ref_len)
+    assert report.corpus_bleu < 1.0
+    assert report.mean_gleu < 1.0
 
 
 def test_evaluate_invocation_counters():
