@@ -68,7 +68,7 @@ DEFAULTS = {
     # estimator; k is a comma list for estimator-bench and topk-stats, a
     # single int elsewhere; both list commands default it in COMMAND_DEFAULTS
     "k": "5",
-    **_field_defaults(estimators.EstimatorConfig, ("n", "residual_epsilon")),
+    **_field_defaults(estimators.EstimatorConfig, ("n",)),
     # decoding; the mode follows from the model kind and beam (_decode_config)
     **_field_defaults(pipeline.DecodeConfig, ("beam",)),
     # checkpoints
@@ -92,6 +92,8 @@ def _k_list(raw):
         raise ContractError(f"key k: {e}") from e
     if not ks or any(k < 0 for k in ks):
         raise ContractError(f"key k: expected non-negative integers, got {raw!r}")
+    if len(set(ks)) < len(ks):
+        raise ContractError(f"key k: expected distinct values, got {raw!r}")
     return ks
 
 
@@ -162,8 +164,10 @@ def resolve_config(file_entries, overrides, seed, command):
 
 
 def write_resolved_config(cfg, out_dir):
+    """Every key in sorted order; the seed, which only --seed sets, as a
+    comment, so the file can be fed back with --config."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = [f"{k} = {cfg[k]}" for k in sorted(cfg)]
+    lines = [f"# seed = {cfg['seed']}"] + [f"{k} = {cfg[k]}" for k in sorted(cfg) if k != "seed"]
     (out_dir / "config.resolved.cfg").write_text("\n".join(lines) + "\n")
 
 
@@ -310,12 +314,7 @@ def cmd_train_ce(cfg, out_dir):
 
 def cmd_finetune_rl(cfg, out_dir):
     train, valid, model = _training_setup(cfg)
-    est_cfg = estimators.EstimatorConfig(
-        k=_k_single(cfg["k"]),
-        n=cfg["n"],
-        rng_seed=cfg["seed"],
-        residual_epsilon=cfg["residual_epsilon"],
-    )
+    est_cfg = estimators.EstimatorConfig(k=_k_single(cfg["k"]), n=cfg["n"], rng_seed=cfg["seed"])
     rows = pipeline.finetune_rl(
         model, train, est_cfg, rewards.RewardFn("GLEU"), _train_config(cfg), valid=valid
     )
@@ -385,7 +384,7 @@ def cmd_estimator_bench(cfg, out_dir):
     V = cfg["bench_vocab"]
     if max(ks) > V:
         raise ContractError(f"key k: expected values <= bench_vocab ({V}), got {max(ks)}")
-    est_cfg = estimators.EstimatorConfig(n=cfg["n"], residual_epsilon=cfg["residual_epsilon"])
+    est_cfg = estimators.EstimatorConfig(n=cfg["n"])
     sweep = estimators.variance_sweep(
         ks, cfg["bench_len"], V, est_cfg, cfg["bench_instances"], cfg["bench_reps"],
         rewards.RewardFn("GLEU"), cfg["seed"],

@@ -33,6 +33,7 @@ rather than ``np.sum`` or ``np.cumsum``, and array methods such as
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -86,24 +87,20 @@ class PositionDistributions:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Traversal width k, per-reward sample count n, and the residual cutoff."""
+    """Traversal width k and per-reward sample count n. A position's residual
+    is sampled when its top-k members leave at least ``residual_epsilon`` of
+    its mass, a constant."""
 
     k: int = 5
     n: int = 20
     rng_seed: int = 0
-    residual_epsilon: float = 1e-6
+    residual_epsilon: ClassVar[float] = 1e-6
 
     def __post_init__(self):
         if self.k < 0:
             raise ContractError(f"k must be non-negative, got {self.k}")
         if self.n < 1:
             raise ContractError(f"n must be positive, got {self.n}")
-        # also false for nan, which would silently drop every residual term
-        if not 0.0 <= self.residual_epsilon <= 1.0:
-            raise ContractError(
-                f"residual_epsilon must be a finite number in [0, 1], "
-                f"got {self.residual_epsilon}"
-            )
 
 
 @dataclass
@@ -125,13 +122,13 @@ class GradientEstimate:
     surrogate: tc.Tensor | None = None
 
 
-def top_k_partition(probs, k, residual_epsilon=1e-6):
+def top_k_partition(probs, k):
     """Split every probability row (the last axis) into its top-k members
     and the residual.
 
     Ties are broken toward the lower token id. The remainder is sampled when
-    its mass 1 - mass is at least ``residual_epsilon`` and some probability
-    lies outside the members.
+    its mass 1 - mass is at least ``EstimatorConfig.residual_epsilon`` and
+    some probability lies outside the members.
     """
     probs = np.asarray(probs, dtype=np.float64)
     lead, V = probs.shape[:-1], probs.shape[-1]
@@ -144,7 +141,7 @@ def top_k_partition(probs, k, residual_epsilon=1e-6):
     mass = np.add.reduce(residual[index], axis=-1)
     residual[index] = 0.0
     total = np.add.reduce(residual, axis=-1)
-    has = (1.0 - mass >= residual_epsilon) & (total > 0.0)
+    has = (1.0 - mass >= EstimatorConfig.residual_epsilon) & (total > 0.0)
     total[~has] = 1.0
     residual /= total[:, None]
     residual[~has] = 0.0
@@ -290,7 +287,7 @@ def reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=False):
     if len({id(g) for g in rngs}) != B:
         raise ContractError("each sentence needs its own stream, got one Generator for two sentences")
     k, n = config.k, config.n
-    part = top_k_partition(probs, k, config.residual_epsilon)
+    part = top_k_partition(probs, k)
     # every candidate scores m completion rows: n samples or all V^T sequences
     m = V**T if exact_rewards else n
     if max_clamped_tokens(B, T, V, k, m) > ENUM_LIMIT:
@@ -441,9 +438,9 @@ def reinforce_nat_stats(dist, config, reward, ref, repetitions, rng):
 def variance_sweep(ks, T, V, config, instances, repetitions, reward, seed):
     """Per k in ``ks``, the ``EstimatorStats`` of ``reinforce_nat_step`` on
     each random T x V instance, under ``config`` with its k replaced by k (so
-    its n and residual_epsilon apply). Instance i draws Dirichlet(3) rows and
-    a uniform reference from the stream ``(seed, i)``; its repetitions for
-    width k spawn from ``(seed, i, k)``. Moderately flat instances keep the
+    its n applies). Instance i draws Dirichlet(3) rows and a uniform
+    reference from the stream ``(seed, i)``; its repetitions for width k
+    spawn from ``(seed, i, k)``. Moderately flat instances keep the
     sweep stable: near-zero probabilities make the score-function term
     heavy-tailed.
     """

@@ -459,12 +459,18 @@ class FSModel(ModelBase):
 
     def _fit_length(self, h, start, end):
         """Bottom-state rows start..end-1. Each target position fuses with
-        the bottom state at that position, so none may lie past the last."""
+        the bottom state at that position, so none may lie past the last.
+        Only decoding takes some of the rows, and it records no graph, so
+        they are taken as plain data."""
         if end > h.shape[1]:
             raise CapacityError(f"target length {end} exceeds the {h.shape[1]} bottom states")
         if start == 0 and end == h.shape[1]:
             return h
-        return tc.slice_axis(h, 1, start, end)
+        if tc.is_grad_enabled():
+            raise ContractError(
+                f"a recorded fusion takes all {h.shape[1]} bottom states, got rows {start}..{end - 1}"
+            )
+        return tc.Tensor(h.data[:, start:end])
 
     def fuse_and_top(self, h_bottom, tgt_in, enc, cache=None):
         """ReLU fusion of bottom states with shifted target embeddings,
@@ -473,7 +479,8 @@ class FSModel(ModelBase):
         With a ``DecodeCache``, ``tgt_in`` holds only the positions after
         the ``cache.length`` already decoded ones, as in ``ARModel.forward``;
         ``h_bottom`` still covers the whole output. A position past the rows
-        of ``h_bottom`` raises ``CapacityError``."""
+        of ``h_bottom`` raises ``CapacityError``; while a graph is recorded,
+        ``tgt_in`` must cover every row (``ContractError`` otherwise)."""
         tgt_in = np.atleast_2d(np.asarray(tgt_in, dtype=np.int64))
         self.top_calls += 1
         start = 0 if cache is None else cache.length

@@ -282,7 +282,7 @@ def finetune_rl(model, corpus, est_cfg, reward, cfg, valid=None):
         dnorm = 0.0
         for d in ge.dprobs:
             dnorm += float(np.abs(d).sum())
-        return "surrogate", tc.mul(ge.surrogate, 1.0 / B), [("dprobs_l1", dnorm / B)]
+        return "surrogate", tc.scale(ge.surrogate, 1.0 / B), [("dprobs_l1", dnorm / B)]
 
     return _train(model, corpus, cfg, valid, surrogate)
 

@@ -1,8 +1,8 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 The op set is exactly what the models and the losses record. Besides
-``mul``, ``slice_axis`` and ``dropout``, each op is a fused layer that
-records one node:
+``scale`` (a product with a constant) and ``dropout``, each op is a fused
+layer that records one node:
 
 * ``linear``: ``x @ w + b``;
 * ``feed_forward``: linear, ReLU, linear;
@@ -11,12 +11,12 @@ records one node:
 * ``token_embedding``: an embedding gather times a constant plus positions;
 * ``linear_softmax``: the softmax head, linear then a row softmax;
 * ``fuse_relu``: the FS fusion ``relu(h @ w + y @ u)``;
-* ``layer_norm``, optionally over a residual sum;
+* ``layer_norm`` over a residual sum;
 * ``nll``: the token loss, a scaled sum of picked log-probabilities;
 * ``score_surrogate``: the estimator's score-function surrogate.
 
-The differentiable arguments of an op are ``Tensor``s; only ``mul`` wraps a
-number or an array as a constant.
+The differentiable arguments of an op are ``Tensor``s; constants (a scale,
+indices, a mask) are numbers or arrays.
 
 Broadcasting is the numpy kind but is only exercised for bias rows, batched
 matmul and attention over a shared 2-D query/key set.
@@ -142,10 +142,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _unbroadcast(g, shape):
     """Reduce a broadcast gradient back to the operand's shape."""
     if g.shape == shape:
@@ -158,17 +154,13 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
-def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data * b.data
+def scale(x, c):
+    """``x * c`` for a constant ``c``: a number or an array of ``x``'s shape."""
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+        x._accumulate(g * c)
 
-    return Tensor(out_data, _parents=(a, b), _backward=backward)
+    return Tensor(x.data * c, _parents=(x,), _backward=backward)
 
 
 def _check_inner(op, a_shape, w_shape):
@@ -350,15 +342,11 @@ def fuse_relu(h, w, y, u):
     return Tensor(out_data, _parents=(h, w, y, u), _backward=backward)
 
 
-def layer_norm(x, gain, bias, residual=None):
-    """Normalize the last axis by ``sqrt(var + 1e-5)``, then scale and shift.
-    With ``residual`` the input is the residual connection's sum
-    ``x + residual``, in one node with the same numbers as
-    ``layer_norm(add(x, residual), ...)``."""
-    if residual is None:
-        inputs, data = (x,), x.data
-    else:
-        inputs, data = (x, residual), x.data + residual.data
+def layer_norm(x, gain, bias, residual):
+    """Normalize the residual connection's sum ``x + residual`` over the last
+    axis by ``sqrt(var + 1e-5)``, then scale and shift, in one node with the
+    numbers of an ``add`` node followed by the norm."""
+    data = x.data + residual.data
     # the moments numpy's mean and var compute, without their Python layer
     n = data.shape[-1]
     centered = data - np.add.reduce(data, axis=-1, keepdims=True) / n
@@ -375,31 +363,16 @@ def layer_norm(x, gain, bias, residual=None):
         m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / n
         m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n
         dx = inv_std * (dxhat - m1 - xhat * m2)
-        for t in inputs:
+        for t in (x, residual):
             t._accumulate(_unbroadcast(dx, t.data.shape))
 
-    return Tensor(out_data, _parents=(*inputs, gain, bias), _backward=backward)
-
-
-def slice_axis(x, axis, start, stop):
-    """Contiguous slice along one axis."""
-    index = [slice(None)] * x.data.ndim
-    index[axis] = slice(start, stop)
-    index = tuple(index)
-    out_data = x.data[index]
-
-    def backward(g):
-        dx = np.zeros_like(x.data)
-        dx[index] = g
-        x._accumulate(dx)
-
-    return Tensor(out_data, _parents=(x,), _backward=backward)
+    return Tensor(out_data, _parents=(x, residual, gain, bias), _backward=backward)
 
 
 def nll(x, index, scale):
     """The token loss as one node: ``scale`` times the sum of ``log x[index]``,
     a scalar, for a tuple ``index`` of integer arrays. The value and the
-    gradient are bitwise those of the composed gather, log, sum and ``mul``
+    gradient are bitwise those of the composed gather, log, sum and ``scale``
     chain; an entry picked twice gets its gradient twice."""
     picked = x.data[index]
     out_data = np.add.reduce(np.log(picked), axis=None) * scale
@@ -422,7 +395,7 @@ def score_surrogate(x, index, weights, logged, segments):
     ``weights``, ``logged`` (bool) and ``segments`` (non-negative ints)
     hold one value per entry. A part with no entries adds no term, and a
     segment with none adds no summand. The numbers are those of one
-    ``take``, ``log``, ``mul``, ``tsum`` chain per part and segment joined
+    ``take``, ``log``, ``scale``, ``tsum`` chain per part and segment joined
     by ``add``: each sum is one ``np.add.reduce`` over the part's entries in
     index order, and the gradient at entry i is ``(g * -1) * w``, divided by
     ``x[i]`` when it is logged.
@@ -463,4 +436,4 @@ def dropout(x, p, rng, training):
     if not training or p <= 0.0:
         return x
     keep = (rng.random(x.data.shape) >= p) / (1.0 - p)
-    return mul(x, keep)
+    return scale(x, keep)

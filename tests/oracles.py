@@ -5,9 +5,10 @@ that the estimators must match, the per-position one from
 ``exact_reward_at``, the expected reward with one position clamped, by
 enumeration; ``random_reward_table`` is a dense reward they are checked on;
 ``grad_check`` compares the autodiff gradients with central finite
-differences. ``take``, ``log`` and ``tsum`` are graph primitives that only
-the tests record: the composed token loss that ``tensor.nll`` fuses, and
-readouts to a scalar.
+differences. ``take``, ``log``, ``tsum`` and ``mul`` are graph primitives
+that only the tests record: the composed token loss that ``tensor.nll``
+fuses, readouts to a scalar and products of two recorded tensors;
+``as_tensor`` wraps a constant for them.
 """
 
 from __future__ import annotations
@@ -20,6 +21,23 @@ import numpy as np
 from nsqt import estimators as est
 from nsqt import tensor as tc
 from nsqt.errors import CapacityError, GraphError
+
+
+def as_tensor(x):
+    return x if isinstance(x, tc.Tensor) else tc.Tensor(x)
+
+
+def mul(a, b):
+    """The elementwise product, with a gradient for each operand."""
+    a, b = as_tensor(a), as_tensor(b)
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(tc._unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(tc._unbroadcast(g * a.data, b.data.shape))
+
+    return tc.Tensor(a.data * b.data, _parents=(a, b), _backward=backward)
 
 
 def take(x, indices):

@@ -174,15 +174,17 @@ def test_criterion_05_gradient_integrity():
     # the softmax of y itself: y @ I + 0 is exact
     eye, zeros = tc.Tensor(np.eye(5)), tc.Tensor(np.zeros(5))
     prim_reports.append(
-        oracles.grad_check(lambda: oracles.tsum(tc.mul(tc.linear_softmax(y, eye, zeros), y)), [y])
+        oracles.grad_check(lambda: oracles.tsum(oracles.mul(tc.linear_softmax(y, eye, zeros), y)), [y])
     )
     z = tc.Tensor(rng.uniform(0.5, 2.0, size=(3, 3)), requires_grad=True)
     prim_reports.append(oracles.grad_check(lambda: oracles.tsum(oracles.log(z)), [z]))
     g = tc.Tensor(np.ones(3), requires_grad=True)
     b = tc.Tensor(np.zeros(3), requires_grad=True)
     h = tc.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    # the norm alone: a constant zero residual changes no bit of h
+    zero = tc.Tensor(np.zeros((2, 3)))
     prim_reports.append(
-        oracles.grad_check(lambda: oracles.tsum(tc.layer_norm(h, g, b)), [h, g, b])
+        oracles.grad_check(lambda: oracles.tsum(tc.layer_norm(h, g, b, zero)), [h, g, b])
     )
     prim_ok = all(r.passed for r in prim_reports)
     prim_worst = max(r.max_rel_error for r in prim_reports)
@@ -200,7 +202,7 @@ def test_criterion_05_gradient_integrity():
         def loss():
             probs = model.train_distributions(srcs, tgts)
             picked = oracles.take(probs, (np.zeros(3, np.int64), np.arange(3), tgts[0]))
-            return tc.mul(oracles.tsum(oracles.log(picked)), -1.0)
+            return tc.scale(oracles.tsum(oracles.log(picked)), -1.0)
 
         r = oracles.grad_check(loss, model.parameters(), tol=1e-4)
         model_worst[kind] = r.max_rel_error

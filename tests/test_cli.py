@@ -179,18 +179,19 @@ def test_seed_beyond_u64_is_usage_error(tmp_path, capsys, seed):
 
 def test_thread_env_not_read(tmp_path, monkeypatch):
     """NSQT_THREADS is no knob: any value is ignored, and the resolved
-    config holds only documented keys and the seed."""
+    config holds only the seed comment and documented keys."""
     monkeypatch.setenv("NSQT_THREADS", "many")
     assert run(["train-ce", "--out", tmp_path] + FAST) == 0
-    resolved = (tmp_path / "config.resolved.cfg").read_text().splitlines()
-    keys = {line.split(" = ")[0] for line in resolved}
-    assert keys == set(cli.DEFAULTS) | {"seed"}
+    seed, *resolved = (tmp_path / "config.resolved.cfg").read_text().splitlines()
+    assert seed == "# seed = 0"
+    assert {line.split(" = ")[0] for line in resolved} == set(cli.DEFAULTS)
 
 
 # the full resolved configuration of every command run with no config file,
 # flags or seed (empty values without their trailing space): a changed
 # default, derived or hand-written, shows up here
 DEFAULT_RESOLVED = """\
+# seed = 0
 batch_size = 16
 beam = 1
 bench_instances = 5
@@ -214,8 +215,6 @@ n_head = 2
 n_layer = 2
 p_dropout = 0.0
 patience = 10
-residual_epsilon = 1e-06
-seed = 0
 task = copy
 teacher_checkpoint =
 train_pairs = 2000
@@ -242,19 +241,50 @@ def test_default_resolved_config_is_pinned(tmp_path, command):
 
 
 def test_old_resolved_config_with_dedup_loads_once_the_line_is_deleted(tmp_path, capsys):
-    """A resolved config written while `dedup` was a key is refused as it
-    stands; it loads once that line and the `seed` line (the seed is given
-    by --seed, never by a config file) are deleted (README, Decoding)."""
-    old = tmp_path / "old.cfg"
-    old.write_text(DEFAULT_RESOLVED.replace("\neval_every", "\ndedup = True\neval_every"))
-    out = tmp_path / "run"
-    assert run(["train-ce", "--config", old, "--out", out] + FAST) == 1
-    assert capsys.readouterr().err == "error: unknown config key 'dedup'\n"
-    assert not out.exists()
-    fixed = tmp_path / "fixed.cfg"
-    fixed.write_text(old.read_text().replace("dedup = True\n", "").replace("\nseed = 0\n", "\n"))
-    assert run(["train-ce", "--config", fixed, "--out", out] + FAST) == 0
+    """A resolved config written while `dedup` and `residual_epsilon` were
+    keys, and the seed was a key line, is refused as it stands, naming each
+    of those lines in turn; it loads once they are deleted (README, CLI)."""
+    text = (
+        DEFAULT_RESOLVED.replace("# seed = 0\n", "")
+        .replace("\neval_every", "\ndedup = True\neval_every")
+        .replace("\ntask", "\nresidual_epsilon = 1e-06\nseed = 0\ntask")
+    )
+    old, out = tmp_path / "old.cfg", tmp_path / "run"
+    for line in ("dedup = True", "residual_epsilon = 1e-06", "seed = 0"):
+        key = line.split(" = ")[0]
+        old.write_text(text)
+        assert run(["train-ce", "--config", old, "--out", out] + FAST) == 1
+        assert capsys.readouterr().err == f"error: unknown config key '{key}'\n"
+        assert not out.exists()
+        text = text.replace(f"\n{line}\n", "\n")
+    old.write_text(text)
+    assert run(["train-ce", "--config", old, "--out", out] + FAST) == 0
     assert (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_resolved_config_feeds_back(tmp_path, command):
+    """A resolved config given back with --config and the same --seed
+    resolves to the config that was written: the seed is a comment."""
+    cfg = cli.resolve_config({"n": "3", "k": "2"}, {"lr": "0.5"}, 7, command)
+    cli.write_resolved_config(cfg, tmp_path)
+    again = cli.parse_config_file(tmp_path / "config.resolved.cfg")
+    assert cli.resolve_config(again, {}, 7, command) == cfg
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_residual_epsilon_is_no_key(tmp_path, capsys, how):
+    # the residual cutoff is a constant of the estimator
+    out = tmp_path / "rl"
+    args = ["finetune-rl", "--out", out, "--init_checkpoint", _tiny_checkpoint(tmp_path)] + FAST
+    if how == "flag":
+        args += ["--residual_epsilon", "1e-6"]
+    else:
+        (tmp_path / "old.cfg").write_text("residual_epsilon = 1e-6\n")
+        args += ["--config", tmp_path / "old.cfg"]
+    assert run(args) == 1
+    assert capsys.readouterr().err == "error: unknown config key 'residual_epsilon'\n"
+    assert not out.exists()
 
 
 def test_every_default_key_is_read():
@@ -492,16 +522,6 @@ def test_finetune_rl_runs_and_logs(tmp_path):
     assert code == 0
     text = (out / "metrics.csv").read_text()
     assert "surrogate" in text and text.startswith("step,split,metric,value")
-
-
-def test_finetune_rl_rejects_nan_residual_epsilon(tmp_path, capsys):
-    ckpt = _tiny_checkpoint(tmp_path)
-    assert run(
-        ["finetune-rl", "--out", tmp_path / "rl", "--init_checkpoint", ckpt,
-         "--residual_epsilon", "nan"] + FAST
-    ) == 1
-    err = capsys.readouterr().err
-    assert "residual_epsilon" in err and err.count("\n") == 1
 
 
 def test_finetune_rl_rejects_k_list(tmp_path, capsys):
@@ -832,14 +852,12 @@ def test_estimator_bench_bad_size_is_usage_error(tmp_path, capsys, flag, value, 
     assert not (out / "variance.csv").exists()
 
 
-def test_estimator_bench_honours_residual_epsilon(tmp_path):
-    base = ["--bench_reps", "50", "--bench_instances", "1", "--k", "1"]
-    tables = []
-    for extra in ([], ["--residual_epsilon", "0.9"]):
-        out = tmp_path / f"bench{len(extra)}"
-        assert run(["estimator-bench", "--out", out] + base + extra) == 0
-        tables.append((out / "variance.csv").read_text())
-    assert tables[0] != tables[1]
+def test_estimator_bench_refuses_a_repeated_k(tmp_path, capsys):
+    # the same sweep would run twice
+    out = tmp_path / "bench"
+    assert run(["estimator-bench", "--out", out, "--k", "5,1,5", "--bench_reps", "5"]) == 1
+    assert capsys.readouterr().err == "error: key k: expected distinct values, got '5,1,5'\n"
+    assert not (out / "variance.csv").exists()
 
 
 def test_estimator_bench_single_k_is_not_the_default_sweep(tmp_path):
@@ -898,6 +916,15 @@ def test_topk_stats_requires_nat(tmp_path, capsys):
         "error: key len_max: the validation corpus needs 20 positions, "
         "above the model's max_len 16\n"
     )
+
+
+def test_topk_stats_refuses_a_repeated_k(tmp_path, capsys):
+    # every position would be written twice to topk_values.csv
+    ckpt = _tiny_checkpoint(tmp_path)
+    out = tmp_path / "t"
+    assert run(["topk-stats", "--out", out, "--init_checkpoint", ckpt, "--k", "1,1"] + FAST) == 1
+    assert capsys.readouterr().err == "error: key k: expected distinct values, got '1,1'\n"
+    assert not (out / "topk_values.csv").exists()
 
 
 def test_topk_stats_malformed_k_is_usage_error(tmp_path, capsys):

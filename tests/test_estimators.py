@@ -1,6 +1,8 @@
 import bisect
 import copy
+import dataclasses
 import itertools
+import math
 import sys
 import threading
 
@@ -32,13 +34,16 @@ def uniform_dist(T, V):
 # -- layout: the oracle the batched reinforce_nat_step must match bitwise
 
 
-def oracle_top_k_partition(row, k, residual_epsilon):
+CUTOFF = est.EstimatorConfig.residual_epsilon
+
+
+def oracle_top_k_partition(row, k):
     order = np.argsort(-row, kind="stable")
     members = np.sort(order[:k])
     mass = float(row[members].sum()) if k else 0.0
     residual = row.copy()
     residual[members] = 0.0
-    if 1.0 - mass >= residual_epsilon and residual.sum() > 0.0:
+    if 1.0 - mass >= CUTOFF and residual.sum() > 0.0:
         return members, mass, residual / residual.sum(), True
     return members, mass, None, False
 
@@ -70,9 +75,7 @@ def oracle_reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=Fals
     u = None if exact_rewards else rng.random((n, T))
     plan = []
     for t in range(T):
-        members, mass, residual, has = oracle_top_k_partition(
-            dist.probs[t], k, config.residual_epsilon
-        )
+        members, mass, residual, has = oracle_top_k_partition(dist.probs[t], k)
         for y in members:
             plan.append((t, int(y), None))
         if has:
@@ -130,15 +133,15 @@ def oracle_reinforce_nat_step(dist, config, reward, ref, rng, exact_rewards=Fals
         terms = []
         if prob_t:
             idx = prefix + (np.array(prob_t), np.array(prob_y))
-            terms.append(oracles.tsum(tc.mul(oracles.take(dist.tensor, idx), np.array(prob_w))))
+            terms.append(oracles.tsum(tc.scale(oracles.take(dist.tensor, idx), np.array(prob_w))))
         if log_t:
             idx = prefix + (np.array(log_t), np.array(log_y))
-            terms.append(oracles.tsum(tc.mul(oracles.log(oracles.take(dist.tensor, idx)), np.array(log_w))))
+            terms.append(oracles.tsum(tc.scale(oracles.log(oracles.take(dist.tensor, idx)), np.array(log_w))))
         if terms:
             total = terms[0]
             for extra in terms[1:]:
                 total = add(total, extra)
-            surrogate = tc.mul(total, -1.0)
+            surrogate = tc.scale(total, -1.0)
     return est.GradientEstimate(dprobs, surrogate)
 
 
@@ -179,12 +182,18 @@ class TestPositionDistributions:
             est.PositionDistributions(probs)
 
 
+# a top-1 mass in [0.5, 1) leaves 1 - mass exactly, a multiple of 2**-53,
+# and no such leftover equals the cutoff: EDGE_MASS leaves the smallest one
+# at or above it, and one float more mass leaves the largest one below it
+EDGE_MASS = 1.0 - math.ceil(CUTOFF * 2.0**53) * 2.0**-53
+
+
 @st.composite
 def partition_cases(draw):
-    """A 2-D or 3-D stack of rows, k in [0, V] and a residual_epsilon. Small
-    integer weights make ties and zero entries; "edge" puts the cutoff at
-    exactly one row's leftover mass, where it is still sampled, and "above"
-    one float higher, where it no longer is."""
+    """A 2-D or 3-D stack of rows and k in [0, V]. Small integer weights
+    make ties and zero entries; "edge" makes one row's top-1 leftover the
+    smallest at or above the cutoff, where it is still sampled, and "below"
+    the next one down, where it no longer is."""
     lead = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
     V = draw(st.integers(1, 7))
     size = int(np.prod(lead)) * V
@@ -196,25 +205,28 @@ def partition_cases(draw):
     rows[rows.sum(axis=1) == 0.0] = 1.0
     probs = (rows / rows.sum(axis=1, keepdims=True)).reshape(lead + (V,))
     k = draw(st.integers(0, V))
-    cutoff = draw(st.sampled_from(["edge", "above", 0.0, 1e-6, 0.5, 1.0]))
-    if cutoff in ("edge", "above"):
+    side = draw(st.sampled_from([None, "edge", "below"])) if V > 1 else None
+    if side:
+        k = 1
+        top = EDGE_MASS if side == "edge" else float(np.nextafter(EDGE_MASS, 2.0))
+        first, second = draw(st.permutations(range(V)))[:2]
         row = probs.reshape(-1, V)[draw(st.integers(0, len(rows) - 1))]
-        eps = 1.0 - oracle_top_k_partition(row, k, 0.0)[1]
-        return probs, k, eps if cutoff == "edge" else float(np.nextafter(eps, 2.0))
-    return probs, k, cutoff
+        row[:] = 0.0
+        row[first], row[second] = top, 1.0 - top
+    return probs, k
 
 
 class TestTopKPartition:
     @settings(max_examples=300, deadline=None)
     @given(case=partition_cases())
     def test_equals_row_oracle_bitwise(self, case):
-        probs, k, eps = case
+        probs, k = case
         lead, V = probs.shape[:-1], probs.shape[-1]
-        part = est.top_k_partition(probs, k, eps)
+        part = est.top_k_partition(probs, k)
         assert part.members.shape == lead + (k,) and part.residual.shape == probs.shape
         assert part.mass.shape == part.has_residual.shape == lead
         for idx in np.ndindex(lead):
-            members, mass, residual, has = oracle_top_k_partition(probs[idx], k, eps)
+            members, mass, residual, has = oracle_top_k_partition(probs[idx], k)
             assert part.members[idx].tolist() == members.tolist()
             assert part.mass[idx].tobytes() == np.float64(mass).tobytes()
             assert bool(part.has_residual[idx]) == has
@@ -242,6 +254,12 @@ class TestTopKPartition:
     def test_k_too_large(self):
         with pytest.raises(est.ContractError):
             est.top_k_partition(np.array([1.0]), 2)
+
+    def test_cutoff_edge(self):
+        below = float(np.nextafter(EDGE_MASS, 2.0))
+        probs = np.array([[EDGE_MASS, 1.0 - EDGE_MASS], [below, 1.0 - below]])
+        assert 1.0 - EDGE_MASS >= CUTOFF > 1.0 - below
+        assert est.top_k_partition(probs, 1).has_residual.tolist() == [True, False]
 
 
 class TestSampleCompletions:
@@ -701,7 +719,7 @@ class TestLogitGradient:
         logits = tc.Tensor(rng.standard_normal((3, 5)), requires_grad=True)
         probs = softmax_rows(logits)
         d = rng.standard_normal((3, 5))
-        oracles.tsum(tc.mul(probs, d)).backward()
+        oracles.tsum(tc.scale(probs, d)).backward()
         assert np.allclose(logits.grad, tc.softmax_grad(d, probs.data), rtol=1e-12, atol=1e-15)
 
     @pytest.mark.slow
@@ -841,8 +859,8 @@ class TestBatchedStats:
 
     def test_sweep_equals_per_stream_totals(self):
         reward = rewards.RewardFn("GLEU")
-        # the config's n and residual_epsilon reach every k; its k does not
-        config = est.EstimatorConfig(k=4, n=2, residual_epsilon=0.3)
+        # the config's n reaches every k; its k does not
+        config = est.EstimatorConfig(k=4, n=2)
         got = est.variance_sweep((0, 2), 3, 5, config, 2, 12, reward, 8)
         want = []
         for k in (0, 2):
@@ -851,7 +869,7 @@ class TestBatchedStats:
                 rng = np.random.default_rng((8, i))
                 dist = est.random_distributions(3, 5, rng, concentration=3.0)
                 ref = tuple(int(x) for x in rng.integers(0, 5, size=3))
-                cfg = est.EstimatorConfig(k=k, n=2, residual_epsilon=0.3)
+                cfg = est.EstimatorConfig(k=k, n=2)
                 totals.append(self._bytes(self._per_stream(dist, cfg, reward, ref, 12, (8, i, k))))
             want.append(totals)
         assert [[self._bytes(s) for s in row] for row in got] == want
@@ -1018,22 +1036,33 @@ class TestStreams:
 V_ORACLE = 7
 
 
-def _estimate(step, B, k, eps, reward, exact, seed=0, peaked=False):
-    """dprobs, surrogate value and logits gradient of ``step`` on a B x 3 x V
-    batch of softmax rows, as bytes. Peaked rows are Dirichlet(0.1), so most
-    sampled completions repeat."""
-    rng = np.random.default_rng(seed)
+def _oracle_logits(B, rng, peaked, mixed):
+    """B x 3 x V logits of softmax rows, or of peaked Dirichlet(0.1) rows,
+    where most sampled completions repeat. When ``mixed``, the first
+    sentence's middle row is near one-hot: its top token leaves far less
+    than the cutoff, so at k >= 1 that sentence mixes rows with and without
+    a residual sample."""
     if peaked:
         rows = rng.dirichlet(np.full(V_ORACLE, 0.1), size=(B, 3))
-        logits = tc.Tensor(np.log(np.maximum(rows, 1e-12)), requires_grad=True)
+        logits = np.log(np.maximum(rows, 1e-12))
     else:
-        logits = tc.Tensor(2.5 * rng.standard_normal((B, 3, V_ORACLE)), requires_grad=True)
+        logits = 2.5 * rng.standard_normal((B, 3, V_ORACLE))
+    if mixed:
+        logits[0, 1, 2] = logits[0, 1].max() + 40.0
+    return tc.Tensor(logits, requires_grad=True)
+
+
+def _estimate(step, B, k, reward, exact, seed, peaked, mixed):
+    """dprobs, surrogate value and logits gradient of ``step`` on
+    ``_oracle_logits``, as bytes."""
+    rng = np.random.default_rng(seed)
+    logits = _oracle_logits(B, rng, peaked, mixed)
     probs = softmax_rows(logits)
     refs = rng.integers(0, V_ORACLE, size=(B, 3))
     dist = est.PositionDistributions(probs.data, tensor=probs)
-    cfg = est.EstimatorConfig(k=k, n=9, residual_epsilon=eps)
+    cfg = est.EstimatorConfig(k=k, n=9)
     ge = step(dist, cfg, reward, refs, rng.spawn(B), exact_rewards=exact)
-    tc.mul(ge.surrogate, 1.0 / B).backward()
+    tc.scale(ge.surrogate, 1.0 / B).backward()
     return ge.dprobs.tobytes(), ge.surrogate.data.tobytes(), logits.grad.tobytes()
 
 
@@ -1053,13 +1082,13 @@ class TestBatchedEstimatorOracle:
         [pytest.param(r, False, id=r) for r in sorted(REWARDS)]
         + [pytest.param(r, True, id=f"{r}-peaked") for r in sorted(REWARDS)],
     )
-    @pytest.mark.parametrize("eps", [1e-6, 0.5])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["plain", "mixed"])
     @pytest.mark.parametrize("k", [0, 1, 5, V_ORACLE])
     @pytest.mark.parametrize("B", [1, 2, 16])
-    def test_batch_equals_sentence_oracle(self, B, k, eps, reward, peaked):
+    def test_batch_equals_sentence_oracle(self, B, k, mixed, reward, peaked):
         fn, exact = REWARDS[reward]
-        got = _estimate(est.reinforce_nat_step, B, k, eps, fn, exact, B * 10 + k, peaked)
-        want = _estimate(oracle_batch_step, B, k, eps, fn, exact, B * 10 + k, peaked)
+        got = _estimate(est.reinforce_nat_step, B, k, fn, exact, B * 10 + k, peaked, mixed)
+        want = _estimate(oracle_batch_step, B, k, fn, exact, B * 10 + k, peaked, mixed)
         assert got == want
 
     @pytest.mark.parametrize("k", [0, 2, V_ORACLE])
@@ -1076,10 +1105,12 @@ class TestBatchedEstimatorOracle:
         assert run(est.reinforce_nat_step) == run(oracle_reinforce_nat_step)
 
     def test_residual_only_where_mass_is_left(self):
-        # eps = 0.5 mixes positions with and without a residual sample
-        probs = np.array([[[0.9, 0.05, 0.05], [0.4, 0.3, 0.3]]])
-        part = est.top_k_partition(probs, 1, 0.5)
-        assert part.has_residual.tolist() == [[False, True]]
+        # the mixed oracle batches mix positions with and without a residual sample
+        for peaked in (False, True):
+            probs = softmax_rows(_oracle_logits(1, np.random.default_rng(0), peaked, True)).data
+            has = est.top_k_partition(probs, 1).has_residual
+            assert 1.0 - probs[0, 1].max() < CUTOFF
+            assert not has[0, 1] and has[0].any()
 
     def test_reference_and_stream_counts_must_match(self):
         dist = est.PositionDistributions(np.full((2, 3, 4), 0.25))
@@ -1139,11 +1170,8 @@ class TestScoreSurrogate:
 
 
 class TestEstimatorConfig:
-    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-9, 1.5])
-    def test_rejects_bad_residual_epsilon(self, eps):
-        with pytest.raises(est.ContractError, match="residual_epsilon"):
-            est.EstimatorConfig(residual_epsilon=eps)
-
-    @pytest.mark.parametrize("eps", [0.0, 1e-6, 1.0])
-    def test_accepts_residual_epsilon_in_unit_interval(self, eps):
-        assert est.EstimatorConfig(residual_epsilon=eps).residual_epsilon == eps
+    def test_residual_cutoff_is_a_constant(self):
+        assert [f.name for f in dataclasses.fields(est.EstimatorConfig)] == ["k", "n", "rng_seed"]
+        assert est.EstimatorConfig(k=1).residual_epsilon == 1e-6
+        with pytest.raises(TypeError, match="residual_epsilon"):
+            est.EstimatorConfig(residual_epsilon=0.5)

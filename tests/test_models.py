@@ -90,7 +90,7 @@ class TestEncoder:
         w = np.random.default_rng(0).standard_normal((1, 4, CFG.d_model))
 
         def f():
-            return oracles.tsum(tc.mul(model.encode(SRC), w))
+            return oracles.tsum(tc.scale(model.encode(SRC), w))
 
         report = oracles.grad_check(f, [model.embed], tol=1e-5)
         assert report.passed, report.worst
@@ -123,7 +123,7 @@ class TestNATForward:
             picked = oracles.take(
                 probs, (np.zeros(4, int), np.arange(4), np.array([5, 6, 7, 2]))
             )
-            return tc.mul(oracles.tsum(oracles.log(picked)), -1.0)
+            return tc.scale(oracles.tsum(oracles.log(picked)), -1.0)
 
         report = oracles.grad_check(f, [model.embed], tol=1e-4)
         assert report.passed, report.worst
@@ -154,7 +154,7 @@ class TestARForward:
         def f():
             probs = model.train_distributions(SRC, TGT)
             picked = oracles.take(probs, (np.zeros(4, int), np.arange(4), TGT[0]))
-            return tc.mul(oracles.tsum(oracles.log(picked)), -1.0)
+            return tc.scale(oracles.tsum(oracles.log(picked)), -1.0)
 
         report = oracles.grad_check(f, [model.embed], tol=1e-4)
         assert report.passed, report.worst
@@ -174,8 +174,9 @@ class TestFSForward:
         model.fuse_w.data = np.zeros_like(model.fuse_w.data)
         tgt_in = models.shift_right(TGT)
         a = model.forward_train(SRC, TGT).data
-        h, enc = model.bottom_states(SRC, 6)
-        b = model.fuse_and_top(h, tgt_in, enc).data
+        with tc.no_grad():
+            h, enc = model.bottom_states(SRC, 6)
+            b = model.fuse_and_top(h, tgt_in, enc).data
         assert np.allclose(a, b, atol=1e-12)
 
     def test_fusion_output_nonnegative_and_both_paths_live(self):
@@ -195,16 +196,20 @@ class TestFSForward:
         def f():
             probs = model.forward_train(SRC, TGT)
             picked = oracles.take(probs, (np.zeros(4, int), np.arange(4), TGT[0]))
-            return tc.mul(oracles.tsum(oracles.log(picked)), -1.0)
+            return tc.scale(oracles.tsum(oracles.log(picked)), -1.0)
 
         report = oracles.grad_check(f, [model.fuse_w, model.fuse_u], tol=1e-4)
         assert report.passed, report.worst
 
     def test_length_padding_and_truncation(self, fs):
-        # a longer bottom is cut to the target; a shorter one is never padded
+        # a longer bottom is cut to the target when no graph is recorded, as
+        # in decoding, and refused when one is; a shorter one is never padded
         tgt_in = models.shift_right(TGT)
         h, enc = fs.bottom_states(SRC, 6)
-        assert fs.fuse_and_top(h, tgt_in, enc).shape == (1, 4, CFG.vocab_size)
+        with tc.no_grad():
+            assert fs.fuse_and_top(h, tgt_in, enc).shape == (1, 4, CFG.vocab_size)
+        with pytest.raises(models.ContractError, match="takes all 6 bottom states, got rows 0..3"):
+            fs.fuse_and_top(h, tgt_in, enc)
         h, enc = fs.bottom_states(SRC, 2)
         with pytest.raises(models.CapacityError, match="bottom states"):
             fs.fuse_and_top(h, tgt_in, enc)
