@@ -136,12 +136,6 @@ def parse_config_file(path):
 
 def _coerce(key, raw):
     default = DEFAULTS[key]
-    if isinstance(default, bool):
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ContractError(f"key {key}: expected a boolean, got {raw!r}")
     try:
         if isinstance(default, int):
             return int(raw)
@@ -205,14 +199,10 @@ def _load_corpora(cfg):
                     raise ContractError(f"key {side}_src requires key {key}")
     if cfg["train_src"]:
         vocab = data.Vocabulary.from_file(cfg["vocab_file"])
-        train = data.load_parallel_corpus(
-            cfg["train_src"], cfg["train_tgt"], vocab, cfg["max_len"]
-        )
+        train = data.load_parallel_corpus(cfg["train_src"], cfg["train_tgt"], vocab)
         valid = None
         if cfg["valid_src"]:
-            valid = data.load_parallel_corpus(
-                cfg["valid_src"], cfg["valid_tgt"], vocab, cfg["max_len"]
-            )
+            valid = data.load_parallel_corpus(cfg["valid_src"], cfg["valid_tgt"], vocab)
         return train, valid
     lows = {"len_min": 1, "len_max": cfg["len_min"], "data_seed": 0}
     _require_at_least(cfg, {**lows, "train_pairs": 0, "valid_pairs": 0})
@@ -260,8 +250,8 @@ def _check_vocab(model, vocab):
 def _check_fits(cfg, model, name, lengths, note=""):
     """A usage error when the corpus ``name`` needs more positions than the
     model has; ``lengths`` holds each pair's need. Synthetic corpora are as
-    long as len_max makes them; file corpora were loaded at most max_len
-    long, which a checkpoint's own max_len may undercut."""
+    long as len_max makes them, file corpora as their longest line: the
+    loader keeps every line pair, so this is the only length rule."""
     need = max(lengths, default=0)
     if need > model.config.max_len:
         key = "max_len" if cfg["train_src"] else "len_max"

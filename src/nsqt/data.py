@@ -3,20 +3,18 @@
 File formats:
 * corpus: UTF-8 plain text, one whitespace-tokenized sentence per line,
   source and target files matched line-by-line;
-* vocabulary: one token per line; the token on line i gets id i + 4,
-  after the reserved ids pad=0, bos=1, eos=2, unk=3.
+* vocabulary: one token per line, no token twice and no reserved token;
+  blank lines are skipped, so the n-th token (from 0) gets id n + 4, after
+  the reserved ids pad=0, bos=1, eos=2, unk=3.
 """
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ContractError, EmptyCorpusError, FormatError
 from .models import N_RESERVED, UNK, LengthTable
-
-log = logging.getLogger(__name__)
 
 RESERVED_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
 
@@ -28,7 +26,11 @@ class Vocabulary:
     def __post_init__(self):
         if tuple(self.tokens[:N_RESERVED]) != RESERVED_TOKENS:
             raise FormatError("vocabulary must start with the reserved tokens")
-        self._ids = {t: i for i, t in enumerate(self.tokens)}
+        self._ids = {}
+        for i, t in enumerate(self.tokens):
+            if t in self._ids:
+                raise FormatError(f"vocabulary repeats token {t!r}")
+            self._ids[t] = i
 
     @property
     def size(self):
@@ -76,9 +78,10 @@ class ParallelCorpus:
         return len(self.pairs)
 
 
-def load_parallel_corpus(src_path, tgt_path, vocab, max_len=10**9):
-    """Read matched source/target files into id pairs; unknown tokens map to
-    UNK and pairs with an overlong side are dropped (with a logged count)."""
+def load_parallel_corpus(src_path, tgt_path, vocab):
+    """Read matched source/target files into id pairs, one per line pair and
+    none dropped; unknown tokens map to UNK. Whether the sentences fit a
+    model's positions is the caller's check."""
     try:
         with open(src_path, encoding="utf-8") as f:
             src_lines = f.read().splitlines()
@@ -91,15 +94,7 @@ def load_parallel_corpus(src_path, tgt_path, vocab, max_len=10**9):
             f"line count mismatch: {src_path} has {len(src_lines)}, "
             f"{tgt_path} has {len(tgt_lines)}"
         )
-    pairs, dropped = [], 0
-    for s, t in zip(src_lines, tgt_lines):
-        src, tgt = vocab.encode(s), vocab.encode(t)
-        if len(src) > max_len or len(tgt) > max_len:
-            dropped += 1
-            continue
-        pairs.append((src, tgt))
-    if dropped:
-        log.info("dropped %d overlong pairs (max_len=%d)", dropped, max_len)
+    pairs = [(vocab.encode(s), vocab.encode(t)) for s, t in zip(src_lines, tgt_lines)]
     return ParallelCorpus(pairs, vocab)
 
 

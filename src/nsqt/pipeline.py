@@ -19,7 +19,7 @@ import numpy as np
 from . import estimators as est
 from . import rewards
 from . import tensor as tc
-from .data import build_length_table
+from .data import ParallelCorpus, build_length_table
 from .errors import ContractError, EmptyCorpusError, TrainingError
 from .models import EOS, PAD, beam_decode, predict_length
 
@@ -337,8 +337,6 @@ def distill_corpus(teacher, corpus, dec):
     """Replace targets with the teacher's decodes (lengths predicted from the
     corpus's own length table); empty decodes keep the original target
     (count logged)."""
-    from .data import ParallelCorpus
-
     hyps = decode_corpus(teacher, corpus, dec)
     pairs = [(tuple(src), tuple(hyp or tgt)) for (src, tgt), hyp in zip(corpus.pairs, hyps)]
     kept = sum(not hyp for hyp in hyps)

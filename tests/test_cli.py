@@ -287,6 +287,12 @@ def test_residual_epsilon_is_no_key(tmp_path, capsys, how):
     assert not out.exists()
 
 
+def test_every_default_is_an_int_a_float_or_a_str():
+    """``_coerce`` parses these three types only: a bool default would be
+    read by ``int`` and refuse ``true``."""
+    assert {k: type(v) for k, v in cli.DEFAULTS.items() if type(v) not in (int, float, str)} == {}
+
+
 def test_every_default_key_is_read():
     """No unused knobs: every key is a model or training config field, or
     read as ``cfg["<key>"]`` in cli.py."""
@@ -344,14 +350,13 @@ def test_resolved_config_written_before_work(tmp_path):
 
 
 def test_training_on_empty_file_corpus_exits_2(tmp_path):
-    """Every pair is dropped as longer than max_len, leaving no batch; a
-    subprocess, so that a training loop that never ends fails the test
-    instead of hanging the suite."""
+    """Files without a line give no batch; a subprocess, so that a training
+    loop that never ends fails the test instead of hanging the suite."""
     (tmp_path / "vocab.txt").write_text("a\nb\n")
-    (tmp_path / "train.src").write_text("a b a\n")
-    (tmp_path / "train.tgt").write_text("b a b\n")
+    (tmp_path / "train.src").write_text("")
+    (tmp_path / "train.tgt").write_text("")
     args = [
-        "train-ce", "--out", tmp_path / "run", "--max_len", "2",
+        "train-ce", "--out", tmp_path / "run",
         "--vocab_file", tmp_path / "vocab.txt",
         "--train_src", tmp_path / "train.src", "--train_tgt", tmp_path / "train.tgt",
     ]
@@ -364,6 +369,20 @@ def test_training_on_empty_file_corpus_exits_2(tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stderr == "error: EmptyCorpusError: training corpus is empty\n"
+
+
+def test_repeated_vocabulary_token_exits_2(tmp_path, capsys):
+    (tmp_path / "vocab.txt").write_text("a\nb\na\n")
+    (tmp_path / "train.src").write_text("a b\n")
+    (tmp_path / "train.tgt").write_text("b a\n")
+    out = tmp_path / "run"
+    args = [
+        "train-ce", "--out", out, "--vocab_file", tmp_path / "vocab.txt",
+        "--train_src", tmp_path / "train.src", "--train_tgt", tmp_path / "train.tgt",
+    ]
+    assert run(args) == 2
+    assert capsys.readouterr().err == "error: FormatError: vocabulary repeats token 'a'\n"
+    assert sorted(p.name for p in out.iterdir()) == ["config.resolved.cfg"]
 
 
 @pytest.mark.parametrize("command", ["train-ce", "decode", "evaluate", "topk-stats"])
@@ -556,6 +575,35 @@ def test_decode_without_validation_files_decodes_the_training_corpus(tmp_path):
     assert len((out / "decodes.txt").read_text().splitlines()) == 2
 
 
+@pytest.mark.parametrize("command", ["decode", "evaluate"])
+def test_long_file_sentences_are_all_decoded(tmp_path, command):
+    # sources above the max_len key's default of 32 fit a checkpoint of 48;
+    # every line pair is decoded and scored, none dropped. Six words fill
+    # the checkpoint's vocabulary of ten after the reserved ids
+    lengths = [4, 40, 6, 40, 2, 28]
+    lines = "".join(" ".join("abcdef"[i % 6] for i in range(n)) + "\n" for n in lengths)
+    (tmp_path / "vocab.txt").write_text("a\nb\nc\nd\ne\nf\n")
+    (tmp_path / "train.src").write_text(lines)
+    (tmp_path / "train.tgt").write_text(lines)
+    cfg = ModelConfig(d_model=16, d_hidden=32, vocab_size=10, max_len=48)
+    ckpt = tmp_path / "nat48.nsqt"
+    save_model(build_model("nat", cfg, seed=4), ckpt, seed=4)
+    out = tmp_path / "run"
+    args = [
+        command, "--out", out, "--init_checkpoint", ckpt,
+        "--vocab_file", tmp_path / "vocab.txt",
+        "--train_src", tmp_path / "train.src", "--train_tgt", tmp_path / "train.tgt",
+    ]
+    assert run(args) == 0
+    if command == "decode":
+        assert len((out / "decodes.txt").read_text().splitlines()) == len(lengths)
+        return
+    buckets = (out / "length_buckets.csv").read_text().splitlines()[1:]
+    assert sum(int(row.split(",")[1]) for row in buckets) == len(lengths)
+    eval_rows = dict(line.split(",") for line in (out / "eval.csv").read_text().splitlines()[1:])
+    assert float(eval_rows["mean_ref_len"]) == sum(lengths) / len(lengths)
+
+
 @pytest.mark.parametrize(
     "kind, beam, mode",
     [("nat", 1, "nat_argmax"), ("ar", 1, "greedy"), ("ar", 4, "beam"), ("fs", 3, "beam")],
@@ -684,9 +732,9 @@ def test_corpus_longer_than_max_len_is_usage_error(tmp_path, capsys, command, ki
 @pytest.mark.parametrize(
     "kind,train_tgt,valid_src,message",
     [
-        # the loader keeps sources of max_len 32; the checkpoint has 16
+        # a source of 20 tokens; the checkpoint has 16 positions
         ("nat", "b a", "a " * 20, "the validation corpus needs 20 positions,"),
-        # the loader keeps a target of max_len 16; its EOS makes it 17
+        # a target of 16 tokens; its EOS makes it 17
         ("ar", "b " * 16, "a b", "the training corpus needs 17 positions (targets with EOS),"),
     ],
     ids=["validation_source", "ar_eos"],
@@ -727,6 +775,25 @@ def test_source_longer_than_checkpoint_max_len_is_usage_error(tmp_path, capsys, 
     assert capsys.readouterr().err == (
         f"error: key len_max: the {corpus} corpus needs 20 positions, "
         f"above the model's max_len 16\n"
+    )
+    assert sorted(p.name for p in out.iterdir()) == ["config.resolved.cfg"]
+
+
+def test_file_pair_longer_than_max_len_key_is_usage_error(tmp_path, capsys):
+    # the file corpus is read whole: its longer pair is refused, not dropped
+    for name, text in [("vocab.txt", "a\nb\n"), ("train.src", "a b\na b a b a b"),
+                       ("train.tgt", "b a\nb a b a b a")]:
+        (tmp_path / name).write_text(text + "\n")
+    out = tmp_path / "run"
+    args = [
+        "train-ce", "--out", out, "--max_len", "4", "--max_steps", "2",
+        "--vocab_file", tmp_path / "vocab.txt",
+        "--train_src", tmp_path / "train.src", "--train_tgt", tmp_path / "train.tgt",
+    ]
+    assert run(args) == 1
+    assert capsys.readouterr().err == (
+        "error: key max_len: the training corpus needs 6 positions, "
+        "above the model's max_len 4\n"
     )
     assert sorted(p.name for p in out.iterdir()) == ["config.resolved.cfg"]
 

@@ -50,6 +50,24 @@ def test_unknown_token_maps_to_unk(tmp_path):
     assert v.encode("alpha zeta") == (N_RESERVED, UNK)
 
 
+@pytest.mark.parametrize(
+    "text, token",
+    [("a\nb\na\n<unk>\n\nc\n", "a"), ("a\n<unk>\n", "<unk>"), ("<pad>\n", "<pad>")],
+    ids=["word", "unk", "pad"],
+)
+def test_repeated_vocab_token_rejected(tmp_path, text, token):
+    path = tmp_path / "vocab.txt"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=f"^vocabulary repeats token '{token}'$"):
+        Vocabulary.from_file(path)
+
+
+def test_blank_vocab_lines_take_no_id(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_text("a\n\nc\n")
+    assert Vocabulary.from_file(path).encode("a c") == (N_RESERVED, N_RESERVED + 1)
+
+
 def test_decode_inverts_encode_on_known_tokens():
     v = Vocabulary.synthetic(10)
     line = "tok4 tok7 tok9"
@@ -94,15 +112,6 @@ def test_unreadable_file_raises(tmp_path):
     v = Vocabulary.synthetic(6)
     with pytest.raises(FormatError):
         load_parallel_corpus(tmp_path / "no.src", tmp_path / "no.tgt", v)
-
-
-def test_overlong_pairs_dropped(tmp_path):
-    v = Vocabulary.synthetic(6)
-    src, tgt = _write_corpus(
-        tmp_path, ["tok4", "tok4 tok5 tok4 tok5"], ["tok5", "tok5"]
-    )
-    corpus = load_parallel_corpus(src, tgt, v, max_len=3)
-    assert corpus.size == 1
 
 
 def test_empty_sequence_rejected():
