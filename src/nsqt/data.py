@@ -38,9 +38,8 @@ class Vocabulary:
 
     @classmethod
     def from_file(cls, path):
-        with open(path, encoding="utf-8") as f:
-            words = [line.strip() for line in f if line.strip()]
-        return cls(RESERVED_TOKENS + tuple(words))
+        lines = _read_text(path, "vocabulary").split("\n")
+        return cls(RESERVED_TOKENS + tuple(line.strip() for line in lines if line.strip()))
 
     @classmethod
     def synthetic(cls, size):
@@ -58,7 +57,8 @@ class Vocabulary:
         return tuple(self._ids.get(w, UNK) for w in line.split())
 
     def decode(self, ids):
-        return " ".join(self.tokens[i] for i in ids)
+        """An id past the vocabulary (a model's vocab_size can exceed it) reads <unk>."""
+        return " ".join(self.tokens[i] if i < self.size else "<unk>" for i in ids)
 
 
 @dataclass
@@ -78,23 +78,32 @@ class ParallelCorpus:
         return len(self.pairs)
 
 
+def _read_text(path, what):
+    """A UTF-8 file's text, or a ``FormatError`` naming the path."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except (OSError, ValueError) as e:  # ValueError: not UTF-8, or a NUL in the path
+        raise FormatError(f"cannot read {what} file {path}: {e}") from e
+
+
 def load_parallel_corpus(src_path, tgt_path, vocab):
     """Read matched source/target files into id pairs, one per line pair and
-    none dropped; unknown tokens map to UNK. Whether the sentences fit a
+    none dropped; unknown tokens map to UNK, and a blank line is a
+    ``FormatError`` naming its file and line. Whether the sentences fit a
     model's positions is the caller's check."""
-    try:
-        with open(src_path, encoding="utf-8") as f:
-            src_lines = f.read().splitlines()
-        with open(tgt_path, encoding="utf-8") as f:
-            tgt_lines = f.read().splitlines()
-    except OSError as e:
-        raise FormatError(f"cannot read corpus file: {e}") from e
+    src_lines = _read_text(src_path, "corpus").splitlines()
+    tgt_lines = _read_text(tgt_path, "corpus").splitlines()
     if len(src_lines) != len(tgt_lines):
         raise FormatError(
             f"line count mismatch: {src_path} has {len(src_lines)}, "
             f"{tgt_path} has {len(tgt_lines)}"
         )
     pairs = [(vocab.encode(s), vocab.encode(t)) for s, t in zip(src_lines, tgt_lines)]
+    for number, pair in enumerate(pairs, 1):
+        for path, sentence in zip((src_path, tgt_path), pair):
+            if not sentence:
+                raise FormatError(f"{path}:{number}: blank line, expected a sentence")
     return ParallelCorpus(pairs, vocab)
 
 

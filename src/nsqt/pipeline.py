@@ -37,14 +37,13 @@ class TrainConfig:
     max_steps: int = 2000
     lr: float = 0.01
     warmup: int = 200
-    patience: int = 10
     rng_seed: int = 0
     eval_every: int = 200
 
     def __post_init__(self):
         if self.warmup < 0:
             raise ContractError(f"warmup must be >= 0, got {self.warmup}")
-        for key in ("batch_size", "max_steps", "patience", "eval_every"):
+        for key in ("batch_size", "max_steps", "eval_every"):
             if getattr(self, key) < 1:
                 raise ContractError(f"{key} must be >= 1, got {getattr(self, key)}")
         # the comparison is also false for nan
@@ -177,8 +176,7 @@ def _nll_loss(model, src_batch, tgt_batch):
 def mean_validation_gleu(model, corpus, dec, table):
     _require_pairs(corpus, "validation")
     total = 0.0
-    for src, tgt in corpus.pairs:
-        hyp = decode(model, src, dec, table)
+    for hyp, (_, tgt) in zip(decode_corpus(model, corpus, dec, table), corpus.pairs):
         total += rewards.gleu(hyp, tgt)
     return total / corpus.size
 
@@ -189,11 +187,11 @@ def _train(model, corpus, cfg, valid, batch_loss):
     ``batch_loss(srcs, tgts, step)`` returns (metric name, loss tensor,
     extra (metric, value) rows) for one batch; the loop checks that the loss
     is finite, steps Adam and logs the rows (step, split, metric, value).
-    Validation GLEU (NAT argmax or greedy decoding, dropout off) runs every
-    ``eval_every`` steps when a validation corpus is given, and training
-    stops once ``patience`` validations in a row have not beaten the best
-    score. NAT and FS validation decodes predict lengths from the training
-    corpus's length table.
+    Training runs exactly ``max_steps`` steps and leaves the model of the
+    last one. Validation GLEU (NAT argmax or greedy decoding, dropout off)
+    runs every ``eval_every`` steps when a validation corpus is given; NAT
+    and FS validation decodes predict lengths from the training corpus's
+    length table.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     opt = Adam(model.parameters(), cfg)
@@ -201,7 +199,6 @@ def _train(model, corpus, cfg, valid, batch_loss):
         _require_pairs(valid, "validation")
         table = build_length_table(corpus)
     dec = DecodeConfig(mode="nat_argmax" if model.kind == "nat" else "greedy")
-    best, since_best = -1.0, 0
     rows = []
     for step, (srcs, tgts) in enumerate(
         _step_generator(corpus, model.kind, cfg.batch_size, rng, cfg.max_steps), 1
@@ -221,20 +218,14 @@ def _train(model, corpus, cfg, valid, batch_loss):
         score = mean_validation_gleu(model, valid, dec, table)
         model.training = training
         rows.append((step, "valid", "gleu", score))
-        if score > best:
-            best, since_best = score, 0
-        else:
-            since_best += 1
-            if since_best >= cfg.patience:
-                break
     return rows
 
 
 def train_ce(model, corpus, cfg, valid=None):
     """Token-level cross-entropy training with Adam and warmup.
 
-    Returns metric log rows (step, split, metric, value); validation and the
-    early stop are ``_train``'s. Dropout is on while training and off for
+    Returns metric log rows (step, split, metric, value); the validation
+    schedule is ``_train``'s. Dropout is on while training and off for
     validation; ``model.training`` is False on return, also when training
     raises.
     """
@@ -325,11 +316,9 @@ def decode(model, src, dec, table):
     return _decode_raw(model, src, dec, table)[0]
 
 
-def decode_corpus(model, corpus, dec, table=None):
+def decode_corpus(model, corpus, dec, table):
     """The decodes of every source sentence of a non-empty corpus, in order."""
     _require_pairs(corpus, "decoding")
-    if table is None:
-        table = build_length_table(corpus)
     return [decode(model, src, dec, table) for src, _ in corpus.pairs]
 
 
@@ -337,7 +326,7 @@ def distill_corpus(teacher, corpus, dec):
     """Replace targets with the teacher's decodes (lengths predicted from the
     corpus's own length table); empty decodes keep the original target
     (count logged)."""
-    hyps = decode_corpus(teacher, corpus, dec)
+    hyps = decode_corpus(teacher, corpus, dec, build_length_table(corpus))
     pairs = [(tuple(src), tuple(hyp or tgt)) for (src, tgt), hyp in zip(corpus.pairs, hyps)]
     kept = sum(not hyp for hyp in hyps)
     if kept:

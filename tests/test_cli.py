@@ -214,7 +214,6 @@ n = 20
 n_head = 2
 n_layer = 2
 p_dropout = 0.0
-patience = 10
 task = copy
 teacher_checkpoint =
 train_pairs = 2000
@@ -241,16 +240,17 @@ def test_default_resolved_config_is_pinned(tmp_path, command):
 
 
 def test_old_resolved_config_with_dedup_loads_once_the_line_is_deleted(tmp_path, capsys):
-    """A resolved config written while `dedup` and `residual_epsilon` were
-    keys, and the seed was a key line, is refused as it stands, naming each
-    of those lines in turn; it loads once they are deleted (README, CLI)."""
+    """A resolved config written while `dedup`, `patience` and
+    `residual_epsilon` were keys, and the seed was a key line, is refused as
+    it stands, naming each of those lines in turn; it loads once they are
+    deleted (README, CLI)."""
     text = (
         DEFAULT_RESOLVED.replace("# seed = 0\n", "")
         .replace("\neval_every", "\ndedup = True\neval_every")
-        .replace("\ntask", "\nresidual_epsilon = 1e-06\nseed = 0\ntask")
+        .replace("\ntask", "\npatience = 10\nresidual_epsilon = 1e-06\nseed = 0\ntask")
     )
     old, out = tmp_path / "old.cfg", tmp_path / "run"
-    for line in ("dedup = True", "residual_epsilon = 1e-06", "seed = 0"):
+    for line in ("dedup = True", "patience = 10", "residual_epsilon = 1e-06", "seed = 0"):
         key = line.split(" = ")[0]
         old.write_text(text)
         assert run(["train-ce", "--config", old, "--out", out] + FAST) == 1
@@ -385,6 +385,42 @@ def test_repeated_vocabulary_token_exits_2(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == ["config.resolved.cfg"]
 
 
+def _file_corpus_args(tmp_path, src_text, tgt_text=None):
+    """Flags for train.src and train.tgt (the source again by default) under
+    the three-word vocab.txt, all written to tmp_path."""
+    texts = {"vocab_file": ("vocab.txt", "a\nb\nc\n"), "train_src": ("train.src", src_text),
+             "train_tgt": ("train.tgt", src_text if tgt_text is None else tgt_text)}
+    args = []
+    for key, (name, text) in texts.items():
+        (tmp_path / name).write_text(text)
+        args += [f"--{key}", tmp_path / name]
+    return args
+
+
+@pytest.mark.parametrize("side", ["src", "tgt"])
+def test_blank_corpus_line_exits_2_naming_file_and_line(tmp_path, capsys, side):
+    texts = {"src": "a b\nb c\nc\n", "tgt": "a b\nb c\nc\n"}
+    texts[side] = "a b\n  \nc\n"
+    args = _file_corpus_args(tmp_path, texts["src"], texts["tgt"])
+    assert run(["train-ce", "--out", tmp_path / "run"] + args) == 2
+    path = tmp_path / f"train.{side}"
+    assert capsys.readouterr().err == (
+        f"error: FormatError: {path}:2: blank line, expected a sentence\n"
+    )
+
+
+@pytest.mark.parametrize("name", ["vocab.txt", "train.src"])
+def test_file_not_utf8_exits_2_naming_path(tmp_path, capsys, name):
+    args = _file_corpus_args(tmp_path, "a b\n")
+    (tmp_path / name).write_bytes(b"a b\xff\n")
+    assert run(["train-ce", "--out", tmp_path / "run"] + args) == 2
+    err = capsys.readouterr().err
+    what = "vocabulary" if name == "vocab.txt" else "corpus"
+    assert err.startswith(f"error: FormatError: cannot read {what} file {tmp_path / name}: ")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["config.resolved.cfg"]
+
+
 @pytest.mark.parametrize("command", ["train-ce", "decode", "evaluate", "topk-stats"])
 def test_empty_validation_corpus_exits_2(tmp_path, capsys, command):
     args = [command, "--out", tmp_path / "run"] + FAST + ["--valid_pairs", "0"]
@@ -432,11 +468,15 @@ def test_optimiser_config_out_of_range_exits_1(tmp_path, capsys, key, value):
     assert not (out / "metrics.csv").exists()
 
 
-# Adam's decay rates and offset are fixed constants, and NAT output is scored
-# as the model emits it: none of these is a settable key
+# Adam's decay rates and offset are fixed constants, NAT output is scored as
+# the model emits it, and training runs max_steps steps without stopping
+# early: none of these is a settable key
 @pytest.mark.parametrize(
     "key, value",
-    [("adam_beta1", "0.5"), ("adam_beta2", "0.9"), ("adam_eps", "1e-8"), ("dedup", "false")],
+    [
+        ("adam_beta1", "0.5"), ("adam_beta2", "0.9"), ("adam_eps", "1e-8"), ("dedup", "false"),
+        ("patience", "10"),
+    ],
 )
 def test_removed_key_is_unknown(tmp_path, capsys, key, value):
     out = tmp_path / "run"
@@ -573,6 +613,25 @@ def test_decode_without_validation_files_decodes_the_training_corpus(tmp_path):
     ]
     assert run(args) == 0
     assert len((out / "decodes.txt").read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("seed", ["4", "6"])
+def test_ids_past_the_file_vocabulary_are_written_as_unk(tmp_path, seed):
+    """A model with more ids than the three-word file vocabulary decodes
+    every line, writing ``<unk>`` for the ids the file lacks, in decode and
+    distill alike."""
+    args = _file_corpus_args(tmp_path, "a b c\nb c\nc a b a\n")
+    ckpt = tmp_path / "ck"
+    assert run(["train-ce", "--out", ckpt, "--seed", seed, "--model", "nat",
+                "--vocab_size", "12", "--max_steps", "1"] + args) == 0
+    model = ["--init_checkpoint", ckpt / "model.nsqt"]
+    assert run(["decode", "--out", tmp_path / "dec"] + model + args) == 0
+    decodes = (tmp_path / "dec" / "decodes.txt").read_text().splitlines()
+    assert len(decodes) == 3 and "<unk>" in " ".join(decodes)
+    kd = tmp_path / "kd"
+    assert run(["distill", "--out", kd, "--teacher_checkpoint", ckpt / "model.nsqt"] + args) == 0
+    assert len((kd / "distilled.src").read_text().splitlines()) == 3
+    assert (kd / "distilled.tgt").read_text().splitlines() == decodes
 
 
 @pytest.mark.parametrize("command", ["decode", "evaluate"])

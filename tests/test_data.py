@@ -1,5 +1,7 @@
 """Corpus, vocabulary, synthetic-task, and length-table behavior."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,6 +76,19 @@ def test_decode_inverts_encode_on_known_tokens():
     assert v.decode(v.encode(line)) == line
 
 
+def test_decode_writes_unk_for_ids_past_the_vocabulary():
+    # a model whose vocab_size exceeds the file vocabulary can emit these ids
+    v = Vocabulary.synthetic(6)
+    assert v.decode((4, 6, 5, 11)) == "tok4 <unk> tok5 <unk>"
+
+
+def test_vocab_file_not_utf8_names_path(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(b"abc\xff\n")
+    with pytest.raises(FormatError, match=f"^cannot read vocabulary file {re.escape(str(path))}: "):
+        Vocabulary.from_file(path)
+
+
 # ---------------------------------------------------------------------------
 # parallel corpus files
 
@@ -112,6 +127,28 @@ def test_unreadable_file_raises(tmp_path):
     v = Vocabulary.synthetic(6)
     with pytest.raises(FormatError):
         load_parallel_corpus(tmp_path / "no.src", tmp_path / "no.tgt", v)
+
+
+@pytest.mark.parametrize("side", ["src", "tgt"])
+@pytest.mark.parametrize("blank", ["", " \t "], ids=["empty", "whitespace"])
+def test_blank_corpus_line_names_file_and_line(tmp_path, side, blank):
+    v = Vocabulary.synthetic(6)
+    lines = {"src": ["tok4", "tok5", "tok4"], "tgt": ["tok5", "tok4", "tok5"]}
+    lines[side][1] = blank
+    src, tgt = _write_corpus(tmp_path, lines["src"], lines["tgt"])
+    path = src if side == "src" else tgt
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:2: blank line"):
+        load_parallel_corpus(src, tgt, v)
+
+
+@pytest.mark.parametrize("side", ["src", "tgt"])
+def test_corpus_file_not_utf8_names_path(tmp_path, side):
+    v = Vocabulary.synthetic(6)
+    src, tgt = _write_corpus(tmp_path, ["tok4"], ["tok5"])
+    path = src if side == "src" else tgt
+    path.write_bytes(b"tok\xff\n")
+    with pytest.raises(FormatError, match=f"^cannot read corpus file {re.escape(str(path))}: "):
+        load_parallel_corpus(src, tgt, v)
 
 
 def test_empty_sequence_rejected():

@@ -554,27 +554,26 @@ def test_empty_validation_corpus_raises_before_any_step(loop):
 
 
 @pytest.mark.parametrize("loop", [pl.train_ce, _finetune])
-def test_validation_schedule_and_patience(loop, monkeypatch):
-    """Validation runs at multiples of eval_every with dropout off, a tie does
-    not improve, and training stops right after ``patience`` validations in
-    a row fail to beat the best score."""
-    scores = iter([0.5, 0.4, 0.6, 0.6, 0.1, 0.9])
+def test_validation_schedule(loop, monkeypatch):
+    """Validation runs at every multiple of eval_every with dropout off, and
+    training runs all max_steps steps although no validation score after
+    the first beats it (13 validations, none better than the first)."""
+    scores = [0.5, 0.4, 0.5, 0.5, 0.1] * 3
     modes = []
 
     def scripted(model, corpus, dec, table):
         modes.append(model.training)
-        return next(scores)
+        return scores[len(modes) - 1]
 
     monkeypatch.setattr(pl, "mean_validation_gleu", scripted)
     model = build_model("nat", TINY, seed=3)
-    cfg = tiny_cfg(max_steps=40, eval_every=3, patience=2)
+    cfg = tiny_cfg(max_steps=40, eval_every=3)
     rows = loop(model, tiny_corpus(), cfg, valid=tiny_corpus(count=4, seed=1))
     valid = [(step, metric, value) for step, split, metric, value in rows if split == "valid"]
-    assert valid == [(3, "gleu", 0.5), (6, "gleu", 0.4), (9, "gleu", 0.6), (12, "gleu", 0.6),
-                     (15, "gleu", 0.1)]
-    assert sorted({step for step, split, _, _ in rows if split == "train"}) == list(range(1, 16))
-    assert rows[-1] == (15, "valid", "gleu", 0.1)
-    assert modes == [False] * 5
+    assert valid == [(step, "gleu", scores[step // 3 - 1]) for step in range(3, 41, 3)]
+    assert sorted({step for step, split, _, _ in rows if split == "train"}) == list(range(1, 41))
+    assert rows[-1][:2] == (40, "train")
+    assert modes == [False] * 13
 
 
 @pytest.mark.parametrize(
