@@ -105,27 +105,80 @@ class ParamStore:
         return self._register(name, self.rng.normal(0.0, dim**-0.5, (vocab, dim)))
 
 
+def _to_heads(a, n_head):
+    # (..., T, d) -> (..., h, T, d/h), a view
+    return a.reshape(a.shape[:-1] + (n_head, -1)).swapaxes(-3, -2)
+
+
+def _from_heads(a):
+    # (..., h, T, d/h) -> (..., T, d)
+    a = a.swapaxes(-3, -2)
+    return a.reshape(a.shape[:-2] + (-1,))
+
+
+# The sub-layers work on arrays: a ``forward`` returns its output and what its
+# ``backward`` reads, and a ``backward`` accumulates the sub-layer's parameter
+# gradients and returns its input gradient. A layer composes them into one
+# recorded node.
+
+
+def _params(*sublayers):
+    return tuple(p for m in sublayers for p in m.params)
+
+
 class Linear:
     def __init__(self, store, name, d_in, d_out, scale=1.0):
         self.w = store.matrix(f"{name}.w", d_in, d_out, scale)
         self.b = store.zeros(f"{name}.b", d_out)
+        self.params = (self.w, self.b)
 
-    def __call__(self, x):
-        return tc.linear(x, self.w, self.b)
+    def forward(self, x):
+        return x @ self.w.data + self.b.data
+
+    def backward(self, g, x):
+        tc.weight_grads(g, x, self.w, self.b)
+        return g @ self.w.data.T
 
 
 class LayerNorm:
-    """Post-residual layer norm: normalizes ``x + sublayer_out``."""
+    """Post-residual layer norm: normalizes ``x + sublayer_out`` over the
+    last axis by ``sqrt(var + 1e-5)``, then scales and shifts."""
 
     def __init__(self, store, name, dim):
         self.gain = store.ones(f"{name}.gain", dim)
         self.bias = store.zeros(f"{name}.bias", dim)
+        self.params = (self.gain, self.bias)
 
-    def __call__(self, x, sublayer_out):
-        return tc.layer_norm(x, self.gain, self.bias, residual=sublayer_out)
+    def forward(self, x, sublayer_out):
+        data = x + sublayer_out
+        # the moments numpy's mean and var compute, without their Python layer
+        n = data.shape[-1]
+        centered = data - np.add.reduce(data, axis=-1, keepdims=True) / n
+        var = np.add.reduce(np.square(centered), axis=-1, keepdims=True) / n
+        inv_std = 1.0 / np.sqrt(var + 1e-5)
+        xhat = centered * inv_std
+        return self.gain.data * xhat + self.bias.data, (xhat, inv_std)
+
+    def backward(self, g, saved):
+        """The gradient of the sum ``x + sublayer_out``, which each of its
+        two terms receives."""
+        xhat, inv_std = saved
+        lead = tuple(range(g.ndim - 1))
+        self.gain._accumulate(np.add.reduce(g * xhat, axis=lead))
+        self.bias._accumulate(np.add.reduce(g, axis=lead))
+        dxhat = g * self.gain.data
+        n = g.shape[-1]
+        m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / n
+        m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n
+        return inv_std * (dxhat - m1 - xhat * m2)
 
 
 class MultiHeadAttention:
+    """Scaled dot-product attention over projected (..., T, d) queries, keys
+    and values, split into ``n_head`` equal slices of the last axis, then
+    the output projection. Leading axes broadcast: NAT's positional queries
+    and keys are 2-D and serve a batch of values."""
+
     def __init__(self, store, name, d_model, n_head):
         self.n_head = n_head
         self.scale = 1.0 / math.sqrt(d_model // n_head)
@@ -133,32 +186,77 @@ class MultiHeadAttention:
         self.wk = Linear(store, f"{name}.k", d_model, d_model)
         self.wv = Linear(store, f"{name}.v", d_model, d_model)
         self.wo = Linear(store, f"{name}.o", d_model, d_model)
+        self.params = _params(self.wq, self.wk, self.wv, self.wo)
 
-    def __call__(self, q_in, k_in, v_in):
-        return self.attend(q_in, *self.keys_values(k_in, v_in))
+    def forward(self, q, k, v, mask=None):
+        """``mask`` (broadcast to the scores, (..., T_q, T_k)) marks the keys
+        a query may not see."""
+        n_head = self.n_head
+        qh, kh, vh = _to_heads(q, n_head), _to_heads(k, n_head), _to_heads(v, n_head)
+        scores = (qh @ kh.swapaxes(-1, -2)) * self.scale
+        if mask is not None:
+            scores = np.where(mask, -1e9, scores)
+        probs = tc.softmax(scores)
+        heads = _from_heads(probs @ vh)
+        return self.wo.forward(heads), (qh, kh, vh, probs, heads, mask)
 
-    def keys_values(self, k_in, v_in):
-        """Projected keys and values, (..., T, d) each."""
-        return self.wk(k_in), self.wv(v_in)
+    def backward(self, g, saved):
+        """The gradients of the projected queries, keys and values, each
+        C-contiguous, the layout the projections' outputs have."""
+        qh, kh, vh, probs, heads, mask = saved
+        g_ctx = np.ascontiguousarray(_to_heads(self.wo.backward(g, heads), self.n_head))
+        g_v = tc.unbroadcast(probs.swapaxes(-1, -2) @ g_ctx, vh.shape)
+        g_probs = tc.unbroadcast(g_ctx @ vh.swapaxes(-1, -2), probs.shape)
+        g_scores = tc.softmax_grad(g_probs, probs)
+        if mask is not None:
+            g_scores = np.where(mask, 0.0, g_scores)
+        g_scores = g_scores * self.scale
+        g_q = tc.unbroadcast(g_scores @ kh, qh.shape)
+        kt = kh.swapaxes(-1, -2)
+        g_k = tc.unbroadcast(qh.swapaxes(-1, -2) @ g_scores, kt.shape).swapaxes(-1, -2)
+        return tuple(np.ascontiguousarray(_from_heads(t)) for t in (g_q, g_k, g_v))
 
-    def attend(self, q_in, k, v, mask=None):
-        """Attention of the queries from ``q_in`` over projected keys and values."""
-        wo = self.wo
-        return tc.attention(self.wq(q_in), k, v, self.n_head, self.scale, wo.w, wo.b, mask=mask)
+    def input_grad(self, grads, x, first):
+        """The gradient of ``x``, the input of all three projections, from
+        the gradients ``grads`` of the projected queries, keys and values:
+        ``first`` (the residual path's term), then the terms through the
+        query, key and value projections, added in that order."""
+        g_q, g_k, g_v = grads
+        g_x = first + self.wq.backward(g_q, x)
+        g_x += self.wk.backward(g_k, x)
+        g_x += self.wv.backward(g_v, x)
+        return g_x
 
 
 class FeedForward:
+    """Linear, ReLU (subgradient 0 at exactly 0), linear."""
+
     def __init__(self, store, name, d_model, d_hidden):
         self.inner = Linear(store, f"{name}.inner", d_model, d_hidden)
         self.outer = Linear(store, f"{name}.outer", d_hidden, d_model)
+        self.params = _params(self.inner, self.outer)
 
-    def __call__(self, x):
-        inner, outer = self.inner, self.outer
-        return tc.feed_forward(x, inner.w, inner.b, outer.w, outer.b)
+    def forward(self, x):
+        hidden = self.inner.forward(x)
+        mask = hidden > 0.0
+        act = np.where(mask, hidden, 0.0)
+        return self.outer.forward(act), (act, mask)
+
+    def backward(self, g, saved, x):
+        act, mask = saved
+        return self.inner.backward(self.outer.backward(g, act) * mask, x)
 
 
 def causal_mask(T):
     return np.triu(np.ones((T, T), dtype=bool), k=1)
+
+
+# Each layer records one node over its input, the encoder output (decoder
+# layers) and its parameters. Its backward adds every gradient in the order
+# the per-op graph of its sub-layers added them, which the tests keep as the
+# oracle: through the layer from the last sub-layer down, the residual
+# path's term before the sub-layer's, and into the encoder output, which every
+# decoder layer reads, bottom layer first (``Tensor._accumulate_late``).
 
 
 class EncoderLayer:
@@ -167,10 +265,21 @@ class EncoderLayer:
         self.ff = FeedForward(store, f"{name}.ff", cfg.d_model, cfg.d_hidden)
         self.norm1 = LayerNorm(store, f"{name}.norm1", cfg.d_model)
         self.norm2 = LayerNorm(store, f"{name}.norm2", cfg.d_model)
+        self.params = _params(self.attn, self.ff, self.norm1, self.norm2)
 
     def __call__(self, x):
-        x = self.norm1(x, self.attn(x, x, x))
-        return self.norm2(x, self.ff(x))
+        xd, attn = x.data, self.attn
+        a, a_saved = attn.forward(attn.wq.forward(xd), attn.wk.forward(xd), attn.wv.forward(xd))
+        h, n1 = self.norm1.forward(xd, a)
+        f, f_saved = self.ff.forward(h)
+        out, n2 = self.norm2.forward(h, f)
+
+        def backward(g):
+            d2 = self.norm2.backward(g, n2)
+            d1 = self.norm1.backward(d2 + self.ff.backward(d2, f_saved, h), n1)
+            x._accumulate(attn.input_grad(attn.backward(d1, a_saved), xd, d1))
+
+        return tc.Tensor(out, _parents=(x, *self.params), _backward=backward)
 
 
 class ARDecoderLayer:
@@ -183,6 +292,9 @@ class ARDecoderLayer:
         self.norm1 = LayerNorm(store, f"{name}.norm1", cfg.d_model)
         self.norm2 = LayerNorm(store, f"{name}.norm2", cfg.d_model)
         self.norm3 = LayerNorm(store, f"{name}.norm3", cfg.d_model)
+        self.params = _params(
+            self.self_attn, self.cross_attn, self.ff, self.norm1, self.norm2, self.norm3
+        )
 
     def __call__(self, x, enc, cache=None, slot=0):
         """Teacher-forced over the positions of ``x``; with a ``DecodeCache``,
@@ -190,16 +302,30 @@ class ARDecoderLayer:
         keys and values cached under ``slot`` and append their own."""
         start = 0 if cache is None else cache.length
         end = start + x.shape[-2]
-        k, v = self.self_attn.keys_values(x, x)
+        xd, sa, ca = x.data, self.self_attn, self.cross_attn
+        k, v = sa.wk.forward(xd), sa.wv.forward(xd)
         if cache is not None:
             k, v = cache.extend(slot, k, v)
         mask = causal_mask(end)[start:] if end - start > 1 else None
-        x = self.norm1(x, self.self_attn.attend(x, k, v, mask=mask))
+        s, s_saved = sa.forward(sa.wq.forward(xd), k, v, mask)
+        x1, n1 = self.norm1.forward(xd, s)
         cross_kv = {} if cache is None else cache.cross_kv
         if slot not in cross_kv:
-            cross_kv[slot] = self.cross_attn.keys_values(enc, enc)
-        x = self.norm2(x, self.cross_attn.attend(x, *cross_kv[slot]))
-        return self.norm3(x, self.ff(x))
+            cross_kv[slot] = (ca.wk.forward(enc.data), ca.wv.forward(enc.data))
+        c, c_saved = ca.forward(ca.wq.forward(x1), *cross_kv[slot])
+        x2, n2 = self.norm2.forward(x1, c)
+        f, f_saved = self.ff.forward(x2)
+        out, n3 = self.norm3.forward(x2, f)
+
+        def backward(g):
+            d3 = self.norm3.backward(g, n3)
+            d2 = self.norm2.backward(d3 + self.ff.backward(d3, f_saved, x2), n2)
+            g_q, g_k, g_v = ca.backward(d2, c_saved)
+            d1 = self.norm1.backward(d2 + ca.wq.backward(g_q, x1), n1)
+            enc._accumulate_late(ca.wk.backward(g_k, enc.data), ca.wv.backward(g_v, enc.data))
+            x._accumulate(sa.input_grad(sa.backward(d1, s_saved), xd, d1))
+
+        return tc.Tensor(out, _parents=(x, enc, *self.params), _backward=backward)
 
 
 class NATDecoderLayer:
@@ -215,12 +341,36 @@ class NATDecoderLayer:
         self.norm2 = LayerNorm(store, f"{name}.norm2", cfg.d_model)
         self.norm3 = LayerNorm(store, f"{name}.norm3", cfg.d_model)
         self.norm4 = LayerNorm(store, f"{name}.norm4", cfg.d_model)
+        self.params = _params(
+            self.self_attn, self.pos_attn, self.cross_attn, self.ff,
+            self.norm1, self.norm2, self.norm3, self.norm4,
+        )
 
-    def __call__(self, x, enc, pos_enc):
-        x = self.norm1(x, self.self_attn(x, x, x))
-        x = self.norm2(x, self.pos_attn(pos_enc, pos_enc, x))
-        x = self.norm3(x, self.cross_attn(x, enc, enc))
-        return self.norm4(x, self.ff(x))
+    def __call__(self, x, enc, pos):
+        """``pos`` is the (T, d) array of positional encodings, a constant."""
+        xd, sa, pa, ca = x.data, self.self_attn, self.pos_attn, self.cross_attn
+        s, s_saved = sa.forward(sa.wq.forward(xd), sa.wk.forward(xd), sa.wv.forward(xd))
+        x1, n1 = self.norm1.forward(xd, s)
+        p, p_saved = pa.forward(pa.wq.forward(pos), pa.wk.forward(pos), pa.wv.forward(x1))
+        x2, n2 = self.norm2.forward(x1, p)
+        c, c_saved = ca.forward(ca.wq.forward(x2), ca.wk.forward(enc.data), ca.wv.forward(enc.data))
+        x3, n3 = self.norm3.forward(x2, c)
+        f, f_saved = self.ff.forward(x3)
+        out, n4 = self.norm4.forward(x3, f)
+
+        def backward(g):
+            d4 = self.norm4.backward(g, n4)
+            d3 = self.norm3.backward(d4 + self.ff.backward(d4, f_saved, x3), n3)
+            g_q, g_k, g_v = ca.backward(d3, c_saved)
+            d2 = self.norm2.backward(d3 + ca.wq.backward(g_q, x2), n2)
+            enc._accumulate_late(ca.wk.backward(g_k, enc.data), ca.wv.backward(g_v, enc.data))
+            g_q, g_k, g_v = pa.backward(d2, p_saved)
+            tc.weight_grads(g_q, pos, pa.wq.w, pa.wq.b)
+            tc.weight_grads(g_k, pos, pa.wk.w, pa.wk.b)
+            d1 = self.norm1.backward(d2 + pa.wv.backward(g_v, x1), n1)
+            x._accumulate(sa.input_grad(sa.backward(d1, s_saved), xd, d1))
+
+        return tc.Tensor(out, _parents=(x, enc, *self.params), _backward=backward)
 
 
 @dataclass
@@ -267,8 +417,9 @@ class DecodeCache:
         self.cross_kv = {}
 
     def extend(self, slot, k, v):
-        """Write the keys and values of the positions after ``length`` into
-        the slot's buffers; returns the views of every position so far."""
+        """Write the keys and values (arrays) of the positions after
+        ``length`` into the slot's buffers; returns the views of every
+        position so far."""
         if tc.is_grad_enabled():
             raise tc.GraphError("DecodeCache records no graph; step under tensor.no_grad()")
         start, end = self.length, self.length + k.shape[-2]
@@ -279,9 +430,9 @@ class DecodeCache:
             for new, old in zip(grown, buffers or ()):
                 new[:, :start] = old[:, :start]
             buffers = self.self_kv[slot] = grown
-        buffers[0][:, start:end] = k.data
-        buffers[1][:, start:end] = v.data
-        return tc.Tensor(buffers[0][:, :end]), tc.Tensor(buffers[1][:, :end])
+        buffers[0][:, start:end] = k
+        buffers[1][:, start:end] = v
+        return buffers[0][:, :end], buffers[1][:, :end]
 
     def reorder(self, rows):
         """Keep the hypothesis rows ``rows`` in that order; a row may repeat."""
@@ -323,7 +474,9 @@ class ModelBase:
         return list(self.store.params.values())
 
     def state(self):
-        return {k: v.data for k, v in self.store.params.items()}
+        """A snapshot of the parameters: copies, which later training steps
+        (``Adam`` updates parameters in place) leave as they are."""
+        return {k: v.data.copy() for k, v in self.store.params.items()}
 
     def load_state(self, state):
         for name, tensor in self.store.params.items():
@@ -377,9 +530,8 @@ class ModelBase:
         enc = self.encode(src_ids)
         copy_idx = uniform_copy_positions(src_ids.shape[1], out_len)
         x = self._dropout(self._embed_tokens(src_ids[:, copy_idx]))
-        pos_enc = tc.Tensor(self.pe[:out_len])
         for layer in layers:
-            x = layer(x, enc, pos_enc)
+            x = layer(x, enc, self.pe[:out_len])
         return x, enc
 
 

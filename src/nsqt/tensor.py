@@ -2,18 +2,17 @@
 
 The op set is exactly what the models and the losses record. Besides
 ``scale`` (a product with a constant) and ``dropout``, each op is a fused
-layer that records one node:
+chain that records one node:
 
-* ``linear``: ``x @ w + b``;
-* ``feed_forward``: linear, ReLU, linear;
-* ``attention``: multi-head scaled dot-product attention with its output
-  projection;
 * ``token_embedding``: an embedding gather times a constant plus positions;
 * ``linear_softmax``: the softmax head, linear then a row softmax;
 * ``fuse_relu``: the FS fusion ``relu(h @ w + y @ u)``;
-* ``layer_norm`` over a residual sum;
 * ``nll``: the token loss, a scaled sum of picked log-probabilities;
 * ``score_surrogate``: the estimator's score-function surrogate.
+
+The transformer layers of ``models`` record one node each as well, with a
+backward of their own written from the array helpers here (``unbroadcast``,
+``weight_grads``, ``softmax`` and ``softmax_grad``).
 
 The differentiable arguments of an op are ``Tensor``s; constants (a scale,
 indices, a mask) are numbers or arrays.
@@ -77,11 +76,12 @@ class Tensor:
     is recorded.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_late")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
+        self._late = None
         if _grad_enabled and _parents:
             self.requires_grad = bool(requires_grad) or any(
                 p.requires_grad for p in _parents
@@ -114,6 +114,17 @@ class Tensor:
         else:
             self.grad += g
 
+    def _accumulate_late(self, *terms):
+        """Queue gradient terms that ``backward`` adds, in the given order,
+        when its walk reaches this tensor. The terms of later calls are added
+        first: consumers that run their backward in the reverse of their
+        forward order, such as decoder layers over one encoder output, add
+        theirs in forward order."""
+        if self.requires_grad:
+            if self._late is None:
+                self._late = []
+            self._late.append(terms)
+
     def backward(self):
         """Populate ``grad`` of every reachable requires_grad tensor."""
         if self.data.size != 1:
@@ -135,6 +146,11 @@ class Tensor:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
         for node in reversed(topo):
+            if node._late is not None:
+                for terms in reversed(node._late):
+                    for g in terms:
+                        node._accumulate(g)
+                node._late = None
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
 
@@ -142,7 +158,7 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _unbroadcast(g, shape):
+def unbroadcast(g, shape):
     """Reduce a broadcast gradient back to the operand's shape."""
     if g.shape == shape:
         return g
@@ -168,62 +184,17 @@ def _check_inner(op, a_shape, w_shape):
         raise ContractError(f"{op} inner dimensions disagree: {a_shape} x {w_shape}")
 
 
-def _weight_grads(g, x_data, w, b=None):
+def weight_grads(g, x_data, w, b=None):
     """Accumulate the gradients of the 2-D weight ``w`` and the bias ``b``
     of ``x @ w (+ b)`` from the output gradient ``g``."""
     if w.requires_grad:
-        w._accumulate(_unbroadcast(x_data.swapaxes(-1, -2) @ g, w.data.shape))
+        w._accumulate(unbroadcast(x_data.swapaxes(-1, -2) @ g, w.data.shape))
     if b is not None and b.requires_grad:
-        b._accumulate(_unbroadcast(g, b.data.shape))
+        b._accumulate(unbroadcast(g, b.data.shape))
 
 
-def linear(x, w, b):
-    """``x @ w + b`` as one node."""
-    x_data = x.data
-    _check_inner("linear", x_data.shape, w.data.shape)
-    out_data = x_data @ w.data + b.data
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g @ w.data.T)
-        _weight_grads(g, x_data, w, b)
-
-    return Tensor(out_data, _parents=(x, w, b), _backward=backward)
-
-
-def feed_forward(x, w1, b1, w2, b2):
-    """``linear(relu(linear(x, w1, b1)), w2, b2)`` as one node; the ReLU's
-    subgradient at exactly 0 is 0."""
-    x_data = x.data
-    _check_inner("linear", x_data.shape, w1.data.shape)
-    hidden = x_data @ w1.data + b1.data
-    mask = hidden > 0.0
-    act = np.where(mask, hidden, 0.0)
-    _check_inner("linear", act.shape, w2.data.shape)
-    out_data = act @ w2.data + b2.data
-
-    def backward(g):
-        _weight_grads(g, act, w2, b2)
-        g_hidden = (g @ w2.data.T) * mask
-        if x.requires_grad:
-            x._accumulate(g_hidden @ w1.data.T)
-        _weight_grads(g_hidden, x_data, w1, b1)
-
-    return Tensor(out_data, _parents=(x, w1, b1, w2, b2), _backward=backward)
-
-
-def _to_heads(a, n_head):
-    # (..., T, d) -> (..., h, T, d/h), a view
-    return a.reshape(a.shape[:-1] + (n_head, -1)).swapaxes(-3, -2)
-
-
-def _from_heads(a):
-    # (..., h, T, d/h) -> (..., T, d)
-    a = a.swapaxes(-3, -2)
-    return a.reshape(a.shape[:-2] + (-1,))
-
-
-def _softmax(x):
+def softmax(x):
+    """The softmax along the last axis, with max-subtraction for stability."""
     e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
     return e / np.add.reduce(e, axis=-1, keepdims=True)
 
@@ -234,56 +205,6 @@ def softmax_grad(g, p):
     the softmax Jacobian's product ``p * (g - <p, g>)``. A constant added to
     a row of ``g`` changes nothing."""
     return p * (g - np.add.reduce(g * p, axis=-1, keepdims=True))
-
-
-def attention(q, k, v, n_head, scale, wo, bo, mask=None):
-    """Multi-head scaled dot-product attention and its output projection
-    as one node.
-
-    ``q`` is (..., T_q, d), ``k`` and ``v`` are (..., T_k, d), already
-    projected; leading axes broadcast (a 2-D query/key set may serve a
-    batch of values). Heads are the ``n_head`` equal slices of the last
-    axis. ``mask`` (broadcast to the scores, (..., T_q, T_k)) marks the
-    keys a query may not see. Returns ``heads @ wo + bo`` of the merged
-    heads, (..., T_q, d_out).
-    """
-    q_shape, k_shape, v_shape = q.data.shape, k.data.shape, v.data.shape
-    if not q_shape[-1] == k_shape[-1] == v_shape[-1] or k_shape[-2] != v_shape[-2]:
-        raise ContractError(f"attention shapes disagree: q {q_shape}, k {k_shape}, v {v_shape}")
-    if q_shape[-1] % n_head:
-        raise ContractError(f"width {q_shape[-1]} not divisible by n_head={n_head}")
-    qh, kh, vh = _to_heads(q.data, n_head), _to_heads(k.data, n_head), _to_heads(v.data, n_head)
-    kt = kh.swapaxes(-1, -2)
-    scores = (qh @ kt) * scale
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        scores = np.where(mask, -1e9, scores)
-    probs = _softmax(scores)
-    heads = _from_heads(probs @ vh)
-    _check_inner("linear", heads.shape, wo.data.shape)
-    out_data = heads @ wo.data + bo.data
-
-    def backward(g):
-        _weight_grads(g, heads, wo, bo)
-        # the head-split gradient is contiguous, as the composed graph's was
-        g_ctx = np.ascontiguousarray(_to_heads(g @ wo.data.T, n_head))
-        if v.requires_grad:
-            g_v = _unbroadcast(probs.swapaxes(-1, -2) @ g_ctx, vh.shape)
-            v._accumulate(_from_heads(g_v))
-        if not (q.requires_grad or k.requires_grad):
-            return
-        g_probs = _unbroadcast(g_ctx @ vh.swapaxes(-1, -2), probs.shape)
-        g_scores = softmax_grad(g_probs, probs)
-        if mask is not None:
-            g_scores = np.where(mask, 0.0, g_scores)
-        g_scores = g_scores * scale
-        if q.requires_grad:
-            q._accumulate(_from_heads(_unbroadcast(g_scores @ kh, qh.shape)))
-        if k.requires_grad:
-            g_kt = _unbroadcast(qh.swapaxes(-1, -2) @ g_scores, kt.shape)
-            k._accumulate(_from_heads(g_kt.swapaxes(-1, -2)))
-
-    return Tensor(out_data, _parents=(q, k, v, wo, bo), _backward=backward)
 
 
 def token_embedding(weight, ids, scale, positions):
@@ -308,13 +229,13 @@ def linear_softmax(x, w, b):
     the last axis with max-subtraction for stability."""
     x_data = x.data
     _check_inner("linear", x_data.shape, w.data.shape)
-    out_data = _softmax(x_data @ w.data + b.data)
+    out_data = softmax(x_data @ w.data + b.data)
 
     def backward(g):
         g_logits = softmax_grad(g, out_data)
         if x.requires_grad:
             x._accumulate(g_logits @ w.data.T)
-        _weight_grads(g_logits, x_data, w, b)
+        weight_grads(g_logits, x_data, w, b)
 
     return Tensor(out_data, _parents=(x, w, b), _backward=backward)
 
@@ -334,39 +255,12 @@ def fuse_relu(h, w, y, u):
         g = g * mask
         if h.requires_grad:
             h._accumulate(g @ w.data.T)
-        _weight_grads(g, h_data, w)
+        weight_grads(g, h_data, w)
         if y.requires_grad:
             y._accumulate(g @ u.data.T)
-        _weight_grads(g, y_data, u)
+        weight_grads(g, y_data, u)
 
     return Tensor(out_data, _parents=(h, w, y, u), _backward=backward)
-
-
-def layer_norm(x, gain, bias, residual):
-    """Normalize the residual connection's sum ``x + residual`` over the last
-    axis by ``sqrt(var + 1e-5)``, then scale and shift, in one node with the
-    numbers of an ``add`` node followed by the norm."""
-    data = x.data + residual.data
-    # the moments numpy's mean and var compute, without their Python layer
-    n = data.shape[-1]
-    centered = data - np.add.reduce(data, axis=-1, keepdims=True) / n
-    var = np.add.reduce(np.square(centered), axis=-1, keepdims=True) / n
-    inv_std = 1.0 / np.sqrt(var + 1e-5)
-    xhat = centered * inv_std
-    out_data = gain.data * xhat + bias.data
-
-    def backward(g):
-        lead = tuple(range(g.ndim - 1))
-        gain._accumulate(_unbroadcast(np.add.reduce(g * xhat, axis=lead), gain.data.shape))
-        bias._accumulate(_unbroadcast(np.add.reduce(g, axis=lead), bias.data.shape))
-        dxhat = g * gain.data
-        m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / n
-        m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n
-        dx = inv_std * (dxhat - m1 - xhat * m2)
-        for t in (x, residual):
-            t._accumulate(_unbroadcast(dx, t.data.shape))
-
-    return Tensor(out_data, _parents=(x, residual, gain, bias), _backward=backward)
 
 
 def nll(x, index, scale):

@@ -168,7 +168,7 @@ def test_criterion_05_gradient_integrity():
     x = tc.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     w = tc.Tensor(rng.normal(size=(4, 4)), requires_grad=True)
     prim_reports.append(
-        oracles.grad_check(lambda: oracles.tsum(tc.linear(x, w, tc.Tensor(np.zeros(4)))), [x, w])
+        oracles.grad_check(lambda: oracles.tsum(oracles.linear(x, w, tc.Tensor(np.zeros(4)))), [x, w])
     )
     y = tc.Tensor(rng.normal(size=(2, 5)) + 0.1, requires_grad=True)
     # the softmax of y itself: y @ I + 0 is exact
@@ -184,7 +184,7 @@ def test_criterion_05_gradient_integrity():
     # the norm alone: a constant zero residual changes no bit of h
     zero = tc.Tensor(np.zeros((2, 3)))
     prim_reports.append(
-        oracles.grad_check(lambda: oracles.tsum(tc.layer_norm(h, g, b, zero)), [h, g, b])
+        oracles.grad_check(lambda: oracles.tsum(oracles.layer_norm(h, g, b, zero)), [h, g, b])
     )
     prim_ok = all(r.passed for r in prim_reports)
     prim_worst = max(r.max_rel_error for r in prim_reports)

@@ -125,6 +125,19 @@ def test_finetune_rl_checks_its_largest_batch_before_any_step(monkeypatch):
     pl.finetune_rl(model, corpus, ecfg, reward, tiny_cfg(max_steps=4))
 
 
+def test_state_is_a_snapshot():
+    # a training step updates the parameters in place; a state taken before
+    # it keeps the values it had
+    model = build_model("nat", TINY, seed=3)
+    before = model.state()
+    kept = {name: data.copy() for name, data in before.items()}
+    pl.train_ce(model, tiny_corpus(), tiny_cfg(max_steps=1))
+    after = model.state()
+    assert all(np.array_equal(before[name], kept[name]) for name in kept)
+    assert not all(np.array_equal(before[name], after[name]) for name in kept)
+    assert all(after[name] is not p.data for name, p in model.store.params.items())
+
+
 def test_finetune_rl_deterministic_logs():
     corpus = tiny_corpus(len_range=(3, 4))
     ecfg = est.EstimatorConfig(k=3, n=4, rng_seed=9)
