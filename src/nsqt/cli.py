@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Commands: train-ce, finetune-rl, decode, evaluate, distill, estimator-bench,
+Commands: train-ce, finetune-rl, decode, evaluate, estimator-bench,
 topk-stats, emit-report. Common flags: --config PATH (plain ``key=value``
 lines, ``#`` comments), --seed N, --out DIR, plus ``--key value`` overrides
 that take precedence over the config file. Every command writes its resolved
@@ -9,7 +9,7 @@ configuration to the output directory before doing any work.
 Every command that reads a corpus loads it, gets its model and checks that
 each sentence fits the model's positions before any work: the training
 commands through ``_training_setup``, decode, evaluate and topk-stats through
-``_evaluation_setup``, and distill against its teacher.
+``_evaluation_setup``.
 
 Exit codes: 0 success; 1 for a ``ContractError``, a value or combination of
 values the user can fix (an unknown key, an out-of-range number such as a
@@ -73,7 +73,6 @@ DEFAULTS = {
     **_field_defaults(pipeline.DecodeConfig, ("beam",)),
     # checkpoints
     "init_checkpoint": "",
-    "teacher_checkpoint": "",
     # estimator-bench
     "bench_vocab": 10,
     "bench_len": 3,
@@ -293,7 +292,7 @@ def _training_setup(cfg):
 def _finish_training(cfg, out_dir, model, rows):
     write_metrics(out_dir / "metrics.csv", rows)
     checkpoint.save_model(model, out_dir / "model.nsqt", seed=cfg["seed"])
-    emit_report(out_dir, required=False)
+    emit_report(out_dir)
 
 
 def cmd_train_ce(cfg, out_dir):
@@ -349,22 +348,6 @@ def cmd_evaluate(cfg, out_dir):
         ("bucket_lo", "count", "mean_gleu", "mean_sentence_bleu"),
         report.buckets,
     )
-    emit_report(out_dir, required=False)
-
-
-def cmd_distill(cfg, out_dir):
-    train, _ = _load_corpora(cfg)
-    if not cfg["teacher_checkpoint"]:
-        raise ContractError("distill requires teacher_checkpoint")
-    teacher = checkpoint.load_model(cfg["teacher_checkpoint"])
-    _check_vocab(teacher, train.vocab)
-    _check_fits(cfg, teacher, "training", (len(src) for src, _ in train.pairs))
-    dec = _decode_config(cfg, teacher.kind)
-    distilled = pipeline.distill_corpus(teacher, train, dec)
-    data.save_corpus(
-        distilled, out_dir / "distilled.src", out_dir / "distilled.tgt", train.vocab
-    )
-    train.vocab.save(out_dir / "distilled.vocab")
 
 
 def cmd_estimator_bench(cfg, out_dir):
@@ -389,7 +372,6 @@ def cmd_estimator_bench(cfg, out_dir):
         *(f"instance_{i}" for i in range(cfg["bench_instances"])),
     )
     write_csv(out_dir / "variance.csv", header, rows)
-    emit_report(out_dir, required=False)
 
 
 def cmd_topk_stats(cfg, out_dir):
@@ -410,35 +392,23 @@ def cmd_topk_stats(cfg, out_dir):
     )
 
 
-def emit_report(run_dir, required=True):
-    """Derive plot-ready CSVs from a run directory.
-
-    Always writes the training-curve CSV from metrics.csv; copies the
-    length-bucket and variance-sweep CSVs into report files when their
-    sources exist. Byte-idempotent. With ``required``, a missing metrics.csv
-    is an error naming the missing file.
-    """
+def emit_report(run_dir):
+    """Write the validation curve ``report_curve.csv`` (step, valid_gleu)
+    from a run directory's metrics.csv. Byte-idempotent; a missing
+    metrics.csv is an error naming the missing file."""
     run_dir = Path(run_dir)
     metrics = run_dir / "metrics.csv"
-    if metrics.exists():
-        rows = []
-        for number, line in enumerate(metrics.read_text().splitlines()[1:], start=2):
-            try:
-                step, split, metric, value = line.split(",")
-                if split == "valid" and metric == "gleu":
-                    rows.append((int(step), float(value)))
-            except ValueError as e:
-                raise FormatError(f"metrics.csv line {number}: {e}") from None
-        write_csv(run_dir / "report_curve.csv", ("step", "valid_gleu"), rows)
-    elif required:
+    if not metrics.exists():
         raise FormatError("missing inputs: metrics.csv")
-    for src_name, dst_name in (
-        ("length_buckets.csv", "report_length_buckets.csv"),
-        ("variance.csv", "report_variance_sweep.csv"),
-    ):
-        src = run_dir / src_name
-        if src.exists():
-            (run_dir / dst_name).write_text(src.read_text())
+    rows = []
+    for number, line in enumerate(metrics.read_text().splitlines()[1:], start=2):
+        try:
+            step, split, metric, value = line.split(",")
+            if split == "valid" and metric == "gleu":
+                rows.append((int(step), float(value)))
+        except ValueError as e:
+            raise FormatError(f"metrics.csv line {number}: {e}") from None
+    write_csv(run_dir / "report_curve.csv", ("step", "valid_gleu"), rows)
 
 
 HANDLERS = {
@@ -446,7 +416,6 @@ HANDLERS = {
     "finetune-rl": cmd_finetune_rl,
     "decode": cmd_decode,
     "evaluate": cmd_evaluate,
-    "distill": cmd_distill,
     "estimator-bench": cmd_estimator_bench,
     "topk-stats": cmd_topk_stats,
     "emit-report": lambda cfg, out_dir: emit_report(out_dir),

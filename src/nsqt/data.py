@@ -5,7 +5,8 @@ File formats:
   source and target files matched line-by-line;
 * vocabulary: one token per line, no token twice and no reserved token;
   blank lines are skipped, so the n-th token (from 0) gets id n + 4, after
-  the reserved ids pad=0, bos=1, eos=2, unk=3.
+  the reserved ids pad=0, bos=1, eos=2, unk=3. A line of several words is
+  an error: no corpus word could match it.
 """
 
 from __future__ import annotations
@@ -38,8 +39,13 @@ class Vocabulary:
 
     @classmethod
     def from_file(cls, path):
-        lines = _read_text(path, "vocabulary").split("\n")
-        return cls(RESERVED_TOKENS + tuple(line.strip() for line in lines if line.strip()))
+        tokens = []
+        for number, line in enumerate(_read_text(path, "vocabulary").split("\n"), 1):
+            words = line.split()
+            if len(words) > 1:
+                raise FormatError(f"{path}:{number}: expected one token, got {line.strip()!r}")
+            tokens.extend(words)
+        return cls(RESERVED_TOKENS + tuple(tokens))
 
     @classmethod
     def synthetic(cls, size):
@@ -47,11 +53,6 @@ class Vocabulary:
         if size <= N_RESERVED:
             raise ContractError(f"vocab size must exceed {N_RESERVED}, got {size}")
         return cls(RESERVED_TOKENS + tuple(f"tok{i}" for i in range(N_RESERVED, size)))
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            for t in self.tokens[N_RESERVED:]:
-                f.write(t + "\n")
 
     def encode(self, line):
         return tuple(self._ids.get(w, UNK) for w in line.split())
@@ -105,15 +106,6 @@ def load_parallel_corpus(src_path, tgt_path, vocab):
             if not sentence:
                 raise FormatError(f"{path}:{number}: blank line, expected a sentence")
     return ParallelCorpus(pairs, vocab)
-
-
-def save_corpus(corpus, src_path, tgt_path, vocab):
-    with open(src_path, "w", encoding="utf-8") as fs, open(
-        tgt_path, "w", encoding="utf-8"
-    ) as ft:
-        for src, tgt in corpus.pairs:
-            fs.write(vocab.decode(src) + "\n")
-            ft.write(vocab.decode(tgt) + "\n")
 
 
 SYNTHETIC_KINDS = ("copy", "reverse", "sort", "echo_runs")

@@ -1,4 +1,4 @@
-"""Training loops, decoding, evaluation, and knowledge distillation.
+"""Training loops, decoding, evaluation, and top-k mass statistics.
 
 Targets are stored as bare payload sequences. The autoregressive and hybrid
 decoders train and decode with an explicit end-of-sequence token appended;
@@ -9,7 +9,6 @@ true target length; predicted lengths are exercised only by decoding.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -19,11 +18,9 @@ import numpy as np
 from . import estimators as est
 from . import rewards
 from . import tensor as tc
-from .data import ParallelCorpus, build_length_table
+from .data import build_length_table
 from .errors import ContractError, EmptyCorpusError, TrainingError
 from .models import EOS, PAD, beam_decode, predict_length
-
-log = logging.getLogger(__name__)
 
 # Adam's moment decay rates and denominator offset, the Transformer's values
 ADAM_BETA1 = 0.9
@@ -244,8 +241,7 @@ def train_ce(model, corpus, cfg, valid=None):
 
 def finetune_rl(model, corpus, est_cfg, reward, cfg, valid=None):
     """Sequence-level fine-tuning of a parallel decoder with the top-k
-    traversal estimator; the reference is the corpus target (distilled when a
-    distilled corpus is supplied).
+    traversal estimator; the reference is the corpus target.
 
     Runs with dropout off (``model.training`` is set to False): the
     estimator scores the distributions the model would decode with. Raises
@@ -320,18 +316,6 @@ def decode_corpus(model, corpus, dec, table):
     """The decodes of every source sentence of a non-empty corpus, in order."""
     _require_pairs(corpus, "decoding")
     return [decode(model, src, dec, table) for src, _ in corpus.pairs]
-
-
-def distill_corpus(teacher, corpus, dec):
-    """Replace targets with the teacher's decodes (lengths predicted from the
-    corpus's own length table); empty decodes keep the original target
-    (count logged)."""
-    hyps = decode_corpus(teacher, corpus, dec, build_length_table(corpus))
-    pairs = [(tuple(src), tuple(hyp or tgt)) for (src, tgt), hyp in zip(corpus.pairs, hyps)]
-    kept = sum(not hyp for hyp in hyps)
-    if kept:
-        log.info("kept %d original targets for empty teacher decodes", kept)
-    return ParallelCorpus(pairs, corpus.vocab)
 
 
 @dataclass

@@ -54,8 +54,7 @@ def test_unknown_command_lists_commands(capsys):
     assert run(["frobnicate"]) == 1
     assert capsys.readouterr().err == (
         "error: unknown command 'frobnicate'; expected one of: train-ce, "
-        "finetune-rl, decode, evaluate, distill, estimator-bench, topk-stats, "
-        "emit-report\n"
+        "finetune-rl, decode, evaluate, estimator-bench, topk-stats, emit-report\n"
     )
 
 
@@ -215,7 +214,6 @@ n_head = 2
 n_layer = 2
 p_dropout = 0.0
 task = copy
-teacher_checkpoint =
 train_pairs = 2000
 train_src =
 train_tgt =
@@ -240,18 +238,21 @@ def test_default_resolved_config_is_pinned(tmp_path, command):
 
 
 def test_old_resolved_config_with_dedup_loads_once_the_line_is_deleted(tmp_path, capsys):
-    """A resolved config written while `dedup`, `patience` and
-    `residual_epsilon` were keys, and the seed was a key line, is refused as
-    it stands, naming each of those lines in turn; it loads once they are
-    deleted (README, CLI)."""
+    """A resolved config written while `dedup`, `patience`,
+    `residual_epsilon` and `teacher_checkpoint` were keys, and the seed was a
+    key line, is refused as it stands, naming each of those lines in turn;
+    it loads once they are deleted (README, CLI)."""
     text = (
         DEFAULT_RESOLVED.replace("# seed = 0\n", "")
         .replace("\neval_every", "\ndedup = True\neval_every")
         .replace("\ntask", "\npatience = 10\nresidual_epsilon = 1e-06\nseed = 0\ntask")
+        .replace("\ntrain_pairs", "\nteacher_checkpoint = \ntrain_pairs")
     )
     old, out = tmp_path / "old.cfg", tmp_path / "run"
-    for line in ("dedup = True", "patience = 10", "residual_epsilon = 1e-06", "seed = 0"):
-        key = line.split(" = ")[0]
+    lines = ("dedup = True", "patience = 10", "residual_epsilon = 1e-06", "seed = 0",
+             "teacher_checkpoint = ")
+    for line in lines:
+        key = line.split(" =")[0]
         old.write_text(text)
         assert run(["train-ce", "--config", old, "--out", out] + FAST) == 1
         assert capsys.readouterr().err == f"error: unknown config key '{key}'\n"
@@ -339,10 +340,16 @@ def test_readme_recipes_parse_and_resolve():
 
 def test_resolved_config_written_before_work(tmp_path):
     out = tmp_path / "run"
-    # fails at runtime (distill without a teacher checkpoint = usage error),
-    # but the resolved config must already be on disk
-    assert run(["distill", "--out", out] + FAST) == 1
-    assert (out / "config.resolved.cfg").exists()
+    # fails at runtime (fine-tuning an AR model = usage error), but the
+    # resolved config must already be on disk
+    assert run(["finetune-rl", "--out", out, "--model", "ar"] + FAST) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["config.resolved.cfg"]
+
+
+def test_readme_lists_the_commands_in_order():
+    text = README.read_text(encoding="utf-8")
+    listed = re.search(r"^Commands: (.*?)\.$", text, flags=re.M | re.S).group(1)
+    assert tuple(re.findall(r"`([^`]+)`", listed)) == cli.COMMANDS
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +625,7 @@ def test_decode_without_validation_files_decodes_the_training_corpus(tmp_path):
 @pytest.mark.parametrize("seed", ["4", "6"])
 def test_ids_past_the_file_vocabulary_are_written_as_unk(tmp_path, seed):
     """A model with more ids than the three-word file vocabulary decodes
-    every line, writing ``<unk>`` for the ids the file lacks, in decode and
-    distill alike."""
+    every line, writing ``<unk>`` for the ids the file lacks."""
     args = _file_corpus_args(tmp_path, "a b c\nb c\nc a b a\n")
     ckpt = tmp_path / "ck"
     assert run(["train-ce", "--out", ckpt, "--seed", seed, "--model", "nat",
@@ -628,10 +634,6 @@ def test_ids_past_the_file_vocabulary_are_written_as_unk(tmp_path, seed):
     assert run(["decode", "--out", tmp_path / "dec"] + model + args) == 0
     decodes = (tmp_path / "dec" / "decodes.txt").read_text().splitlines()
     assert len(decodes) == 3 and "<unk>" in " ".join(decodes)
-    kd = tmp_path / "kd"
-    assert run(["distill", "--out", kd, "--teacher_checkpoint", ckpt / "model.nsqt"] + args) == 0
-    assert len((kd / "distilled.src").read_text().splitlines()) == 3
-    assert (kd / "distilled.tgt").read_text().splitlines() == decodes
 
 
 @pytest.mark.parametrize("command", ["decode", "evaluate"])
@@ -700,26 +702,9 @@ def test_evaluate_writes_reports(tmp_path):
     )
     assert {"corpus_bleu", "mean_gleu", "decoder_calls"} <= set(eval_rows)
     assert float(eval_rows["decoder_calls"]) == 1.0
-    assert (out / "length_buckets.csv").exists()
-    assert (out / "report_length_buckets.csv").exists()
-
-
-def test_distill_writes_corpus(tmp_path):
-    ckpt = _tiny_checkpoint(tmp_path, kind="ar")
-    out = tmp_path / "kd"
-    assert run(["distill", "--out", out, "--teacher_checkpoint", ckpt] + FAST) == 0
-    src = (out / "distilled.src").read_text().splitlines()
-    tgt = (out / "distilled.tgt").read_text().splitlines()
-    assert len(src) == len(tgt) == 24
-    # the written corpus and vocabulary are enough to train a student on
-    student = tmp_path / "student"
-    code = run(
-        ["train-ce", "--out", student, "--model", "nat",
-         "--train_src", out / "distilled.src", "--train_tgt", out / "distilled.tgt",
-         "--vocab_file", out / "distilled.vocab"] + FAST
-    )
-    assert code == 0
-    assert (student / "model.nsqt").exists()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "config.resolved.cfg", "eval.csv", "length_buckets.csv"
+    ]
 
 
 @pytest.mark.parametrize(
@@ -823,13 +808,11 @@ def test_file_corpus_longer_than_max_len_is_usage_error(
 
 @pytest.mark.parametrize(
     "command,corpus",
-    [("decode", "validation"), ("evaluate", "validation"), ("distill", "training"),
-     ("topk-stats", "validation")],
+    [("decode", "validation"), ("evaluate", "validation"), ("topk-stats", "validation")],
 )
 def test_source_longer_than_checkpoint_max_len_is_usage_error(tmp_path, capsys, command, corpus):
     out = tmp_path / "run"
-    ckpt = "--teacher_checkpoint" if command == "distill" else "--init_checkpoint"
-    args = [command, "--out", out, ckpt, _tiny_checkpoint(tmp_path)] + FAST
+    args = [command, "--out", out, "--init_checkpoint", _tiny_checkpoint(tmp_path)] + FAST
     assert run(args + ["--len_min", "20", "--len_max", "20"]) == 1
     assert capsys.readouterr().err == (
         f"error: key len_max: the {corpus} corpus needs 20 positions, "
@@ -905,8 +888,8 @@ def test_estimator_bench_sizes_its_batches_to_the_bound(tmp_path, monkeypatch):
     assert run(args + ["--out", tmp_path / "wide"]) == 0
     monkeypatch.setattr(estimators, "ENUM_LIMIT", 63000)
     assert run(args + ["--out", tmp_path / "narrow"]) == 0
-    for name in ("variance.csv", "report_variance_sweep.csv"):
-        assert (tmp_path / "narrow" / name).read_bytes() == (tmp_path / "wide" / name).read_bytes()
+    narrow, wide = (tmp_path / d / "variance.csv" for d in ("narrow", "wide"))
+    assert narrow.read_bytes() == wide.read_bytes()
     monkeypatch.setattr(estimators, "ENUM_LIMIT", 62999)
     assert run(args + ["--out", tmp_path / "over"]) == 1
     assert sorted(p.name for p in (tmp_path / "over").iterdir()) == ["config.resolved.cfg"]

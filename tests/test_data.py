@@ -15,7 +15,6 @@ from nsqt.data import (
     build_length_table,
     gen_synthetic_task,
     load_parallel_corpus,
-    save_corpus,
 )
 from nsqt.errors import ContractError
 from nsqt.models import EOS, N_RESERVED, PAD, UNK, predict_length
@@ -34,15 +33,12 @@ def test_reserved_ids():
     assert v.size == 8
 
 
-def test_vocab_file_round_trip(tmp_path):
+def test_vocab_file_ids_follow_line_order(tmp_path):
     path = tmp_path / "vocab.txt"
     path.write_text("alpha\nbeta\ngamma\n")
     v = Vocabulary.from_file(path)
     assert v.size == N_RESERVED + 3
     assert v.encode("beta alpha") == (N_RESERVED + 1, N_RESERVED)
-    out = tmp_path / "vocab_out.txt"
-    v.save(out)
-    assert Vocabulary.from_file(out).tokens == v.tokens
 
 
 def test_unknown_token_maps_to_unk(tmp_path):
@@ -61,6 +57,17 @@ def test_repeated_vocab_token_rejected(tmp_path, text, token):
     path = tmp_path / "vocab.txt"
     path.write_text(text)
     with pytest.raises(FormatError, match=f"^vocabulary repeats token '{token}'$"):
+        Vocabulary.from_file(path)
+
+
+@pytest.mark.parametrize("line", ["a b", " a\tb ", "a b c"])
+def test_vocab_line_with_several_words_rejected(tmp_path, line):
+    # kept as one token, the line would match no corpus word, and its words
+    # would silently encode as <unk>
+    path = tmp_path / "vocab.txt"
+    path.write_text(f"x\n{line}\nc\n")
+    want = f"^{re.escape(str(path))}:2: expected one token, got {re.escape(repr(line.strip()))}$"
+    with pytest.raises(FormatError, match=want):
         Vocabulary.from_file(path)
 
 
@@ -156,13 +163,6 @@ def test_empty_sequence_rejected():
         ParallelCorpus([((4,), ())])
     with pytest.raises(FormatError):
         ParallelCorpus([((), (4,))])
-
-
-def test_save_corpus_round_trip(tmp_path):
-    corpus = gen_synthetic_task("copy", 12, (2, 5), 20, np.random.default_rng(3))
-    save_corpus(corpus, tmp_path / "c.src", tmp_path / "c.tgt", corpus.vocab)
-    back = load_parallel_corpus(tmp_path / "c.src", tmp_path / "c.tgt", corpus.vocab)
-    assert back.pairs == corpus.pairs
 
 
 # ---------------------------------------------------------------------------
