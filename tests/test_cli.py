@@ -58,6 +58,11 @@ def test_unknown_command_lists_commands(capsys):
     )
 
 
+def test_deleted_distill_command_is_unknown(capsys):
+    assert run(["distill", "--teacher_checkpoint", "run/model.npz"]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown command 'distill'; ")
+
+
 def test_missing_config_file_names_path(tmp_path, capsys):
     missing = tmp_path / "nope.cfg"
     assert run(["train-ce", "--config", missing]) == 1
@@ -476,13 +481,13 @@ def test_optimiser_config_out_of_range_exits_1(tmp_path, capsys, key, value):
 
 
 # Adam's decay rates and offset are fixed constants, NAT output is scored as
-# the model emits it, and training runs max_steps steps without stopping
-# early: none of these is a settable key
+# the model emits it, training runs max_steps steps without stopping early,
+# and there is no distillation teacher: none of these is a settable key
 @pytest.mark.parametrize(
     "key, value",
     [
         ("adam_beta1", "0.5"), ("adam_beta2", "0.9"), ("adam_eps", "1e-8"), ("dedup", "false"),
-        ("patience", "10"),
+        ("patience", "10"), ("teacher_checkpoint", "run/model.npz"),
     ],
 )
 def test_removed_key_is_unknown(tmp_path, capsys, key, value):
@@ -878,6 +883,7 @@ def test_estimator_bench_one_row_per_k(tmp_path):
     assert code == 0
     lines = (out / "variance.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines] == ["k", "0", "1", "5", "10"]
+    assert sorted(p.name for p in out.iterdir()) == ["config.resolved.cfg", "variance.csv"]
 
 
 def test_estimator_bench_sizes_its_batches_to_the_bound(tmp_path, monkeypatch):

@@ -411,6 +411,16 @@ def test_decode_config_rejects_a_beam_it_would_ignore(mode):
     assert pl.DecodeConfig(mode=mode, beam=1).beam == 1
 
 
+def test_decode_corpus_beam_is_deterministic_one_decode_per_source():
+    corpus = tiny_corpus(count=8)
+    model = build_model("ar", TINY, seed=2)
+    dec = pl.DecodeConfig(mode="beam", beam=2)
+    a = pl.decode_corpus(model, corpus, dec, build_length_table(corpus))
+    b = pl.decode_corpus(model, corpus, dec, build_length_table(corpus))
+    assert len(a) == corpus.size
+    assert a == b
+
+
 # ---------------------------------------------------------------------------
 # learning the synthetic tasks
 
